@@ -20,6 +20,7 @@ from .errors import (
     NotCyclicallyReduced,
     NotSubgroup,
     PhiNotIso,
+    VerificationFailed,
 )
 from .fingroup import FiniteGroup, GroupHom, Subgroup
 
@@ -231,7 +232,8 @@ def cyclically_reduce(spec: AmalgamSpec, w: Word) -> tuple[Word, Word]:
         c = reduce(spec, Word(c.syllables[1:]).concat(first))
         z = z.concat(first)
     z = reduce(spec, z)
-    assert equal_in_g(spec, inverse(spec, z).concat(w).concat(z), c)
+    if not equal_in_g(spec, inverse(spec, z).concat(w).concat(z), c):
+        raise VerificationFailed("cyclic conjugator failed verification")
     return c, z
 
 
@@ -265,8 +267,8 @@ class ConjugacyVerdict:
 
 def _verified(spec: AmalgamSpec, x: Word, y: Word, z: Word) -> ConjugacyVerdict:
     z = reduce(spec, z)
-    assert equal_in_g(spec, inverse(spec, z).concat(x).concat(z), y), \
-        "conjugator failed verification"
+    if not equal_in_g(spec, inverse(spec, z).concat(x).concat(z), y):
+        raise VerificationFailed("conjugator failed verification")
     return ConjugacyVerdict(True, z, ("conjugator", z.syllables))
 
 

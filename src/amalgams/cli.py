@@ -2,6 +2,9 @@
 
 Exit codes are a stable contract: 0 success, 1 negative verdict, 2 input
 error, 3 precondition failed, 4 conjugate inputs, 5 budget exhausted.
+VerificationFailed (an internal re-check rejected a computed conjugator or
+witness) is an AmalgamsError and so also exits 2, with its message on
+stderr; no positive answer is printed in that case.
 """
 
 from __future__ import annotations

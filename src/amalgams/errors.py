@@ -92,3 +92,9 @@ class BudgetExhausted(AmalgamsError):
 
 class ParseError(AmalgamsError):
     pass
+
+
+class VerificationFailed(AmalgamsError):
+    """An independent re-check rejected a computed answer (a conjugator or a
+    witness).  Signals a library fault, not bad input; raised explicitly so
+    that ``python -O`` cannot strip the check."""

@@ -160,14 +160,20 @@ def parse_group_graph(text: str, base_dir: str | Path = ".") -> gg.GroupGraph:
     for header, lines in sections.items():
         kind, *rest = header.split()
         fields = {ln.split()[0]: ln.split()[1:] for ln in lines}
+
+        def field(key: str) -> list[str]:
+            if not fields.get(key):
+                raise ParseError(f"[{header}]: missing or empty {key!r} line")
+            return fields[key]
+
         if kind == "vertex":
             (name,) = rest
-            vertex_group[name] = load_group(base / fields["group"][0])
+            vertex_group[name] = load_group(base / field("group")[0])
         elif kind == "edge":
             name, orig, term = rest
-            egrp = load_group(base / fields["group"][0])
-            rho = [int(x) for x in fields["rho"]]
-            tau = [int(x) for x in fields["tau"]]
+            egrp = load_group(base / field("group")[0])
+            rho = [int(x) for x in field("rho")]
+            tau = [int(x) for x in field("tau")]
             edges[name] = (orig, term, egrp, rho, tau)
         else:
             raise ParseError(f"unknown section kind {kind!r}")
@@ -175,6 +181,9 @@ def parse_group_graph(text: str, base_dir: str | Path = ".") -> gg.GroupGraph:
     inv, orig, term = {}, {}, {}
     edge_group, rho_map, tau_map = {}, {}, {}
     for name, (o, t, egrp, rho, tau) in sorted(edges.items()):
+        for v in (o, t):
+            if v not in vertex_group:
+                raise ParseError(f"edge {name}: unknown vertex {v!r}")
         bar = name + "bar"
         edge_names += [name, bar]
         inv[name], inv[bar] = bar, name

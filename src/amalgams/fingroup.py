@@ -153,9 +153,9 @@ def make_subgroup(G: FiniteGroup, elements: Iterable[int]) -> Subgroup:
     s = set(elts)
     if 0 not in s:
         raise NotSubgroup("missing identity")
+    if elts[0] < 0 or elts[-1] >= G.order:
+        raise IndexOutOfRange(f"element out of range 0..{G.order - 1}")
     for a in elts:
-        if not 0 <= a < G.order:
-            raise IndexOutOfRange(f"element {a} out of range")
         if G.inv(a) not in s:
             raise NotSubgroup(f"not closed under inverse at {a}")
         for b in elts:
@@ -261,9 +261,10 @@ class GroupHom:
         return self.images[x]
 
     def is_valid(self) -> bool:
-        if self.images[0] != 0 or len(self.images) != self.source.order:
-            return False
         m = self.images
+        if (len(m) != self.source.order or m[0] != 0
+                or any(not 0 <= x < self.target.order for x in m)):
+            return False
         return all(m[self.source.mul(a, b)] == self.target.mul(m[a], m[b])
                    for a in self.source.elements() for b in self.source.elements())
 
@@ -361,43 +362,37 @@ def generating_sequence(G: FiniteGroup) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _element_expressions(G: FiniteGroup) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """For each element, a pair chain expressing it: expr[e] is a sequence of
-    (previous element, generator position) steps ending at e via right
-    multiplication.  Stored as, per element, (prev, genpos) of the last step;
-    identity has an empty marker (-1, -1)."""
+def _element_expressions(G: FiniteGroup) -> tuple[tuple[int, int, int], ...]:
+    """Breadth-first spanning tree of G from the identity over the greedy
+    generating sequence: steps (e, prev, genpos) with e = prev * gens[genpos],
+    in discovery order, so each prev precedes the step that uses it."""
     gens = generating_sequence(G)
-    last: dict[int, tuple[int, int]] = {0: (-1, -1)}
+    steps = []
+    seen = {0}
     frontier = [0]
-    while frontier:
-        x = frontier.pop(0)
+    for x in frontier:  # grows while iterated: breadth-first order
         for gi, g in enumerate(gens):
             y = G.mul(x, g)
-            if y not in last:
-                last[y] = (x, gi)
+            if y not in seen:
+                seen.add(y)
                 frontier.append(y)
-    return tuple(last[e] for e in G.elements())
+                steps.append((y, x, gi))
+    return tuple(steps)
 
 
 def _images_from_generators(G: FiniteGroup, X: FiniteGroup,
                             gen_images: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Extend generator images along the BFS expressions; verify the
-    homomorphism law on all pairs.  None if not a homomorphism."""
-    exprs = _element_expressions(G)
-    images = [None] * G.order
-    images[0] = 0
-    # exprs is in BFS discovery order only elementwise; resolve recursively
-    def img(e: int) -> int:
-        if images[e] is None:
-            prev, gi = exprs[e]
-            images[e] = X.mul(img(prev), gen_images[gi])
-        return images[e]
-
-    for e in G.elements():
-        img(e)
+    """Extend generator images along the breadth-first spanning tree; verify
+    img(a*s) = img(a)*img(s) for every element a and generator s, which
+    implies the full homomorphism law since the generators span G.  None if
+    not a homomorphism."""
+    images = [0] * G.order
+    for e, prev, gi in _element_expressions(G):
+        images[e] = X.mul(images[prev], gen_images[gi])
+    gens = generating_sequence(G)
     for a in G.elements():
-        for b in G.elements():
-            if images[G.mul(a, b)] != X.mul(images[a], images[b]):
+        for s, x in zip(gens, gen_images):
+            if images[G.mul(a, s)] != X.mul(images[a], x):
                 return None
     return tuple(images)
 

@@ -3,10 +3,11 @@
 A witness for a non-conjugate pair (f, g) is a pair of factor homomorphisms
 into a finite p-group that agree on the amalgamated subgroup (so the pair
 extends to the whole amalgam) and send f and g to non-conjugate images.
-The search ladder first tries quotient amalgams chosen case-by-case from
-the shape of the reduced forms, then a direct enumeration of agreeing
-homomorphism pairs, then the kill-the-amalgam collapse onto a direct
-product of cyclic quotients.
+The search enumerates every agreeing homomorphism pair into each group of
+the p-group catalog, smallest first, and returns the first pair that
+separates the conjugacy classes.  Any witness through a quotient amalgam
+or a collapse onto a direct product composes to an agreeing pair into a
+catalog group, so this one exhaustive stage decides the same verdicts.
 """
 
 from __future__ import annotations
@@ -18,15 +19,12 @@ from typing import Iterator, Optional, Sequence
 
 from . import amalgam as am
 from . import fingroup
-from . import graphgroups as gg
-from . import quotients as qt
 from .amalgam import TAG_H, TAG_K, AmalgamSpec, Word
 from .errors import (
     BudgetExhausted,
     ElementsConjugate,
-    NoRefinementFound,
     NotPPower,
-    WrongShape,
+    VerificationFailed,
 )
 from .fingroup import FiniteGroup, GroupHom
 
@@ -41,6 +39,9 @@ class Witness:
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """Caps of the witness search.  ``max_quotient_index`` is validated but
+    no longer read by the search, which enumerates hom pairs directly."""
+
     p: int = 2
     max_target_order: int = 16
     max_quotient_index: int = 16
@@ -80,20 +81,15 @@ def verify_witness(spec: AmalgamSpec, w: Witness, f: Word, g: Word,
     return fingroup.class_of(w.target, fi) != fingroup.class_of(w.target, gi)
 
 
-def _partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of n in lexicographically decreasing order of parts,
-    largest-first within each partition."""
+def _partitions(n: int,
+                maxpart: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+    """Partitions of n (parts at most maxpart) in lexicographically
+    decreasing order of parts, largest-first within each partition."""
     if n == 0:
         yield ()
-        return
-    def rec(n, maxpart):
-        if n == 0:
-            yield ()
-            return
-        for first in range(min(n, maxpart), 0, -1):
-            for rest in rec(n - first, first):
-                yield (first,) + rest
-    yield from rec(n, n)
+    for first in range(min(n, maxpart or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
 
 
 @lru_cache(maxsize=None)
@@ -142,11 +138,13 @@ def p_group_catalog(p: int, max_order: int,
 def agreeing_pairs(spec: AmalgamSpec,
                    X: FiniteGroup) -> Iterator[tuple[GroupHom, GroupHom]]:
     """All (psi_H, psi_K) into X with psi_K(a phi) = psi_H(a) on A, in
-    canonical enumeration order (psi_H outer)."""
-    phi = spec.phi_map
+    canonical enumeration order (psi_H outer).  Hom(K, X) is enumerated
+    once and bucketed by its images on B, listed in phi order."""
+    by_b: dict[tuple[int, ...], list[GroupHom]] = {}
+    for psi_K in fingroup.enumerate_homs(spec.K, X):
+        by_b.setdefault(tuple(psi_K(b) for _, b in spec.phi), []).append(psi_K)
     for psi_H in fingroup.enumerate_homs(spec.H, X):
-        partial = {phi[a]: psi_H(a) for a in spec.A.elements}
-        for psi_K in fingroup.enumerate_homs(spec.K, X, partial=partial):
+        for psi_K in by_b.get(tuple(psi_H(a) for a, _ in spec.phi), ()):
             yield psi_H, psi_K
 
 
@@ -156,75 +154,8 @@ def _decide_conjugacy(spec: AmalgamSpec, x: Word, y: Word) -> am.ConjugacyVerdic
     return am.is_conjugate_general(spec, x, y)
 
 
-def _classify(spec: AmalgamSpec, cf: Word, cg: Word) -> str:
-    if len(cf) != len(cg):
-        return "case1"
-    if len(cf) > 1:
-        return "case4"
-    tf, ef = am._canonical_length1(spec, cf) if len(cf) == 1 else (TAG_H, 0)
-    tg, eg = am._canonical_length1(spec, cg) if len(cg) == 1 else (TAG_H, 0)
-    return "case2" if tf != tg else "case3"
-
-
-def _coset_union(G: FiniteGroup, sub, N) -> frozenset[int]:
-    return frozenset(G.mul(a, m) for a in sub.elements for m in N.elements)
-
-
-def _syllables_avoid(spec: AmalgamSpec, words: Sequence[Word],
-                     M, N) -> bool:
-    am_set = _coset_union(spec.H, spec.A, M)
-    bn_set = _coset_union(spec.K, spec.B, N)
-    for w in words:
-        for tag, e in w:
-            if tag == TAG_H and e in am_set:
-                return False
-            if tag == TAG_K and e in bn_set:
-                return False
-    return True
-
-
-def _guided_pairs(spec: AmalgamSpec, budget: SearchBudget,
-                  case: str, cf: Word, cg: Word) -> Iterator[qt.CompatiblePair]:
-    """Compatible pairs consistent with the case constraints, smallest
-    quotients first."""
-    p = budget.p
-    ms = qt._p_power_index_normals(spec.H, p, budget.max_quotient_index)
-    ns = qt._p_power_index_normals(spec.K, p, budget.max_quotient_index)
-    grid = sorted(
-        itertools.product(ms, ns),
-        key=lambda mn: (fingroup.index(spec.H, mn[0]) * fingroup.index(spec.K, mn[1]),
-                        fingroup.index(spec.H, mn[0]), mn[0].elements, mn[1].elements))
-    for M, N in grid:
-        if case in ("case1", "case2", "case4"):
-            if not _syllables_avoid(spec, (cf, cg), M, N):
-                continue
-        elif case == "case3":
-            tag, ef = am._canonical_length1(spec, cf)
-            _, eg = am._canonical_length1(spec, cg)
-            G, sub = (spec.H, M) if tag == TAG_H else (spec.K, N)
-            Q, proj = fingroup.quotient(G, sub)
-            if fingroup.class_of(Q, proj(ef)) == fingroup.class_of(Q, proj(eg)):
-                continue
-        try:
-            pair = qt.refine_to_compatible(spec, M, N, p)
-        except NoRefinementFound:
-            continue
-        if case in ("case1", "case2", "case4"):
-            if not _syllables_avoid(spec, (cf, cg), pair.R, pair.S):
-                continue
-        elif case == "case3":
-            tag, ef = am._canonical_length1(spec, cf)
-            _, eg = am._canonical_length1(spec, cg)
-            Q, proj = ((pair.quotient_spec.H, pair.proj_H) if tag == TAG_H
-                       else (pair.quotient_spec.K, pair.proj_K))
-            if fingroup.class_of(Q, proj(ef)) == fingroup.class_of(Q, proj(eg)):
-                continue
-        yield pair
-
-
 def _hom_pair_witness(spec: AmalgamSpec, f: Word, g: Word,
-                      catalog: Sequence[FiniteGroup],
-                      tag: str) -> Optional[Witness]:
+                      catalog: Sequence[FiniteGroup]) -> Optional[Witness]:
     """First agreeing pair over the catalog separating the images of f, g."""
     for X in catalog:
         classes = fingroup.conjugacy_classes(X)
@@ -233,7 +164,7 @@ def _hom_pair_witness(spec: AmalgamSpec, f: Word, g: Word,
             for e in cls:
                 cls_of[e] = cls
         for psi_H, psi_K in agreeing_pairs(spec, X):
-            w = Witness(X, psi_H, psi_K, tag)
+            w = Witness(X, psi_H, psi_K, "direct")
             if cls_of[word_image(w, f)] != cls_of[word_image(w, g)]:
                 return w
     return None
@@ -245,67 +176,28 @@ def search_witness(spec: AmalgamSpec, f: Word, g: Word,
     and g in a finite p-group.
 
     Raises ElementsConjugate when f and g are conjugate in G, and
-    BudgetExhausted when no witness exists within the caps (for amalgams of
-    finite p-groups that outcome is consistent with G not being residually
-    a finite p-group, in which case separation may be impossible).
+    BudgetExhausted when no agreeing pair into a catalog group of order
+    <= budget.max_target_order separates them (for amalgams of finite
+    p-groups that outcome is consistent with G not being residually a
+    finite p-group, in which case separation may be impossible).  A witness
+    that fails the independent re-check raises VerificationFailed.
     """
     p = budget.p
     verdict = _decide_conjugacy(spec, f, g)
     if verdict.conjugate:
         raise ElementsConjugate(verdict.conjugator)
-    catalog = p_group_catalog(p, budget.max_target_order)
-    cf, _ = am.cyclically_reduce(spec, f)
-    cg, _ = am.cyclically_reduce(spec, g)
-    case = _classify(spec, cf, cg)
-
-    # (i) guided quotient, per the case analysis
-    for pair in _guided_pairs(spec, budget, case, cf, cg):
-        pf, pg = qt.project_word(pair, cf), qt.project_word(pair, cg)
-        if case in ("case1", "case4"):
-            if len(pf) != len(cf) or len(pg) != len(cg):
-                continue  # length must be preserved for the case to apply
-        if _decide_conjugacy(pair.quotient_spec, pf, pg).conjugate:
-            continue
-        found = _hom_pair_witness(pair.quotient_spec, pf, pg, catalog,
-                                  f"{case}-quotient")
-        if found is not None:
-            w = Witness(found.target,
-                        pair.proj_H.compose(found.psi_H),
-                        pair.proj_K.compose(found.psi_K),
-                        found.strategy_tag)
-            if verify_witness(spec, w, f, g, p):
-                return w
-
-    # (ii) direct agreeing-pair enumeration
-    found = _hom_pair_witness(spec, f, g, catalog, "direct")
-    if found is not None and verify_witness(spec, found, f, g, p):
-        return found
-
-    # (iii) kill the amalgamated subgroup and collapse to a direct product
-    try:
-        pres = gg.amalgam_presentation(spec)
-        killed = gg.kill_subgroups(pres, {"u": spec.A, "v": spec.B})
-        P, images = gg.collapse_to_direct_product(killed)
-        if fingroup.is_p_group(P, p) and P.order <= budget.max_target_order:
-            projs = {}
-            for v, G in (("u", spec.H), ("v", spec.K)):
-                sub = spec.A if v == "u" else spec.B
-                closure = fingroup.normal_closure(G, sub.elements)
-                _, proj = fingroup.quotient(G, closure)
-                imgs = tuple(images.get(gg.symbol(v, proj(e)), 0)
-                             for e in G.elements())
-                projs[v] = GroupHom(G, P, imgs)
-            w = Witness(P, projs["u"], projs["v"], "kill-amalgam")
-            if verify_witness(spec, w, f, g, p):
-                return w
-    except WrongShape:
-        pass
-
-    raise BudgetExhausted(
-        f"no witness within target order {budget.max_target_order} and "
-        f"quotient index {budget.max_quotient_index}; for amalgams of finite "
-        f"p-groups this is consistent with the group not being residually a "
-        f"finite {p}-group (separability holds iff residual-{p} holds)")
+    found = _hom_pair_witness(spec, f, g,
+                              p_group_catalog(p, budget.max_target_order))
+    if found is None:
+        raise BudgetExhausted(
+            f"no agreeing homomorphism pair into a catalog {p}-group of "
+            f"order at most {budget.max_target_order} separates the inputs; "
+            f"for amalgams of finite p-groups this is consistent with the "
+            f"group not being residually a finite {p}-group (separability "
+            f"holds iff residual-{p} holds)")
+    if not verify_witness(spec, found, f, g, p):
+        raise VerificationFailed("witness failed the independent re-check")
+    return found
 
 
 def enumerate_cyclically_reduced(spec: AmalgamSpec,
@@ -361,17 +253,9 @@ def enumerate_elements(spec: AmalgamSpec, max_length: int) -> tuple[Word, ...]:
             for tail in tails:
                 nf = am.NormalForm(a, tail)
                 out.append(am.render(spec, nf))
-    # normal forms with distinct (a, tail) are distinct elements already,
-    # except length-1 tails absorbed into A never arise (reps avoid A).
-    seen = set()
-    uniq = []
-    for w in out:
-        nf = am.normal_form(spec, w)
-        key = (nf.amalgam_part, nf.tail)
-        if key not in seen:
-            seen.add(key)
-            uniq.append(w)
-    return tuple(uniq)
+    # distinct (a, tail) pairs are distinct elements: the reps avoid A, so
+    # no tail syllable is absorbed into the amalgamated part.
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,22 @@ def make_s3_amalgam():
     return am.make_amalgam(s3, c6, a3.elements, [0, 2, 4], {0: 0, g: 2, g2: 4})
 
 
+def make_c9_amalgam():
+    """C9 amalgamated with C3 x C3 over their order-3 subgroups {0, 3, 6};
+    central, for p = 3."""
+    c9 = fingroup.cyclic(9)
+    c3xc3 = fingroup.direct_product(fingroup.cyclic(3), fingroup.cyclic(3))
+    return am.make_amalgam(c9, c3xc3, [0, 3, 6], [0, 3, 6],
+                           {0: 0, 3: 3, 6: 6})
+
+
+def make_d8_q8():
+    """D8 * Q8 amalgamated over their centres (both of order 2); central."""
+    d8, q8 = fingroup.dihedral(4), fingroup.quaternion(8)
+    zd, zq = fingroup.center(d8).elements, fingroup.center(q8).elements
+    return am.make_amalgam(d8, q8, zd, zq, dict(zip(zd, zq)))
+
+
 @pytest.fixture(scope="session")
 def amalg1():
     return make_amalg1()

@@ -1,4 +1,9 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -6,7 +11,12 @@ import oracles
 from amalgams import amalgam as am
 from amalgams import fingroup as fg
 from amalgams.amalgam import Word, word
-from amalgams.errors import NotCentral, NotCyclicallyReduced, PhiNotIso
+from amalgams.errors import (
+    NotCentral,
+    NotCyclicallyReduced,
+    PhiNotIso,
+    VerificationFailed,
+)
 
 
 def W(*syllables):
@@ -229,3 +239,42 @@ class TestLengthConfluence:
         for w, c in comp.items():
             by_comp.setdefault(c, set()).add(am.length(amalg1, Word(w)))
         assert all(len(lengths) == 1 for lengths in by_comp.values())
+
+
+class TestVerificationChecks:
+    """Conjugator re-checks raise VerificationFailed, also under python -O."""
+
+    def test_cyclically_reduce_rejects(self, amalg1, monkeypatch):
+        monkeypatch.setattr(am, "equal_in_g", lambda spec, u, v: False)
+        with pytest.raises(VerificationFailed):
+            am.cyclically_reduce(amalg1, W(("H", 1), ("K", 1), ("H", 1)))
+
+    def test_conjugator_rejects(self, amalg1, monkeypatch):
+        monkeypatch.setattr(am, "equal_in_g", lambda spec, u, v: False)
+        with pytest.raises(VerificationFailed):
+            am._verified(amalg1, W(("H", 1)), W(("H", 1)), am.EMPTY)
+
+    def test_checks_survive_optimize(self):
+        code = textwrap.dedent("""
+            import sys
+            from amalgams import amalgam as am, fingroup as fg
+            from amalgams.errors import VerificationFailed
+            c4 = fg.cyclic(4)
+            spec = am.make_amalgam(c4, c4, [0, 2], [0, 2], {0: 0, 2: 2})
+            h1 = am.word([("H", 1)])
+            am.equal_in_g = lambda spec, u, v: False
+            for call in (lambda: am.cyclically_reduce(spec, h1),
+                         lambda: am._verified(spec, h1, h1, am.EMPTY)):
+                try:
+                    call()
+                except VerificationFailed:
+                    continue
+                sys.exit("check stripped")
+            sys.exit(0 if sys.flags.optimize else "not optimized")
+        """)
+        src = str(Path(am.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +90,12 @@ class TestReduce:
 
     def test_bad_word_is_input_error(self, amalg1_file, capsys):
         assert main(["reduce", amalg1_file, "H:9"]) == 2
+
+    def test_out_of_range_subgroup_is_input_error(self, amalg1_file, capsys):
+        text = Path(amalg1_file).read_text().replace("elements 0 2\n[B]",
+                                                "elements 0 9\n[B]")
+        Path(amalg1_file).write_text(text)
+        assert main(["reduce", amalg1_file, "H:1"]) == 2
 
     def test_missing_file_is_input_error(self, capsys):
         assert main(["reduce", "/nonexistent/x.txt", "H:1"]) == 2
@@ -200,3 +210,29 @@ class TestPi1:
     def test_bad_graph_is_input_error(self, tmp_path, capsys):
         (tmp_path / "bad.txt").write_text("[vertex u]\ngroup missing.grp\n")
         assert main(["pi1", str(tmp_path / "bad.txt")]) == 2
+
+    @pytest.mark.parametrize("text", [
+        # vertex section without a group line
+        "[vertex u]\ngroup c2.grp\n[vertex v]\n",
+        # edge section without a tau line
+        "[vertex u]\ngroup c2.grp\n[edge e0 u u]\ngroup c2.grp\nrho 0 1\n",
+        # edge naming an unknown vertex
+        "[vertex u]\ngroup c2.grp\n"
+        "[edge e0 u w]\ngroup c2.grp\nrho 0 1\ntau 0 1\n",
+        # edge image outside the vertex group
+        "[vertex u]\ngroup c2.grp\n"
+        "[edge e0 u u]\ngroup c2.grp\nrho 0 7\ntau 0 1\n",
+    ], ids=["vertex-no-group", "edge-no-tau", "unknown-vertex", "bad-image"])
+    def test_malformed_graph_exits_2(self, tmp_path, text):
+        (tmp_path / "c2.grp").write_text(fileio.serialize_group(fg.cyclic(2)))
+        (tmp_path / "graph.txt").write_text(text)
+        with pytest.raises(ParseError):
+            fileio.load_group_graph(tmp_path / "graph.txt")
+        src = str(Path(fileio.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "amalgams.cli", "pi1",
+             str(tmp_path / "graph.txt")],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -26,6 +26,27 @@ def brute_force_subgroups(G):
     return sorted(out, key=lambda t: (len(t), t))
 
 
+def brute_force_homs(G, X):
+    """Every assignment of generator images, extended along a search from
+    the identity and kept when it passes the full n^2 homomorphism law."""
+    gens = fg.generating_sequence(G)
+    out = set()
+    for assignment in itertools.product(X.elements(), repeat=len(gens)):
+        images = {0: 0}
+        frontier = [0]
+        while frontier:
+            a = frontier.pop()
+            for s, x in zip(gens, assignment):
+                b = G.mul(a, s)
+                if b not in images:
+                    images[b] = X.mul(images[a], x)
+                    frontier.append(b)
+        h = fg.GroupHom(G, X, tuple(images[e] for e in G.elements()))
+        if h.is_valid():
+            out.add(h.images)
+    return out
+
+
 def brute_force_normal_subgroups(G):
     return [s for s in brute_force_subgroups(G)
             if all(G.conj(h, z) in set(s) for h in s for z in G.elements())]
@@ -87,6 +108,8 @@ class TestSubgroups:
     def test_closure_index_error(self):
         with pytest.raises(IndexOutOfRange):
             fg.subgroup_closure(fg.cyclic(4), {7})
+        with pytest.raises(IndexOutOfRange):
+            fg.make_subgroup(fg.cyclic(4), [0, 9])
 
     def test_normal_subgroups_c4(self):
         c4 = fg.cyclic(4)
@@ -201,6 +224,23 @@ class TestHoms:
                      (fg.symmetric3(), fg.symmetric3())]:
             for h in fg.enumerate_homs(G, X):
                 assert h.is_valid()
+
+    @pytest.mark.parametrize("G,X", [
+        (fg.quaternion(8), fg.dihedral(4)),
+        (fg.dihedral(4), fg.quaternion(8)),
+        (fg.symmetric3(), fg.symmetric3()),
+        (fg.dihedral(4), fg.direct_product(fg.cyclic(2), fg.cyclic(2))),
+    ])
+    def test_homs_match_brute_force(self, G, X):
+        homs = [h.images for h in fg.enumerate_homs(G, X)]
+        assert len(homs) == len(set(homs))
+        assert set(homs) == brute_force_homs(G, X)
+
+    def test_is_valid_rejects_out_of_range_images(self):
+        c2 = fg.cyclic(2)
+        assert not fg.GroupHom(c2, c2, (0, 2)).is_valid()
+        assert not fg.GroupHom(c2, c2, (0, -1)).is_valid()
+        assert not fg.GroupHom(c2, c2, ()).is_valid()
 
     def test_partial_constrains_enumeration(self):
         c4, c2 = fg.cyclic(4), fg.cyclic(2)

@@ -1,10 +1,18 @@
+import itertools
+
 import pytest
 
 from amalgams import amalgam as am
 from amalgams import fingroup as fg
 from amalgams import separability as sep
 from amalgams.amalgam import word
-from amalgams.errors import BudgetExhausted, ElementsConjugate, NotPPower
+from amalgams.errors import (
+    BudgetExhausted,
+    ElementsConjugate,
+    NotPPower,
+    VerificationFailed,
+)
+from conftest import make_c9_amalgam, make_d8_q8, make_s3_amalgam
 
 
 def W(*syllables):
@@ -71,6 +79,19 @@ class TestWordImage:
         psi_k = fg.GroupHom(amalg1.K, c4, (0, 0, 0, 0))
         assert not sep.agrees_on_amalgam(amalg1, psi_h, psi_k)
 
+    @pytest.mark.parametrize("make,X", [
+        (make_s3_amalgam, fg.direct_product(fg.cyclic(2), fg.cyclic(2))),
+        (make_d8_q8, fg.dihedral(4)),
+    ])
+    def test_agreeing_pairs_match_filtered_product(self, make, X):
+        spec = make()
+        expected = [(h.images, k.images)
+                    for h, k in itertools.product(fg.enumerate_homs(spec.H, X),
+                                                  fg.enumerate_homs(spec.K, X))
+                    if sep.agrees_on_amalgam(spec, h, k)]
+        got = [(h.images, k.images) for h, k in sep.agreeing_pairs(spec, X)]
+        assert got == expected
+
     def test_agreeing_pairs_all_agree(self, amalg1):
         for psi_h, psi_k in sep.agreeing_pairs(amalg1, fg.cyclic(4)):
             assert sep.agrees_on_amalgam(amalg1, psi_h, psi_k)
@@ -118,6 +139,11 @@ class TestSearchWitness:
                                sep.SearchBudget(p=2, max_target_order=8,
                                                 max_quotient_index=8))
 
+    def test_rejected_witness_raises(self, amalg1, monkeypatch):
+        monkeypatch.setattr(sep, "verify_witness", lambda *args: False)
+        with pytest.raises(VerificationFailed):
+            sep.search_witness(amalg1, W(("H", 1)), W(("K", 1)), BUDGET)
+
     def test_strategy_tag_present(self, amalg1):
         w = sep.search_witness(amalg1, W(("H", 1)), W(("K", 1)), BUDGET)
         assert w.strategy_tag
@@ -134,18 +160,20 @@ class TestEnumeration:
                 am.normal_form(amalg1, w).tail) for w in ws}
         assert len(nfs) == len(ws)
 
-    def test_elements_count_matches_components(self, amalg1):
+    def test_elements_count_matches_components(self, amalg1, s3_amalgam):
         import oracles
-        comp = oracles.rewriting_components(amalg1, 2)
-        n_elements = len(set(comp.values()))
-        ws = sep.enumerate_elements(amalg1, 2)
-        assert len(ws) == n_elements
+        for spec in (amalg1, s3_amalgam):
+            comp = oracles.rewriting_components(spec, 2)
+            n_elements = len(set(comp.values()))
+            ws = sep.enumerate_elements(spec, 2)
+            assert len(ws) == n_elements
 
-    def test_elements_distinct(self, amalg1):
-        ws = sep.enumerate_elements(amalg1, 3)
-        nfs = {(am.normal_form(amalg1, w).amalgam_part,
-                am.normal_form(amalg1, w).tail) for w in ws}
-        assert len(nfs) == len(ws)
+    def test_elements_distinct(self, amalg1, s3_amalgam):
+        for spec in (amalg1, s3_amalgam):
+            ws = sep.enumerate_elements(spec, 3)
+            nfs = {(am.normal_form(spec, w).amalgam_part,
+                    am.normal_form(spec, w).tail) for w in ws}
+            assert len(nfs) == len(ws)
 
 
 class TestReports:
@@ -172,3 +200,31 @@ class TestReports:
         assert not report.residually_p_up_to_bound
         failed = {e.element.syllables for e in report.failures}
         assert (("K", 1),) in failed and (("K", 2),) in failed
+
+
+class TestVerdictPinning:
+    """Every unordered pair of distinct cyclically reduced elements gets
+    the same verdict (found / exhausted / conjugate) whatever the search
+    strategy, and every witness passes the independent re-check."""
+
+    @pytest.mark.parametrize("make,length,p,order,expected", [
+        (make_s3_amalgam, 2, 2, 16, (81, 5, 19)),
+        (make_c9_amalgam, 2, 3, 27, (729, 0, 12)),
+        (make_d8_q8, 1, 2, 16, (84, 1, 6)),
+    ])
+    def test_verdict_counts(self, make, length, p, order, expected):
+        spec = make()
+        budget = sep.SearchBudget(p, order, order)
+        reps = sep.enumerate_cyclically_reduced(spec, length)
+        found = exhausted = conjugate = 0
+        for f, g in itertools.combinations(reps, 2):
+            try:
+                w = sep.search_witness(spec, f, g, budget)
+            except ElementsConjugate:
+                conjugate += 1
+            except BudgetExhausted:
+                exhausted += 1
+            else:
+                assert sep.verify_witness(spec, w, f, g, p)
+                found += 1
+        assert (found, exhausted, conjugate) == expected
