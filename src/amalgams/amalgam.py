@@ -11,7 +11,9 @@ so equality in G is decidable by comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional
 
 from . import fingroup
 from .errors import (
@@ -62,6 +64,13 @@ class AmalgamSpec:
 
     ``phi`` is stored as a sorted tuple of (a, b) pairs on parent element
     indices.  Use validate_spec / make_amalgam to construct checked specs.
+
+    The lookups the word algorithms need are built once per instance, on
+    first use: phi and its inverse as dicts (``phi_map`` and
+    ``phi_inv_map`` expose them read-only), and per factor the membership
+    set of the amalgamated subgroup and the coset table behind
+    ``_coset_decompose``.  They are not fields, so equality and hashing see
+    only the defining data.
     """
     H: FiniteGroup
     K: FiniteGroup
@@ -76,20 +85,43 @@ class AmalgamSpec:
     def amalg(self, tag: str) -> Subgroup:
         return self.A if tag == TAG_H else self.B
 
-    @property
-    def phi_map(self) -> dict[int, int]:
-        return dict(self.phi)
+    @cached_property
+    def _across(self) -> dict[str, dict[int, int]]:
+        """Per tag, the amalgamated elements of that factor mapped to the
+        other factor's indexing: phi for H, its inverse for K."""
+        return {TAG_H: dict(self.phi), TAG_K: {b: a for a, b in self.phi}}
+
+    @cached_property
+    def _cosets(self) -> dict[str, tuple[tuple[int, int], ...]]:
+        """Per tag, the table e -> (a, rep) with e = a * rep, a in the
+        amalgamated subgroup of that factor and rep the minimal element of
+        the right coset of e."""
+        out = {}
+        for tag in (TAG_H, TAG_K):
+            G, sub = self.factor(tag), self.amalg(tag).elements
+            rows = []
+            for e in G.elements():
+                rep = min(G.mul(a, e) for a in sub)
+                rows.append((G.mul(e, G.inv(rep)), rep))
+            out[tag] = tuple(rows)
+        return out
 
     @property
-    def phi_inv_map(self) -> dict[int, int]:
-        return {b: a for a, b in self.phi}
+    def phi_map(self) -> Mapping[int, int]:
+        return MappingProxyType(self._across[TAG_H])
+
+    @property
+    def phi_inv_map(self) -> Mapping[int, int]:
+        return MappingProxyType(self._across[TAG_K])
 
     def transport(self, tag: str, e: int) -> int:
         """Carry an amalgamated element to the other factor's indexing."""
-        return dict(self.phi)[e] if tag == TAG_H else {b: a for a, b in self.phi}[e]
+        return self._across[tag][e]
 
     def in_amalg(self, tag: str, e: int) -> bool:
-        return e in self.amalg(tag).element_set()
+        """Membership in A (tag H) or B (tag K), the domain and range of
+        the bijection phi."""
+        return e in self._across[tag]
 
 
 def make_amalgam(H: FiniteGroup, K: FiniteGroup,
@@ -143,19 +175,17 @@ def reduce(spec: AmalgamSpec, w: Word) -> Word:
     """A reduced form of w: adjacent syllables from different factors, no
     interior syllable in the amalgamated subgroup.  A length-1 result lying
     in the amalgam is canonicalized to tag H."""
+    across = spec._across
     syl = list(w.syllables)
     while True:
         syl = _merge_pass(spec, syl)
         if len(syl) <= 1:
             break
-        flipped = False
         for i, (tag, e) in enumerate(syl):
-            if spec.in_amalg(tag, e):
-                other = TAG_K if tag == TAG_H else TAG_H
-                syl[i] = (other, spec.transport(tag, e))
-                flipped = True
+            if e in across[tag]:
+                syl[i] = (TAG_K if tag == TAG_H else TAG_H, across[tag][e])
                 break
-        if not flipped:
+        else:
             break
     if len(syl) == 1 and syl[0][0] == TAG_K and spec.in_amalg(TAG_K, syl[0][1]):
         syl = [(TAG_H, spec.transport(TAG_K, syl[0][1]))]
@@ -184,11 +214,7 @@ class NormalForm:
 def _coset_decompose(spec: AmalgamSpec, tag: str, e: int) -> tuple[int, int]:
     """e = a * rep with a in the amalgamated subgroup of this factor and rep
     the minimal element of its right coset."""
-    G = spec.factor(tag)
-    sub = spec.amalg(tag)
-    rep = min(G.mul(a, e) for a in sub.elements)
-    a = G.mul(e, G.inv(rep))
-    return a, rep
+    return spec._cosets[tag][e]
 
 
 def normal_form(spec: AmalgamSpec, w: Word) -> NormalForm:
@@ -201,14 +227,16 @@ def normal_form(spec: AmalgamSpec, w: Word) -> NormalForm:
         tag, e = syl[0]
         a = e if tag == TAG_H else spec.transport(TAG_K, e)
         return NormalForm(a, ())
+    fwd, back = spec._across[TAG_H], spec._across[TAG_K]
+    cosets = spec._cosets
     carry = 0  # element of A, H-side index
     tail: list[tuple[str, int]] = []
     for tag, e in reversed(syl):
         G = spec.factor(tag)
-        c = carry if tag == TAG_H else spec.phi_map[carry]
-        a, rep = _coset_decompose(spec, tag, G.mul(e, c))
+        c = carry if tag == TAG_H else fwd[carry]
+        a, rep = cosets[tag][G.mul(e, c)]
         tail.append((tag, rep))
-        carry = a if tag == TAG_H else spec.phi_inv_map[a]
+        carry = a if tag == TAG_H else back[a]
     tail.reverse()
     return NormalForm(carry, tuple(tail))
 

@@ -33,6 +33,14 @@ def serialize_group(G: FiniteGroup, presentation: Optional[str] = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ints(tokens: list[str], what: str) -> list[int]:
+    try:
+        return [int(x) for x in tokens]
+    except ValueError:
+        raise ParseError(f"{what}: expected integers, got "
+                         f"{' '.join(tokens)!r}") from None
+
+
 def parse_group(text: str) -> FiniteGroup:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     order = None
@@ -42,7 +50,7 @@ def parse_group(text: str) -> FiniteGroup:
     while i < len(lines):
         ln = lines[i]
         if ln.startswith("order "):
-            order = int(ln.split()[1])
+            order = _ints(ln.split()[1:2], "order")[0]
         elif ln == "table":
             if order is None:
                 raise ParseError("order must precede table")
@@ -50,7 +58,7 @@ def parse_group(text: str) -> FiniteGroup:
                 i += 1
                 if i >= len(lines):
                     raise ParseError("truncated table")
-                table.append([int(x) for x in lines[i].split()])
+                table.append(_ints(lines[i].split(), "table row"))
         elif ln.startswith("names "):
             names = ln.split()[1:]
         elif ln.startswith("presentation "):
@@ -60,6 +68,8 @@ def parse_group(text: str) -> FiniteGroup:
         i += 1
     if order is None or len(table) != order:
         raise ParseError("missing or incomplete table")
+    if names is not None and len(names) != order:
+        raise ParseError(f"names line has {len(names)} names for order {order}")
     try:
         return fingroup.from_table(order, table, names)
     except ValueError as exc:
@@ -110,12 +120,14 @@ def parse_amalgam(text: str) -> AmalgamSpec:
     def elements(lines: list[str]) -> list[int]:
         if len(lines) != 1 or not lines[0].startswith("elements"):
             raise ParseError("subgroup section must be a single 'elements' line")
-        return [int(x) for x in lines[0].split()[1:]]
+        return _ints(lines[0].split()[1:], "elements")
 
     phi = {}
     for ln in sections["phi"]:
-        a, b = ln.split()
-        phi[int(a)] = int(b)
+        pair = _ints(ln.split(), "phi")
+        if len(pair) != 2:
+            raise ParseError(f"phi line {ln!r} is not a pair 'a b'")
+        phi[pair[0]] = pair[1]
     return am.make_amalgam(H, K, elements(sections["A"]),
                            elements(sections["B"]), phi)
 
@@ -172,8 +184,8 @@ def parse_group_graph(text: str, base_dir: str | Path = ".") -> gg.GroupGraph:
         elif kind == "edge":
             name, orig, term = rest
             egrp = load_group(base / field("group")[0])
-            rho = [int(x) for x in field("rho")]
-            tau = [int(x) for x in field("tau")]
+            rho = _ints(field("rho"), "rho")
+            tau = _ints(field("tau"), "tau")
             edges[name] = (orig, term, egrp, rho, tau)
         else:
             raise ParseError(f"unknown section kind {kind!r}")
@@ -230,12 +242,29 @@ def serialize_certificate(spec: AmalgamSpec, w: sep.Witness,
 
 
 def parse_certificate(text: str) -> dict:
+    """Inverse of serialize_certificate; ParseError on a missing section,
+    key or value."""
     sections = _split_sections(text)
-    meta = {ln.split()[0]: " ".join(ln.split()[1:]) for ln in sections["witness"]}
-    target = parse_group("\n".join(sections["target"]))
-    psi_h = [int(x) for x in sections["psi_H"][0].split()]
-    psi_k = [int(x) for x in sections["psi_K"][0].split()]
-    images = {ln.split()[0]: int(ln.split()[1]) for ln in sections["images"]}
+
+    def section(name: str) -> list[str]:
+        if not sections.get(name):
+            raise ParseError(f"missing or empty section [{name}]")
+        return sections[name]
+
+    def keyed(name: str, keys: tuple[str, ...]) -> dict[str, str]:
+        values = {ln.split()[0]: " ".join(ln.split()[1:]) for ln in section(name)}
+        for key in keys:
+            if not values.get(key):
+                raise ParseError(f"[{name}]: missing or empty {key!r} line")
+        return values
+
+    meta = keyed("witness", ("strategy", "f", "g"))
+    target = parse_group("\n".join(section("target")))
+    psi_h = _ints(section("psi_H")[0].split(), "psi_H")
+    psi_k = _ints(section("psi_K")[0].split(), "psi_K")
+    image_keys = ("f_image", "g_image", "f_class_rep", "g_class_rep")
+    found = keyed("images", image_keys)
+    images = {key: _ints([found[key]], key)[0] for key in image_keys}
     return {"strategy": meta["strategy"],
             "f": "" if meta["f"] == "-" else meta["f"],
             "g": "" if meta["g"] == "-" else meta["g"],

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -126,17 +126,27 @@ def from_table(order: int, table: Sequence[Sequence[int]],
 
 @dataclass(frozen=True)
 class Subgroup:
+    """A subgroup of ``parent`` as its sorted element tuple.
+
+    The element set is built once, on first use, and shared by
+    ``__contains__`` and ``element_set``; it is not a field, so equality
+    and hashing see only ``parent`` and ``elements``.
+    """
     parent: FiniteGroup
     elements: tuple[int, ...]  # sorted, contains 0
 
+    @cached_property
+    def _members(self) -> frozenset[int]:
+        return frozenset(self.elements)
+
     def __contains__(self, x: int) -> bool:
-        return x in set(self.elements)
+        return x in self._members
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def element_set(self) -> frozenset[int]:
-        return frozenset(self.elements)
+        return self._members
 
     def as_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:
         """The subgroup as a standalone group plus the local->parent embedding."""

@@ -104,7 +104,29 @@ def p_group_catalog(p: int, max_order: int,
                     extras: Sequence[FiniteGroup] = ()) -> tuple[FiniteGroup, ...]:
     """Search space of witness targets: all abelian p-groups of order
     <= max_order (one per partition), for p = 2 the dihedral and quaternion
-    groups of order 8 and 16, plus caller extras; deduplicated by table."""
+    groups of order 8 and 16, plus caller extras; deduplicated by table.
+    The catalog without extras is built once per (p, max_order)."""
+    catalog = _base_catalog(p, max_order)
+    if not extras:
+        return catalog
+    return _distinct(catalog + tuple(
+        X for X in extras if fingroup.is_p_group(X, p) and X.order <= max_order))
+
+
+def _distinct(groups: Sequence[FiniteGroup]) -> tuple[FiniteGroup, ...]:
+    """The groups in order, each table kept at its first occurrence."""
+    seen = set()
+    out = []
+    for X in groups:
+        key = (X.order, X.table)
+        if key not in seen:
+            seen.add(key)
+            out.append(X)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _base_catalog(p: int, max_order: int) -> tuple[FiniteGroup, ...]:
     fingroup.check_prime(p)
     n, k = max_order, 0
     while n % p == 0:
@@ -122,17 +144,7 @@ def p_group_catalog(p: int, max_order: int,
         if p == 2 and exp == 4:
             catalog.append(fingroup.dihedral(8))
             catalog.append(fingroup.quaternion(16))
-    for X in extras:
-        if fingroup.is_p_group(X, p) and X.order <= max_order:
-            catalog.append(X)
-    seen = set()
-    out = []
-    for X in catalog:
-        key = (X.order, X.table)
-        if key not in seen:
-            seen.add(key)
-            out.append(X)
-    return tuple(out)
+    return _distinct(catalog)
 
 
 def agreeing_pairs(spec: AmalgamSpec,
@@ -225,9 +237,12 @@ def enumerate_cyclically_reduced(spec: AmalgamSpec,
     for w in words:
         nf = am.normal_form(spec, w)
         key = (nf.amalgam_part, nf.tail)
-        if key not in seen and am.is_cyclically_reduced(spec, am.reduce(spec, w)):
+        if key in seen:
+            continue
+        r = am.reduce(spec, w)
+        if am.is_cyclically_reduced(spec, r):
             seen.add(key)
-            out.append(am.reduce(spec, w))
+            out.append(r)
     return tuple(out)
 
 

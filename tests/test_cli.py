@@ -6,11 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from amalgams import amalgam as am
 from amalgams import fileio
 from amalgams import fingroup as fg
 from amalgams import separability as sep
 from amalgams.cli import main
-from amalgams.errors import ParseError
+from amalgams.errors import AmalgamsError, NotAGroup, ParseError
 from conftest import make_amalg1, make_c2c3, make_s3_amalgam
 
 
@@ -236,3 +237,89 @@ class TestPi1:
             env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def _damaged(text, mutations, optional=("names ",)):
+    """Named variants of a valid file that must all be rejected: every
+    proper prefix, every file with one line deleted (except optional
+    lines), and each (old, new) replacement in ``mutations``."""
+    body = text.rstrip("\n")
+    lines = body.split("\n")
+    for i in range(len(body)):
+        yield f"cut at {i}", body[:i]
+    for i, ln in enumerate(lines):
+        if not ln.startswith(optional):
+            yield f"line {i} deleted", "\n".join(lines[:i] + lines[i + 1:])
+    for old, new in mutations:
+        assert old in text, old
+        yield f"{old!r} -> {new!r}", text.replace(old, new, 1)
+
+
+class TestMalformedFiles:
+    """Damaged group, amalgam and certificate files are input errors: the
+    CLI exits 2 with a message and no traceback, and the certificate parser
+    raises a library error rather than a KeyError or IndexError."""
+
+    @staticmethod
+    def _named_amalgam_text():
+        c4 = fg.cyclic(4)
+        named = fg.from_table(4, c4.table, names=["e", "a", "a2", "a3"])
+        return fileio.serialize_amalgam(
+            am.make_amalgam(named, c4, [0, 2], [0, 2], {0: 0, 2: 2}))
+
+    def _assert_input_error(self, capsys, argv, label):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2, f"{label}: exit {code}"
+        assert "input error" in err and "Traceback" not in err, label
+
+    def test_group_files(self, tmp_path, capsys):
+        (tmp_path / "c2.grp").write_text(fileio.serialize_group(fg.cyclic(2)))
+        graph = tmp_path / "graph.txt"
+        graph.write_text("[vertex u]\ngroup c4.grp\n"
+                         "[edge e0 u u]\ngroup c2.grp\nrho 0 2\ntau 0 2\n")
+        text = fileio.serialize_group(fg.cyclic(4))
+        (tmp_path / "c4.grp").write_text(text)
+        assert main(["pi1", str(graph)]) == 0
+        capsys.readouterr()
+        mutations = [("3 0 1 2\n", "3 0 1 2\nnames e a a2\n"),
+                     ("3 0 1 2\n", "3 0 1 2\nnames e a a2 a3 a4\n"),
+                     ("1 2 3 0", "1 2 x 0"), ("1 2 3 0", "1 2 7 0"),
+                     ("order 4", "order x"), ("order 4", "order 0"),
+                     ("order 4", "order -4"), ("table", "tabel")]
+        for label, bad in _damaged(text, mutations):
+            (tmp_path / "c4.grp").write_text(bad)
+            self._assert_input_error(capsys, ["pi1", str(graph)], label)
+
+    def test_amalgam_files(self, tmp_path, capsys):
+        text = self._named_amalgam_text()
+        path = tmp_path / "amalgam.txt"
+        path.write_text(text)
+        assert main(["pairs", str(path), "--max-index", "4"]) == 0
+        capsys.readouterr()
+        mutations = [("names e a a2 a3", "names e a a2"),
+                     ("names e a a2 a3", "names e a a2 a3 a4"),
+                     ("elements 0 2\n[B]", "elements 0 9\n[B]"),
+                     ("elements 0 2\n[B]", "elements 0 1\n[B]"),
+                     ("elements 0 2\n[B]", "elements 0 x\n[B]"),
+                     ("[phi]\n0 0", "[phi]\n0 0 0"), ("[phi]\n0 0", "[phi]\n0"),
+                     ("2 2\n", "2 x\n"), ("2 2\n", "2 1\n"),
+                     ("[H]", "order 4\n[H]"), ("1 2 3 0", "1 2 3 3")]
+        for label, bad in _damaged(text, mutations):
+            path.write_text(bad)
+            self._assert_input_error(
+                capsys, ["pairs", str(path), "--max-index", "4"], label)
+
+    def test_certificate_files(self, tmp_path):
+        spec = fileio.parse_amalgam(self._named_amalgam_text())
+        f, g = am.word([("H", 1)]), am.word([("K", 1)])
+        text = fileio.serialize_certificate(
+            spec, sep.search_witness(spec, f, g, sep.SearchBudget()), f, g)
+        assert fileio.parse_certificate(text)["images"]["g_image"] == 1
+        mutations = [("strategy direct", "strategy"), ("[psi_H]\n0", "[psi_H]\nx"),
+                     ("g_image 1", "g_image x"), ("g_image 1", "g_image 1 2"),
+                     ("[images]", "[imagez]"), ("order 2", "order 3")]
+        for label, bad in _damaged(text, mutations):
+            with pytest.raises(AmalgamsError) as exc:
+                fileio.parse_certificate(bad)
+            assert exc.type in (ParseError, NotAGroup), label

@@ -62,6 +62,16 @@ class TestCatalog:
         assert sum(1 for X in cat if X.table == c4.table) == 1
         assert all(X.order != 6 for X in cat)
 
+    def test_built_once(self):
+        assert sep.p_group_catalog(2, 16) is sep.p_group_catalog(2, 16)
+
+    def test_extras_leave_cached_catalog_unchanged(self):
+        base = sep.p_group_catalog(2, 16)
+        extra = fg.direct_product(fg.cyclic(2), fg.quaternion(8))
+        cat = sep.p_group_catalog(2, 16, extras=[extra, fg.cyclic(4)])
+        assert cat == base + (extra,)
+        assert sep.p_group_catalog(2, 16) is base and extra not in base
+
 
 class TestWordImage:
     def test_example(self, amalg1):
@@ -206,6 +216,10 @@ class TestVerdictPinning:
     """Every unordered pair of distinct cyclically reduced elements gets
     the same verdict (found / exhausted / conjugate) whatever the search
     strategy, and every witness passes the independent re-check."""
+
+    @pytest.fixture(autouse=True)
+    def cold_catalog(self):
+        sep._base_catalog.cache_clear()
 
     @pytest.mark.parametrize("make,length,p,order,expected", [
         (make_s3_amalgam, 2, 2, 16, (81, 5, 19)),
