@@ -70,10 +70,26 @@ def parse_group(text: str) -> FiniteGroup:
         raise ParseError("missing or incomplete table")
     if names is not None and len(names) != order:
         raise ParseError(f"names line has {len(names)} names for order {order}")
+    if names is not None and len(set(names)) != order:
+        raise ParseError("names line repeats a name")
     try:
-        return fingroup.from_table(order, table, names)
+        G = fingroup.from_table(order, table, names)
     except ValueError as exc:
         raise ParseError(str(exc))
+    for i, name in enumerate(G.names or ()):
+        if _as_int(name) not in (None, i):
+            # parse_word looks names up before indices and render_word
+            # writes indices, so `H:<name>` would mean two elements.
+            raise ParseError(
+                f"element {i} is named {name!r}, a different index")
+    return G
+
+
+def _as_int(token: str) -> Optional[int]:
+    try:
+        return int(token)
+    except ValueError:
+        return None
 
 
 def load_group(path: str | Path) -> FiniteGroup:

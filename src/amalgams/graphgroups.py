@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional
 
 from . import fingroup
@@ -28,14 +29,21 @@ class Graph:
     orig: tuple[tuple[str, str], ...]  # edge -> origin vertex
     term: tuple[tuple[str, str], ...]  # edge -> terminal vertex
 
+    @cached_property
+    def _maps(self) -> dict[str, dict[str, str]]:
+        """inv, orig and term as dicts, built once on first use; not a
+        field, so equality, hashing and pickling see only the tuples."""
+        return {"inv": dict(self.inv), "orig": dict(self.orig),
+                "term": dict(self.term)}
+
     def inv_of(self, e: str) -> str:
-        return dict(self.inv)[e]
+        return self._maps["inv"][e]
 
     def orig_of(self, e: str) -> str:
-        return dict(self.orig)[e]
+        return self._maps["orig"][e]
 
     def term_of(self, e: str) -> str:
-        return dict(self.term)[e]
+        return self._maps["term"][e]
 
 
 def make_graph(vertices, edges, inv: Mapping[str, str],
@@ -95,17 +103,25 @@ class GroupGraph:
     rho: tuple[tuple[str, GroupHom], ...]  # edge group -> origin vertex group
     tau: tuple[tuple[str, GroupHom], ...]  # edge group -> terminal vertex group
 
+    @cached_property
+    def _maps(self) -> dict[str, dict]:
+        """The four tuples as dicts, built once on first use; not a field,
+        so equality, hashing and pickling see only the tuples."""
+        return {"vertex_group": dict(self.vertex_group),
+                "edge_group": dict(self.edge_group),
+                "rho": dict(self.rho), "tau": dict(self.tau)}
+
     def group_at(self, v: str) -> FiniteGroup:
-        return dict(self.vertex_group)[v]
+        return self._maps["vertex_group"][v]
 
     def edge_group_of(self, e: str) -> FiniteGroup:
-        return dict(self.edge_group)[e]
+        return self._maps["edge_group"][e]
 
     def rho_of(self, e: str) -> GroupHom:
-        return dict(self.rho)[e]
+        return self._maps["rho"][e]
 
     def tau_of(self, e: str) -> GroupHom:
-        return dict(self.tau)[e]
+        return self._maps["tau"][e]
 
 
 def make_group_graph(graph: Graph, vertex_group: Mapping[str, FiniteGroup],

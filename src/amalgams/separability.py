@@ -3,11 +3,18 @@
 A witness for a non-conjugate pair (f, g) is a pair of factor homomorphisms
 into a finite p-group that agree on the amalgamated subgroup (so the pair
 extends to the whole amalgam) and send f and g to non-conjugate images.
-The search enumerates every agreeing homomorphism pair into each group of
-the p-group catalog, smallest first, and returns the first pair that
-separates the conjugacy classes.  Any witness through a quotient amalgam
-or a collapse onto a direct product composes to an agreeing pair into a
-catalog group, so this one exhaustive stage decides the same verdicts.
+The search runs over the agreeing homomorphism pairs into each group of
+the p-group catalog, smallest first, and returns the first pair (psi_H
+outer, in enumeration order) that separates the conjugacy classes.  Any
+witness through a quotient amalgam or a collapse onto a direct product
+composes to an agreeing pair into a catalog group, so this one exhaustive
+stage decides the same verdicts.
+
+A pair's images of f and g depend only on the images of their letters, so
+the search tests each distinct combination of letter images once (see
+``_first_agreeing_pair``) and returns the pair the loop over all agreeing
+pairs would return.  The bounded residual-p check uses the same search
+with "the image is not the identity" as its test.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import amalgam as am
 from . import fingroup
@@ -166,20 +173,84 @@ def _decide_conjugacy(spec: AmalgamSpec, x: Word, y: Word) -> am.ConjugacyVerdic
     return am.is_conjugate_general(spec, x, y)
 
 
+def _first_agreeing_pair(spec: AmalgamSpec, catalog: Sequence[FiniteGroup],
+                         words: Sequence[Word],
+                         make_test: Callable[[FiniteGroup],
+                                             Callable[[list[int]], bool]]
+                         ) -> Optional[tuple[FiniteGroup, GroupHom, GroupHom]]:
+    """First (X, psi_H, psi_K) over the catalog, in agreeing_pairs order
+    within each X, whose images of ``words`` pass ``make_test(X)``; None
+    if there is none.
+
+    A pair's images of the words depend only on the images of their
+    letters, so Hom(K, X) is bucketed by its images on B and, within a
+    bucket, kept once per tuple of K-letter images (the first such psi_K;
+    a bucket is deduplicated when a psi_H first needs it).
+    A psi_H whose images on A and on the H-letters were already seen is
+    skipped: every pair it forms was tested through the earlier one.  The
+    pair returned is therefore the first passing one in agreeing_pairs
+    order."""
+    letters = sorted({s for u in words for s in u})  # "H" sorts before "K"
+    slot = {s: i for i, s in enumerate(letters)}
+    programs = [[slot[s] for s in u] for u in words]
+    h_keys = [a for a, _ in spec.phi]  # images on A, then on the letters
+    h_keys += [e for tag, e in letters if tag == TAG_H]
+    b_elems = [b for _, b in spec.phi]
+    k_letters = [e for tag, e in letters if tag == TAG_K]
+    n = len(spec.phi)
+    for X in catalog:
+        test = make_test(X)
+        by_b: dict[tuple[int, ...], list[GroupHom]] = {}
+        for psi_K in fingroup.enumerate_homs(spec.K, X):
+            by_b.setdefault(tuple(map(psi_K.images.__getitem__, b_elems)),
+                            []).append(psi_K)
+        classes: dict[tuple[int, ...], list] = {}  # by_b, deduplicated
+        table = X.table
+        seen = set()
+        for psi_H in fingroup.enumerate_homs(spec.H, X):
+            key = tuple(map(psi_H.images.__getitem__, h_keys))
+            if key in seen:
+                continue
+            seen.add(key)
+            b_images, h_images = key[:n], key[n:]
+            bucket = classes.get(b_images)
+            if bucket is None:
+                first: dict[tuple[int, ...], GroupHom] = {}
+                for psi_K in by_b.get(b_images, ()):
+                    first.setdefault(
+                        tuple(map(psi_K.images.__getitem__, k_letters)), psi_K)
+                bucket = classes[b_images] = list(first.items())
+            for k_images, psi_K in bucket:
+                values = h_images + k_images  # images of the letters
+                images = []
+                for program in programs:
+                    x = 0
+                    for i in program:
+                        x = table[x][values[i]]
+                    images.append(x)
+                if test(images):
+                    return X, psi_H, psi_K
+    return None
+
+
+def _separates(X: FiniteGroup) -> Callable[[list[int]], bool]:
+    """Test that the two images lie in distinct conjugacy classes of X."""
+    cls_index = [0] * X.order
+    for i, cls in enumerate(fingroup.conjugacy_classes(X)):
+        for e in cls:
+            cls_index[e] = i
+    return lambda images: cls_index[images[0]] != cls_index[images[1]]
+
+
+def _nontrivial(images: list[int]) -> bool:
+    return images[0] != 0
+
+
 def _hom_pair_witness(spec: AmalgamSpec, f: Word, g: Word,
                       catalog: Sequence[FiniteGroup]) -> Optional[Witness]:
     """First agreeing pair over the catalog separating the images of f, g."""
-    for X in catalog:
-        classes = fingroup.conjugacy_classes(X)
-        cls_of = {}
-        for cls in classes:
-            for e in cls:
-                cls_of[e] = cls
-        for psi_H, psi_K in agreeing_pairs(spec, X):
-            w = Witness(X, psi_H, psi_K, "direct")
-            if cls_of[word_image(w, f)] != cls_of[word_image(w, g)]:
-                return w
-    return None
+    found = _first_agreeing_pair(spec, catalog, (f, g), _separates)
+    return Witness(*found, "direct") if found else None
 
 
 def search_witness(spec: AmalgamSpec, f: Word, g: Word,
@@ -340,14 +411,8 @@ def check_residually_p_bounded(spec: AmalgamSpec, p: int, length_bound: int,
     for w in enumerate_elements(spec, length_bound):
         if not w.syllables:
             continue
-        hit = None
-        for X in catalog:
-            for psi_H, psi_K in agreeing_pairs(spec, X):
-                cand = Witness(X, psi_H, psi_K, "residual-p")
-                if word_image(cand, w) != 0:
-                    hit = cand
-                    break
-            if hit:
-                break
+        found = _first_agreeing_pair(spec, catalog, (w,),
+                                     lambda X: _nontrivial)
+        hit = Witness(*found, "residual-p") if found else None
         entries.append(ResidualEntry(w, hit is not None, hit))
     return ResidualReport(length_bound, tuple(entries))

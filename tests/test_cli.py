@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -59,6 +60,26 @@ class TestFileFormats:
         import amalgams.amalgam as am
         spec = am.make_amalgam(c2, c2, [0], [0], {0: 0})
         assert fileio.parse_word(spec, "H:s").syllables == (("H", 1),)
+
+    def test_word_round_trip_named(self):
+        c4 = fg.cyclic(4)
+        named = fg.from_table(4, c4.table, names=["e", "1", "a2", "3"])
+        spec = am.make_amalgam(named, c4, [0, 2], [0, 2], {0: 0, 2: 2})
+        letters = [(t, e) for t in ("H", "K") for e in range(1, 4)]
+        for n in range(4):
+            for syllables in itertools.product(letters, repeat=n):
+                w = am.word(syllables)
+                assert fileio.parse_word(spec, fileio.render_word(spec, w)) == w
+
+    @pytest.mark.parametrize("names", ["e e", "1 0", "e 0", "01 e", "0 -1"])
+    def test_ambiguous_names_rejected(self, names):
+        with pytest.raises(ParseError):
+            fileio.parse_group(f"order 2\ntable\n0 1\n1 0\nnames {names}\n")
+
+    def test_names_numbered_by_own_index_accepted(self):
+        G = fileio.parse_group("order 2\ntable\n0 1\n1 0\nnames 0 1\n")
+        assert fileio.parse_word(am.make_amalgam(G, G, [0], [0], {0: 0}),
+                                 "H:1").syllables == (("H", 1),)
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):
@@ -237,6 +258,25 @@ class TestPi1:
             env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("names", ["e a a a3", "e 2 a2 a3", "1 a a2 a3"],
+                         ids=["duplicate", "other-index", "index-1-at-0"])
+def test_ambiguous_names_exit_2(tmp_path, names):
+    c4 = fg.cyclic(4)
+    named = fg.from_table(4, c4.table, names=["e", "a", "a2", "a3"])
+    text = fileio.serialize_amalgam(
+        am.make_amalgam(named, c4, [0, 2], [0, 2], {0: 0, 2: 2}))
+    path = tmp_path / "amalgam.txt"
+    path.write_text(text.replace("names e a a2 a3", f"names {names}"))
+    src = str(Path(fileio.__file__).resolve().parents[1])
+    env_path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "amalgams.cli", "pairs", str(path),
+         "--max-index", "4"],
+        env=dict(os.environ, PYTHONPATH=env_path), capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "input error" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def _damaged(text, mutations, optional=("names ",)):

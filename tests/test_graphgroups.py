@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from amalgams import fingroup as fg
@@ -59,6 +61,36 @@ class TestGraph:
                 {"e": "ebar", "ebar": "e"},
                 {"e": "u", "ebar": "u"},
                 {"e": "v", "ebar": "v"})
+
+
+class TestStoredMaps:
+    """The lookups read dicts built once per instance; the stored dicts
+    leave equality, hashing and pickling as they were."""
+
+    def test_graph_maps(self):
+        built, fresh = triangle_graph(), triangle_graph()
+        for e in built.edges:
+            assert built.inv_of(e) == dict(built.inv)[e]
+            assert built.orig_of(e) == dict(built.orig)[e]
+            assert built.term_of(e) == dict(built.term)[e]
+        assert "_maps" in vars(built) and "_maps" not in vars(fresh)
+        assert built == fresh and hash(built) == hash(fresh)
+        assert pickle.loads(pickle.dumps(built)) == fresh
+        assert pickle.loads(pickle.dumps(fresh)) == built
+
+    def test_group_graph_maps(self, amalg1):
+        built = gg.amalgam_as_group_graph(amalg1)
+        fresh = gg.amalgam_as_group_graph(amalg1)
+        for v in built.graph.vertices:
+            assert built.group_at(v) == dict(built.vertex_group)[v]
+        for e in built.graph.edges:
+            assert built.edge_group_of(e) == dict(built.edge_group)[e]
+            assert built.rho_of(e) == dict(built.rho)[e]
+            assert built.tau_of(e) == dict(built.tau)[e]
+        assert "_maps" in vars(built) and "_maps" not in vars(fresh)
+        assert built == fresh and hash(built) == hash(fresh)
+        assert pickle.loads(pickle.dumps(built)) == fresh
+        assert pickle.loads(pickle.dumps(fresh)) == built
 
 
 class TestMaximalTree:

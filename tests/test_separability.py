@@ -149,6 +149,15 @@ class TestSearchWitness:
                                sep.SearchBudget(p=2, max_target_order=8,
                                                 max_quotient_index=8))
 
+    def test_d8_q8_order_32_exhausts(self):
+        # No catalog 2-group of order <= 32 separates this pair: the
+        # search must try every agreeing pair into all of them.
+        spec = make_d8_q8()
+        with pytest.raises(BudgetExhausted):
+            sep.search_witness(spec, W(("H", 1), ("K", 1)),
+                               W(("H", 1), ("K", 3)),
+                               sep.SearchBudget(2, 32, 16, 4))
+
     def test_rejected_witness_raises(self, amalg1, monkeypatch):
         monkeypatch.setattr(sep, "verify_witness", lambda *args: False)
         with pytest.raises(VerificationFailed):
