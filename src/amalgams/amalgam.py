@@ -2,14 +2,16 @@
 
 A word is an alternating-or-not sequence of syllables (tag, element index)
 with tag 'H' or 'K'; the empty word is the identity of G.  Reduction merges
-adjacent same-factor syllables and absorbs syllables lying in the
-amalgamated subgroup by transporting them across phi.  The canonical normal
+adjacent same-factor syllables, then absorbs syllables lying in the
+amalgamated subgroup by transporting them across phi: into the left
+neighbour, or the right one for a leading syllable.  The canonical normal
 form uses fixed right transversals with minimal-index coset representatives,
 so equality in G is decidable by comparison.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -92,6 +94,11 @@ class AmalgamSpec:
         return {TAG_H: dict(self.phi), TAG_K: {b: a for a, b in self.phi}}
 
     @cached_property
+    def _tables(self) -> dict[str, tuple[tuple[int, ...], ...]]:
+        """Per tag, the multiplication table of that factor."""
+        return {TAG_H: self.H.table, TAG_K: self.K.table}
+
+    @cached_property
     def _cosets(self) -> dict[str, tuple[tuple[int, int], ...]]:
         """Per tag, the table e -> (a, rep) with e = a * rep, a in the
         amalgamated subgroup of that factor and rep the minimal element of
@@ -158,38 +165,50 @@ def validate_spec(spec: AmalgamSpec) -> AmalgamSpec:
     return AmalgamSpec(H, K, A, B, spec.phi, central)
 
 
-def _merge_pass(spec: AmalgamSpec, syl: list[tuple[str, int]]) -> list[tuple[str, int]]:
-    out: list[tuple[str, int]] = []
-    for tag, e in syl:
-        if out and out[-1][0] == tag:
-            merged = spec.factor(tag).mul(out[-1][1], e)
-            out.pop()
-            if merged != 0:
-                out.append((tag, merged))
-        elif e != 0:
+def _push(tab, across, out, syllables) -> None:
+    """Push syllables onto ``out``, a reduced word with an open right end.
+    A syllable merges with a last syllable of its factor; an amalgamated
+    last syllable of the other factor is flipped into its left neighbour,
+    which then merges with the syllable, or when alone into the syllable."""
+    for tag, e in syllables:
+        if out:
+            top_tag, top = out[-1]
+            if top_tag == tag:
+                out.pop()
+                e = tab[tag][top][e]
+            elif top in across[top_tag]:
+                out.pop()
+                t, top = tab[tag], across[top_tag][top]
+                e = t[t[out.pop()[1]][top]][e] if out else t[top][e]
+        if e:
             out.append((tag, e))
-    return out
+
+
+def _close(tab, across, out) -> None:
+    """Push an identity onto ``out``: an amalgamated last syllable joins its
+    left neighbour (a non-amalgamated product), a lone one gets tag H."""
+    if out and out[-1][1] in across[out[-1][0]]:
+        tag = TAG_H if len(out) == 1 or out[-1][0] == TAG_K else TAG_K
+        _push(tab, across, out, ((tag, 0),))
 
 
 def reduce(spec: AmalgamSpec, w: Word) -> Word:
     """A reduced form of w: adjacent syllables from different factors, no
     interior syllable in the amalgamated subgroup.  A length-1 result lying
-    in the amalgam is canonicalized to tag H."""
-    across = spec._across
-    syl = list(w.syllables)
-    while True:
-        syl = _merge_pass(spec, syl)
-        if len(syl) <= 1:
-            break
-        for i, (tag, e) in enumerate(syl):
-            if e in across[tag]:
-                syl[i] = (TAG_K if tag == TAG_H else TAG_H, across[tag][e])
-                break
-        else:
-            break
-    if len(syl) == 1 and syl[0][0] == TAG_K and spec.in_amalg(TAG_K, syl[0][1]):
-        syl = [(TAG_H, spec.transport(TAG_K, syl[0][1]))]
-    return Word(tuple(syl))
+    in the amalgam is canonicalized to tag H.  Same-tag merges come before
+    absorption; an amalgamated syllable is absorbed into its left
+    neighbour, a leading one into its right neighbour."""
+    tab, across = spec._tables, spec._across
+    merged: list[tuple[str, int]] = []
+    for tag, e in w.syllables:
+        if merged and merged[-1][0] == tag:
+            e = tab[tag][merged.pop()[1]][e]
+        if e:
+            merged.append((tag, e))
+    out: list[tuple[str, int]] = []
+    _push(tab, across, out, merged)
+    _close(tab, across, out)
+    return Word(tuple(out))
 
 
 def length(spec: AmalgamSpec, w: Word) -> int:
@@ -228,15 +247,17 @@ def normal_form(spec: AmalgamSpec, w: Word) -> NormalForm:
         a = e if tag == TAG_H else spec.transport(TAG_K, e)
         return NormalForm(a, ())
     fwd, back = spec._across[TAG_H], spec._across[TAG_K]
-    cosets = spec._cosets
+    cosets_h, cosets_k = spec._cosets[TAG_H], spec._cosets[TAG_K]
+    tab_h, tab_k = spec.H.table, spec.K.table
     carry = 0  # element of A, H-side index
     tail: list[tuple[str, int]] = []
     for tag, e in reversed(syl):
-        G = spec.factor(tag)
-        c = carry if tag == TAG_H else fwd[carry]
-        a, rep = cosets[tag][G.mul(e, c)]
+        if tag == TAG_H:
+            carry, rep = cosets_h[tab_h[e][carry]]
+        else:
+            a, rep = cosets_k[tab_k[e][fwd[carry]]]
+            carry = back[a]
         tail.append((tag, rep))
-        carry = a if tag == TAG_H else back[a]
     tail.reverse()
     return NormalForm(carry, tuple(tail))
 
@@ -252,14 +273,17 @@ def equal_in_g(spec: AmalgamSpec, u: Word, v: Word) -> bool:
 
 
 def cyclically_reduce(spec: AmalgamSpec, w: Word) -> tuple[Word, Word]:
-    """A cyclically reduced c and conjugator z with z^-1 * w * z = c in G."""
-    c = reduce(spec, w)
-    z = EMPTY
-    while len(c) > 1 and c.syllables[0][0] == c.syllables[-1][0]:
-        first = Word(c.syllables[:1])
-        c = reduce(spec, Word(c.syllables[1:]).concat(first))
-        z = z.concat(first)
-    z = reduce(spec, z)
+    """A cyclically reduced c and conjugator z with z^-1 * w * z = c in G;
+    a first syllable of the last one's factor moves to z and to the end."""
+    tab, across = spec._tables, spec._across
+    syl = deque(reduce(spec, w).syllables)
+    moved = []
+    while len(syl) > 1 and syl[0][0] == syl[-1][0]:
+        moved.append(syl.popleft())
+        _push(tab, across, syl, moved[-1:])
+        _close(tab, across, syl)
+    c = Word(tuple(syl))
+    z = reduce(spec, Word(tuple(moved)))
     if not equal_in_g(spec, inverse(spec, z).concat(w).concat(z), c):
         raise VerificationFailed("cyclic conjugator failed verification")
     return c, z
@@ -403,7 +427,7 @@ def is_conjugate_general(spec: AmalgamSpec, x: Word, y: Word) -> ConjugacyVerdic
         prefix = Word(cx.syllables[:i])
         for a in spec.A.elements:
             a_word = word([(TAG_H, a)])
-            cand = reduce(spec, inverse(spec, a_word).concat(u).concat(a_word))
+            cand = inverse(spec, a_word).concat(u).concat(a_word)
             if normal_form(spec, cand) == nfy:
                 return _verified(spec, x, y,
                                  zx.concat(prefix).concat(a_word).concat(zy_inv))

@@ -324,10 +324,20 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     reps.sort()  # identity coset has rep 0, hence first
     label = {rep: i for i, rep in enumerate(reps)}
     table = tuple(tuple(label[coset_of[G.mul(a, b)]] for b in reps) for a in reps)
-    names = tuple(G.name_of(r) for r in reps) if G.names else None
+    names = (tuple(_quotient_name(G.name_of(r), i) for i, r in enumerate(reps))
+             if G.names else None)
     Q = from_table(len(reps), table, names)
     proj = GroupHom(G, Q, tuple(label[coset_of[g]] for g in G.elements()))
     return Q, proj
+
+
+def _quotient_name(name: str, index: int) -> str:
+    """A coset's name is its representative's, unless that reads as an
+    index other than the coset's own: then it is the coset's index."""
+    try:
+        return name if int(name) == index else str(index)
+    except ValueError:
+        return name
 
 
 @lru_cache(maxsize=None)

@@ -60,6 +60,18 @@ def rewrite_moves(spec: AmalgamSpec, w: tuple) -> list[tuple]:
     return out
 
 
+def shorten(spec: AmalgamSpec, w: tuple, max_len: int) -> tuple:
+    """Rewrite w until it has at most max_len syllables, each step taking
+    the first move, or pair of moves, that makes it shorter.  A word that is
+    not reduced has such a step: a merge, or a flip followed by a merge."""
+    while len(w) > max_len:
+        shorter = [v for v in rewrite_moves(spec, w) if len(v) < len(w)]
+        w = shorter[0] if shorter else next(
+            v2 for v in rewrite_moves(spec, w)
+            for v2 in rewrite_moves(spec, v) if len(v2) < len(w))
+    return w
+
+
 class _UnionFind:
     def __init__(self):
         self.parent = {}

@@ -17,6 +17,7 @@ from amalgams.errors import (
     PhiNotIso,
     VerificationFailed,
 )
+from conftest import make_c9_amalgam, make_s3_amalgam
 
 
 def W(*syllables):
@@ -239,6 +240,54 @@ class TestLengthConfluence:
         for w, c in comp.items():
             by_comp.setdefault(c, set()).add(am.length(amalg1, Word(w)))
         assert all(len(lengths) == 1 for lengths in by_comp.values())
+
+
+class TestOraclesBeyondCentralP2:
+    """Normal forms and the general decider against the brute-force oracles
+    on the non-central S3 *_{C3} C6 and on C9 *_{C3} (C3 x C3) with p = 3.
+    Each case: (amalgam, rewriting length, representative length,
+    conjugator candidate length); the candidate lengths cover the longest
+    conjugator the decider returns on these representatives."""
+
+    CASES = [(make_s3_amalgam, 3, 3, 3), (make_c9_amalgam, 3, 3, 2)]
+
+    @pytest.mark.parametrize("make,max_len,rep_len,cand_len", CASES,
+                             ids=["s3_c3_c6", "c9_c3_c3xc3"])
+    def test_normal_form_matches_rewriting_reachability(self, make, max_len,
+                                                        rep_len, cand_len):
+        spec = make()
+        comp = oracles.rewriting_components(spec, max_len)
+        nf_of_comp = {}
+        for w, c in comp.items():
+            nf_of_comp.setdefault(c, set()).add(am.normal_form(spec, Word(w)))
+        assert all(len(nfs) == 1 for nfs in nf_of_comp.values())
+        distinct = set().union(*nf_of_comp.values())
+        assert len(distinct) == len(nf_of_comp)
+
+    @pytest.mark.parametrize("make,max_len,rep_len,cand_len", CASES,
+                             ids=["s3_c3_c6", "c9_c3_c3xc3"])
+    def test_general_decider_matches_brute_force(self, make, max_len,
+                                                 rep_len, cand_len):
+        spec = make()
+        comp = oracles.rewriting_components(spec, max_len)
+        reps = {}
+        for w in oracles.all_words(spec, rep_len):
+            reps.setdefault(comp[w], Word(w))
+        reps = sorted(reps.values(), key=lambda w: (len(w), w.syllables))
+        candidates = oracles.conjugator_candidates(spec, cand_len)
+        conjugate = 0
+        for i, x in enumerate(reps):
+            for y in reps[i:]:
+                got = am.is_conjugate_general(spec, x, y)
+                assert got.conjugate == oracles.brute_force_conjugate(
+                    spec, x, y, candidates), (x, y)
+                if got.conjugate:
+                    conjugate += 1
+                    z = got.conjugator
+                    zxz = am.inverse(spec, z).concat(x).concat(z)
+                    assert comp[oracles.shorten(spec, zxz.syllables, max_len)] \
+                        == comp[y.syllables], (x, y, z)
+        assert 0 < conjugate < len(reps) * (len(reps) + 1) // 2
 
 
 class TestVerificationChecks:

@@ -13,7 +13,7 @@ from amalgams import fingroup as fg
 from amalgams import separability as sep
 from amalgams.cli import main
 from amalgams.errors import AmalgamsError, NotAGroup, ParseError
-from conftest import make_amalg1, make_c2c3, make_s3_amalgam
+from conftest import make_amalg1, make_c2c3, make_d8_q8, make_s3_amalgam
 
 
 @pytest.fixture()
@@ -159,6 +159,21 @@ class TestPairs:
         assert ((0, 2), (0, 2)) in listed
         assert ((0, 1, 2, 3), (0, 1, 2, 3)) in listed
         # each embedded quotient spec parses back
+        for e in payload["pairs"]:
+            fileio.parse_amalgam(e["quotient_spec"])
+
+    def test_numeric_names_quotients_parse(self, tmp_path, capsys):
+        d8_q8 = make_d8_q8()
+        H, K = (fg.from_table(G.order, G.table, [str(i) for i in G.elements()])
+                for G in (d8_q8.H, d8_q8.K))
+        spec = am.make_amalgam(H, K, d8_q8.A.elements, d8_q8.B.elements,
+                               dict(d8_q8.phi))
+        path = tmp_path / "numeric.txt"
+        path.write_text(fileio.serialize_amalgam(spec))
+        assert main(["--format", "json", "pairs", str(path),
+                     "-p", "2", "--max-index", "4"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["count"] > 1
         for e in payload["pairs"]:
             fileio.parse_amalgam(e["quotient_spec"])
 

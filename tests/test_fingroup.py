@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from amalgams import fileio
 from amalgams import fingroup as fg
 from amalgams.errors import (
     InconsistentPartial,
@@ -164,6 +165,23 @@ class TestQuotient:
         H = next(S for S in fg.enumerate_subgroups(s3) if len(S) == 2)
         with pytest.raises(NotNormal):
             fg.quotient(s3, H)
+
+    def test_numeric_names_round_trip(self):
+        # Names that read as indices must stay the quotient's own indices,
+        # or the serialized quotient no longer parses.
+        d8 = fg.dihedral(4)
+        G = fg.from_table(d8.order, d8.table, [str(i) for i in d8.elements()])
+        Q, _ = fg.quotient(G, fg.make_subgroup(G, [0, 2]))
+        assert Q.names == ("0", "1", "2", "3")
+        assert fileio.parse_group(fileio.serialize_group(Q)) == Q
+
+    def test_other_names_inherited(self):
+        d8 = fg.dihedral(4)
+        names = ["e", "1", "r2", "7", "s", "5", "t", "u"]
+        G = fg.from_table(d8.order, d8.table, names)
+        Q, _ = fg.quotient(G, fg.make_subgroup(G, [0, 2]))
+        assert Q.names == ("e", "1", "s", "3")
+        assert fileio.parse_group(fileio.serialize_group(Q)) == Q
 
     def test_order_equals_index_and_section(self):
         for G in (fg.cyclic(8), fg.quaternion(8), fg.dihedral(4)):

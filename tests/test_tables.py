@@ -48,10 +48,23 @@ def ref_coset_decompose(spec, tag, e):
     return G.mul(e, G.inv(rep)), rep
 
 
+def ref_merge_pass(spec, syl):
+    out = []
+    for tag, e in syl:
+        if out and out[-1][0] == tag:
+            merged = spec.factor(tag).mul(out[-1][1], e)
+            out.pop()
+            if merged != 0:
+                out.append((tag, merged))
+        elif e != 0:
+            out.append((tag, e))
+    return out
+
+
 def ref_reduce(spec, w):
     syl = list(w.syllables)
     while True:
-        syl = am._merge_pass(spec, syl)
+        syl = ref_merge_pass(spec, syl)
         if len(syl) <= 1:
             break
         flipped = False

@@ -1,0 +1,252 @@
+"""Differential tests of the one-pass word layer.
+
+The references below are the word layer and both conjugacy deciders as
+they were before the stack reduction: ``ref_reduce`` runs a whole merge
+pass again after every flip of an amalgamated syllable, and
+``ref_cyclically_reduce`` reduces the whole word again for every rotation.
+The library must give exactly their outputs: reduced words, cyclic
+reductions with their conjugators, normal forms and verdicts (conjugator
+and certificate included).
+"""
+
+import random
+
+import pytest
+
+from amalgams import amalgam as am
+from amalgams import fingroup
+from amalgams.amalgam import TAG_H, TAG_K, EMPTY, NormalForm, Word, word
+from amalgams.errors import NotCentral, NotCyclicallyReduced, VerificationFailed
+from conftest import (
+    make_amalg1,
+    make_c2c3,
+    make_c9_amalgam,
+    make_d8_q8,
+    make_s3_amalgam,
+)
+
+MAKERS = [make_amalg1, make_s3_amalgam, make_c9_amalgam, make_d8_q8, make_c2c3]
+IDS = ["c4_c2_c4", "s3_c3_c6", "c9_c3_c3xc3", "d8_z_q8", "c2_c3"]
+
+
+def ref_merge_pass(spec, syl):
+    out = []
+    for tag, e in syl:
+        if out and out[-1][0] == tag:
+            merged = spec.factor(tag).mul(out[-1][1], e)
+            out.pop()
+            if merged != 0:
+                out.append((tag, merged))
+        elif e != 0:
+            out.append((tag, e))
+    return out
+
+
+def ref_reduce(spec, w):
+    syl = list(w.syllables)
+    while True:
+        syl = ref_merge_pass(spec, syl)
+        if len(syl) <= 1:
+            break
+        for i, (tag, e) in enumerate(syl):
+            if spec.in_amalg(tag, e):
+                syl[i] = (TAG_K if tag == TAG_H else TAG_H, spec.transport(tag, e))
+                break
+        else:
+            break
+    if len(syl) == 1 and syl[0][0] == TAG_K and spec.in_amalg(TAG_K, syl[0][1]):
+        syl = [(TAG_H, spec.transport(TAG_K, syl[0][1]))]
+    return Word(tuple(syl))
+
+
+def ref_normal_form(spec, w):
+    syl = ref_reduce(spec, w).syllables
+    if len(syl) == 1 and spec.in_amalg(syl[0][0], syl[0][1]):
+        tag, e = syl[0]
+        a = e if tag == TAG_H else spec.transport(TAG_K, e)
+        return NormalForm(a, ())
+    carry = 0
+    tail = []
+    for tag, e in reversed(syl):
+        G = spec.factor(tag)
+        c = carry if tag == TAG_H else spec.phi_map[carry]
+        a, rep = am._coset_decompose(spec, tag, G.mul(e, c))
+        tail.append((tag, rep))
+        carry = a if tag == TAG_H else spec.phi_inv_map[a]
+    tail.reverse()
+    return NormalForm(carry, tuple(tail))
+
+
+def ref_equal_in_g(spec, u, v):
+    return ref_normal_form(spec, u) == ref_normal_form(spec, v)
+
+
+def ref_cyclically_reduce(spec, w):
+    c = ref_reduce(spec, w)
+    z = EMPTY
+    while len(c) > 1 and c.syllables[0][0] == c.syllables[-1][0]:
+        first = Word(c.syllables[:1])
+        c = ref_reduce(spec, Word(c.syllables[1:]).concat(first))
+        z = z.concat(first)
+    z = ref_reduce(spec, z)
+    if not ref_equal_in_g(spec, am.inverse(spec, z).concat(w).concat(z), c):
+        raise VerificationFailed("cyclic conjugator failed verification")
+    return c, z
+
+
+def ref_cyclic_permutations(spec, w):
+    r = ref_reduce(spec, w)
+    if r.syllables != w.syllables or (
+            len(w) > 1 and w.syllables[0][0] == w.syllables[-1][0]):
+        raise NotCyclicallyReduced(str(w))
+    if len(w) <= 1:
+        return (w,)
+    return tuple(Word(w.syllables[i:] + w.syllables[:i]) for i in range(len(w)))
+
+
+def ref_verified(spec, x, y, z):
+    z = ref_reduce(spec, z)
+    if not ref_equal_in_g(spec, am.inverse(spec, z).concat(x).concat(z), y):
+        raise VerificationFailed("conjugator failed verification")
+    return am.ConjugacyVerdict(True, z, ("conjugator", z.syllables))
+
+
+def ref_is_conjugate_central(spec, x, y):
+    if not spec.central:
+        raise NotCentral("amalgamated subgroups are not central in the factors")
+    cx, zx = ref_cyclically_reduce(spec, x)
+    cy, zy = ref_cyclically_reduce(spec, y)
+    zy_inv = am.inverse(spec, zy)
+    if len(cx) != len(cy):
+        return am._not(("length-mismatch", len(cx), len(cy)))
+    if len(cx) == 0:
+        return ref_verified(spec, x, y, zx.concat(zy_inv))
+    if len(cx) == 1:
+        tx, ex = am._canonical_length1(spec, cx)
+        ty, ey = am._canonical_length1(spec, cy)
+        x_in_a = spec.in_amalg(tx, ex) and tx == TAG_H
+        y_in_a = spec.in_amalg(ty, ey) and ty == TAG_H
+        if x_in_a or y_in_a:
+            if x_in_a and y_in_a and ex == ey:
+                return ref_verified(spec, x, y, zx.concat(zy_inv))
+            return am._not(("central-amalgam-singleton", (tx, ex), (ty, ey)))
+        if tx != ty:
+            return am._not(("different-factors", (tx, ex), (ty, ey)))
+        t = fingroup.are_conjugate_in(spec.factor(tx), ex, ey)
+        if t is None:
+            return am._not(("factor-classes-differ", (tx, ex), (ty, ey)))
+        return ref_verified(spec, x, y, zx.concat(word([(tx, t)])).concat(zy_inv))
+    nfy = ref_normal_form(spec, cy)
+    compared = []
+    for i, u in enumerate(ref_cyclic_permutations(spec, cx)):
+        if ref_normal_form(spec, u) == nfy:
+            prefix = Word(cx.syllables[:i])
+            return ref_verified(spec, x, y, zx.concat(prefix).concat(zy_inv))
+        compared.append(u.syllables)
+    return am._not(("exhausted", tuple(compared)))
+
+
+def ref_is_conjugate_general(spec, x, y):
+    cx, zx = ref_cyclically_reduce(spec, x)
+    cy, zy = ref_cyclically_reduce(spec, y)
+    zy_inv = am.inverse(spec, zy)
+    if len(cx) != len(cy):
+        return am._not(("length-mismatch", len(cx), len(cy)))
+    if len(cx) == 0:
+        return ref_verified(spec, x, y, zx.concat(zy_inv))
+    if len(cx) == 1:
+        closure = am._length1_closure(spec, *cx.syllables[0])
+        ty, ey = cy.syllables[0]
+        if (ty, ey) in closure:
+            return ref_verified(spec, x, y,
+                                zx.concat(closure[(ty, ey)]).concat(zy_inv))
+        return am._not(("closure-exhausted", tuple(sorted(closure))))
+    nfy = ref_normal_form(spec, cy)
+    compared = []
+    for i, u in enumerate(ref_cyclic_permutations(spec, cx)):
+        prefix = Word(cx.syllables[:i])
+        for a in spec.A.elements:
+            a_word = word([(TAG_H, a)])
+            cand = ref_reduce(spec, am.inverse(spec, a_word).concat(u).concat(a_word))
+            if ref_normal_form(spec, cand) == nfy:
+                return ref_verified(spec, x, y,
+                                    zx.concat(prefix).concat(a_word).concat(zy_inv))
+            compared.append((u.syllables, a))
+    return am._not(("exhausted", tuple(compared)))
+
+
+def biased_words(spec, seed, count, max_len):
+    """Random words biased towards the cases the reduction must order
+    correctly: amalgamated elements, identity syllables and runs of
+    syllables from one factor."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        syl = []
+        tag = rng.choice((TAG_H, TAG_K))
+        for _ in range(rng.randint(0, max_len)):
+            if rng.random() < 0.6:
+                tag = TAG_K if tag == TAG_H else TAG_H
+            roll = rng.random()
+            if roll < 0.4:
+                e = rng.choice(spec.amalg(tag).elements)
+            elif roll < 0.5:
+                e = 0
+            else:
+                e = rng.randrange(spec.factor(tag).order)
+            syl.append((tag, e))
+        yield Word(tuple(syl))
+
+
+@pytest.mark.parametrize("make", MAKERS, ids=IDS)
+def test_reduce_and_normal_form_match_reference(make):
+    spec = make()
+    for w in biased_words(spec, seed=11, count=1500, max_len=12):
+        assert am.reduce(spec, w) == ref_reduce(spec, w), w
+        assert am.normal_form(spec, w) == ref_normal_form(spec, w), w
+
+
+@pytest.mark.parametrize("make", MAKERS, ids=IDS)
+def test_cyclically_reduce_matches_reference(make):
+    spec = make()
+    for w in biased_words(spec, seed=12, count=600, max_len=12):
+        assert am.cyclically_reduce(spec, w) == ref_cyclically_reduce(spec, w), w
+
+
+@pytest.mark.parametrize("make", MAKERS, ids=IDS)
+def test_deciders_match_reference(make):
+    spec = make()
+    words = list(biased_words(spec, seed=13, count=90, max_len=7))
+    for x, y, z in zip(words, words[1:], words[2:]):
+        for v in (y, am.inverse(spec, z).concat(x).concat(z)):
+            assert am.is_conjugate_general(spec, x, v) == \
+                ref_is_conjugate_general(spec, x, v)
+            if spec.central:
+                assert am.is_conjugate_central(spec, x, v) == \
+                    ref_is_conjugate_central(spec, x, v)
+
+
+def test_merge_comes_before_absorption():
+    """H:h K:b K:k with b in B and b*k not in B: the two K syllables merge
+    first, so b is never flipped into h."""
+    spec = make_amalg1()
+    h, b, k = 1, 2, 1
+    assert spec.in_amalg(TAG_K, b) and not spec.in_amalg(TAG_K, spec.K.mul(b, k))
+    w = Word(((TAG_H, h), (TAG_K, b), (TAG_K, k)))
+    merged_first = Word(((TAG_H, h), (TAG_K, spec.K.mul(b, k))))
+    absorbed_first = Word(((TAG_H, spec.H.mul(h, spec.transport(TAG_K, b))),
+                           (TAG_K, k)))
+    assert merged_first != absorbed_first
+    assert ref_reduce(spec, w) == merged_first
+    assert am.reduce(spec, w) == merged_first
+
+
+def test_absorption_sides():
+    """A trailing amalgamated syllable is absorbed into its left
+    neighbour, a leading one into its right neighbour."""
+    spec = make_amalg1()
+    trailing = Word(((TAG_H, 1), (TAG_K, 2)))
+    leading = Word(((TAG_K, 2), (TAG_H, 1), (TAG_K, 1)))
+    assert am.reduce(spec, trailing) == Word(((TAG_H, 3),))
+    assert am.reduce(spec, leading) == Word(((TAG_H, 3), (TAG_K, 1)))
+    for w in (trailing, leading):
+        assert am.reduce(spec, w) == ref_reduce(spec, w)
