@@ -7,6 +7,14 @@ amalgamated subgroup by transporting them across phi: into the left
 neighbour, or the right one for a leading syllable.  The canonical normal
 form uses fixed right transversals with minimal-index coset representatives,
 so equality in G is decidable by comparison.
+
+The conjugacy deciders compare cyclically reduced words u, v of length >= 2
+through their normal forms only for the rotations u' of u whose syllables
+lie, position by position, in the double cosets A*v_i*A (B*v_i*B for K).
+That filter is exact: if a^-1*u'*a = v with a in A, the normal form theorem
+puts each v_i in A*u'_i*A, so a rotation it drops never passes the normal
+form test.  Verdicts, conjugators and certificates are those of the full
+search.
 """
 
 from __future__ import annotations
@@ -112,6 +120,15 @@ class AmalgamSpec:
                 rows.append((G.mul(e, G.inv(rep)), rep))
             out[tag] = tuple(rows)
         return out
+
+    @cached_property
+    def _double_cosets(self) -> dict[str, tuple[int, ...]]:
+        """Per tag, the table e -> min(S*e*S), S the amalgamated subgroup of
+        that factor: the label of e's double coset."""
+        return {tag: tuple(min(self._cosets[tag][row[b]][1]
+                               for b in self.amalg(tag).elements)
+                           for row in self._tables[tag])
+                for tag in (TAG_H, TAG_K)}
 
     @property
     def phi_map(self) -> Mapping[int, int]:
@@ -274,7 +291,8 @@ def equal_in_g(spec: AmalgamSpec, u: Word, v: Word) -> bool:
 
 def cyclically_reduce(spec: AmalgamSpec, w: Word) -> tuple[Word, Word]:
     """A cyclically reduced c and conjugator z with z^-1 * w * z = c in G;
-    a first syllable of the last one's factor moves to z and to the end."""
+    a first syllable of the last one's factor moves to z and to the end.
+    z is checked unless nothing moved: then z is empty and c = reduce(w)."""
     tab, across = spec._tables, spec._across
     syl = deque(reduce(spec, w).syllables)
     moved = []
@@ -283,6 +301,8 @@ def cyclically_reduce(spec: AmalgamSpec, w: Word) -> tuple[Word, Word]:
         _push(tab, across, syl, moved[-1:])
         _close(tab, across, syl)
     c = Word(tuple(syl))
+    if not moved:
+        return c, EMPTY
     z = reduce(spec, Word(tuple(moved)))
     if not equal_in_g(spec, inverse(spec, z).concat(w).concat(z), c):
         raise VerificationFailed("cyclic conjugator failed verification")
@@ -305,6 +325,16 @@ def cyclic_permutations(spec: AmalgamSpec, w: Word) -> tuple[Word, ...]:
         return (w,)
     n = len(w)
     return tuple(Word(w.syllables[i:] + w.syllables[:i]) for i in range(n))
+
+
+def _label_matches(spec: AmalgamSpec, cx: Word, cy: Word) -> list[int]:
+    """The rotations i of cx that agree with cy position by position in
+    (tag, double-coset label); cx and cy have equal length."""
+    dc = spec._double_cosets
+    lx = [(tag, dc[tag][e]) for tag, e in cx.syllables] * 2
+    ly = [(tag, dc[tag][e]) for tag, e in cy.syllables]
+    n = len(ly)
+    return [i for i in range(n) if lx[i:i + n] == ly]
 
 
 @dataclass(frozen=True)
@@ -339,7 +369,9 @@ def _canonical_length1(spec: AmalgamSpec, w: Word) -> tuple[str, int]:
 def is_conjugate_central(spec: AmalgamSpec, x: Word, y: Word) -> ConjugacyVerdict:
     """Conjugacy decision for central amalgams: conjugates have equal
     lengths; at length <= 1 conjugacy reduces to factor conjugacy, and at
-    length > 1 to equality with a cyclic permutation."""
+    length > 1 to equality with a cyclic permutation.  Only the rotations
+    whose syllables share y's double-coset labels are compared (exact, see
+    the module docstring)."""
     if not spec.central:
         raise NotCentral("amalgamated subgroups are not central in the factors")
     cx, zx = cyclically_reduce(spec, x)
@@ -368,13 +400,12 @@ def is_conjugate_central(spec: AmalgamSpec, x: Word, y: Word) -> ConjugacyVerdic
             return _not(("factor-classes-differ", (tx, ex), (ty, ey)))
         return _verified(spec, x, y, zx.concat(word([(tx, t)])).concat(zy_inv))
     nfy = normal_form(spec, cy)
-    compared = []
-    for i, u in enumerate(cyclic_permutations(spec, cx)):
-        if normal_form(spec, u) == nfy:
+    rotations = cyclic_permutations(spec, cx)
+    for i in _label_matches(spec, cx, cy):
+        if normal_form(spec, rotations[i]) == nfy:
             prefix = Word(cx.syllables[:i])
             return _verified(spec, x, y, zx.concat(prefix).concat(zy_inv))
-        compared.append(u.syllables)
-    return _not(("exhausted", tuple(compared)))
+    return _not(("exhausted", tuple(u.syllables for u in rotations)))
 
 
 def _length1_closure(spec: AmalgamSpec, tag: str, e: int) -> dict[tuple[str, int], Word]:
@@ -405,7 +436,9 @@ def _length1_closure(spec: AmalgamSpec, tag: str, e: int) -> dict[tuple[str, int
 def is_conjugate_general(spec: AmalgamSpec, x: Word, y: Word) -> ConjugacyVerdict:
     """Conjugacy decision without the centrality assumption.
 
-    Length > 1: finite search over amalgam conjugates of cyclic permutations.
+    Length > 1: finite search over a^-1 * u * a, a in A and u a cyclic
+    permutation whose syllables share y's double-coset labels; conjugating
+    by a keeps each syllable in its double coset, so no other u can match.
     Length <= 1: membership in the transport-closure of the factor class.
     """
     cx, zx = cyclically_reduce(spec, x)
@@ -422,14 +455,14 @@ def is_conjugate_general(spec: AmalgamSpec, x: Word, y: Word) -> ConjugacyVerdic
             return _verified(spec, x, y, zx.concat(closure[(ty, ey)]).concat(zy_inv))
         return _not(("closure-exhausted", tuple(sorted(closure))))
     nfy = normal_form(spec, cy)
-    compared = []
-    for i, u in enumerate(cyclic_permutations(spec, cx)):
+    rotations = cyclic_permutations(spec, cx)
+    for i in _label_matches(spec, cx, cy):
         prefix = Word(cx.syllables[:i])
         for a in spec.A.elements:
             a_word = word([(TAG_H, a)])
-            cand = inverse(spec, a_word).concat(u).concat(a_word)
+            cand = inverse(spec, a_word).concat(rotations[i]).concat(a_word)
             if normal_form(spec, cand) == nfy:
                 return _verified(spec, x, y,
                                  zx.concat(prefix).concat(a_word).concat(zy_inv))
-            compared.append((u.syllables, a))
-    return _not(("exhausted", tuple(compared)))
+    return _not(("exhausted", tuple((u.syllables, a) for u in rotations
+                                    for a in spec.A.elements)))

@@ -2,6 +2,8 @@
 
 Exit codes are a stable contract: 0 success, 1 negative verdict, 2 input
 error, 3 precondition failed, 4 conjugate inputs, 5 budget exhausted.
+``verify`` exits 0 for a certificate that passes, 1 for one that is
+rejected and 2 for a malformed certificate or amalgam file.
 VerificationFailed (an internal re-check rejected a computed conjugator or
 witness) is an AmalgamsError and so also exits 2, with its message on
 stderr; no positive answer is printed in that case.
@@ -130,6 +132,30 @@ def cmd_separate(args) -> int:
     return EXIT_OK
 
 
+def cmd_verify(args) -> int:
+    spec = fileio.load_amalgam(args.amalgam)
+    cert = fileio.parse_certificate(Path(args.certificate).read_text())
+    f, g = fileio.parse_word(spec, cert["f"]), fileio.parse_word(spec, cert["g"])
+    X = cert["target"]
+    witness = sep.Witness(X, fingroup.GroupHom(spec.H, X, cert["psi_H"]),
+                          fingroup.GroupHom(spec.K, X, cert["psi_K"]),
+                          cert["strategy"])
+    # The smallest prime factor of |X|; verify_witness rejects a target
+    # whose order is not a power of it.
+    p = next((d for d in range(2, X.order + 1) if X.order % d == 0), None)
+    if p is None or not sep.verify_witness(spec, witness, f, g, p):
+        reason = ("the witness fails re-verification (hom laws, agreement "
+                  "on A, p-group target or class separation)")
+    elif fileio.certificate_images(witness, f, g) != cert["images"]:
+        reason = "recorded images differ from the recomputed ones"
+    else:
+        _emit(args, [f"VERIFIED: target order {X.order}, p = {p}"],
+              {"verdict": "VERIFIED", "target_order": X.order, "p": p})
+        return EXIT_OK
+    _emit(args, [f"REJECTED: {reason}"], {"verdict": "REJECTED", "reason": reason})
+    return EXIT_NEGATIVE
+
+
 def cmd_pi1(args) -> int:
     graph = fileio.load_group_graph(args.graph)
     pres = gg.fundamental_presentation(graph)
@@ -177,6 +203,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("-p", type=int, default=None)
     p.set_defaults(func=cmd_separate)
+
+    p = sub.add_parser("verify", help="re-check a witness certificate "
+                                      "written by separate")
+    p.add_argument("amalgam")
+    p.add_argument("certificate")
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("pi1", help="fundamental group presentation of a "
                                    "graph of groups")

@@ -235,10 +235,18 @@ def load_group_graph(path: str | Path) -> gg.GroupGraph:
 
 # -- witness certificates ------------------------------------------------
 
+def certificate_images(w: sep.Witness, f: Word, g: Word) -> dict[str, int]:
+    """The [images] section: the images of f and g in the target and the
+    first element of each image's conjugacy class."""
+    fi, gi = sep.word_image(w, f), sep.word_image(w, g)
+    return {"f_image": fi, "g_image": gi,
+            "f_class_rep": fingroup.class_of(w.target, fi)[0],
+            "g_class_rep": fingroup.class_of(w.target, gi)[0]}
+
+
 def serialize_certificate(spec: AmalgamSpec, w: sep.Witness,
                           f: Word, g: Word) -> str:
     """Self-contained certificate for third-party re-verification."""
-    fi, gi = sep.word_image(w, f), sep.word_image(w, g)
     lines = ["[witness]",
              f"strategy {w.strategy_tag}",
              f"f {render_word(spec, f) or '-'}",
@@ -249,11 +257,8 @@ def serialize_certificate(spec: AmalgamSpec, w: sep.Witness,
              " ".join(str(x) for x in w.psi_H.images),
              "[psi_K]",
              " ".join(str(x) for x in w.psi_K.images),
-             "[images]",
-             f"f_image {fi}",
-             f"g_image {gi}",
-             f"f_class_rep {fingroup.class_of(w.target, fi)[0]}",
-             f"g_class_rep {fingroup.class_of(w.target, gi)[0]}"]
+             "[images]"]
+    lines += [f"{key} {value}" for key, value in certificate_images(w, f, g).items()]
     return "\n".join(lines) + "\n"
 
 

@@ -54,6 +54,20 @@ def make_d8_q8():
     return am.make_amalgam(d8, q8, zd, zq, dict(zip(zd, zq)))
 
 
+def make_s3_s3():
+    """S3 *_{C2} S3 over the subgroups of two transpositions (indices 1
+    and 2); A and B are not normal, so A*e*A is not a right coset A*e."""
+    s3 = fingroup.symmetric3()
+    return am.make_amalgam(s3, s3, [0, 1], [0, 2], {0: 0, 1: 2})
+
+
+def make_d8_d8():
+    """D8 *_{C2} D8 over subgroups generated by non-central reflections
+    (s and rs); A and B are not normal."""
+    d8 = fingroup.dihedral(4)
+    return am.make_amalgam(d8, d8, [0, 4], [0, 5], {0: 0, 4: 5})
+
+
 @pytest.fixture(scope="session")
 def amalg1():
     return make_amalg1()

@@ -17,7 +17,7 @@ from amalgams.errors import (
     PhiNotIso,
     VerificationFailed,
 )
-from conftest import make_c9_amalgam, make_s3_amalgam
+from conftest import make_c9_amalgam, make_d8_d8, make_s3_amalgam, make_s3_s3
 
 
 def W(*syllables):
@@ -244,15 +244,18 @@ class TestLengthConfluence:
 
 class TestOraclesBeyondCentralP2:
     """Normal forms and the general decider against the brute-force oracles
-    on the non-central S3 *_{C3} C6 and on C9 *_{C3} (C3 x C3) with p = 3.
-    Each case: (amalgam, rewriting length, representative length,
+    on the non-central S3 *_{C3} C6, on C9 *_{C3} (C3 x C3) with p = 3, and
+    on S3 *_{C2} S3 and D8 *_{C2} D8, whose amalgamated subgroups are not
+    normal.  Each case: (amalgam, rewriting length, representative length,
     conjugator candidate length); the candidate lengths cover the longest
     conjugator the decider returns on these representatives."""
 
-    CASES = [(make_s3_amalgam, 3, 3, 3), (make_c9_amalgam, 3, 3, 2)]
+    CASES = [(make_s3_amalgam, 3, 3, 3), (make_c9_amalgam, 3, 3, 2),
+             (make_s3_s3, 3, 2, 2), (make_d8_d8, 3, 2, 2)]
+    IDS = ["s3_c3_c6", "c9_c3_c3xc3", "s3_c2_s3", "d8_c2_d8"]
 
     @pytest.mark.parametrize("make,max_len,rep_len,cand_len", CASES,
-                             ids=["s3_c3_c6", "c9_c3_c3xc3"])
+                             ids=IDS)
     def test_normal_form_matches_rewriting_reachability(self, make, max_len,
                                                         rep_len, cand_len):
         spec = make()
@@ -265,7 +268,7 @@ class TestOraclesBeyondCentralP2:
         assert len(distinct) == len(nf_of_comp)
 
     @pytest.mark.parametrize("make,max_len,rep_len,cand_len", CASES,
-                             ids=["s3_c3_c6", "c9_c3_c3xc3"])
+                             ids=IDS)
     def test_general_decider_matches_brute_force(self, make, max_len,
                                                  rep_len, cand_len):
         spec = make()
@@ -298,6 +301,12 @@ class TestVerificationChecks:
         with pytest.raises(VerificationFailed):
             am.cyclically_reduce(amalg1, W(("H", 1), ("K", 1), ("H", 1)))
 
+    def test_cyclically_reduce_without_rotation(self, amalg1, monkeypatch):
+        """Nothing rotates, so the conjugator is empty and the check, which
+        could not fail, is not run."""
+        monkeypatch.setattr(am, "equal_in_g", lambda spec, u, v: False)
+        assert am.cyclically_reduce(amalg1, W(("H", 1))) == (W(("H", 1)), am.EMPTY)
+
     def test_conjugator_rejects(self, amalg1, monkeypatch):
         monkeypatch.setattr(am, "equal_in_g", lambda spec, u, v: False)
         with pytest.raises(VerificationFailed):
@@ -311,8 +320,11 @@ class TestVerificationChecks:
             c4 = fg.cyclic(4)
             spec = am.make_amalgam(c4, c4, [0, 2], [0, 2], {0: 0, 2: 2})
             h1 = am.word([("H", 1)])
+            hkh = am.word([("H", 1), ("K", 1), ("H", 1)])
+            if am.cyclically_reduce(spec, h1) != (h1, am.EMPTY):
+                sys.exit("H:1 has nothing to rotate")
             am.equal_in_g = lambda spec, u, v: False
-            for call in (lambda: am.cyclically_reduce(spec, h1),
+            for call in (lambda: am.cyclically_reduce(spec, hkh),
                          lambda: am._verified(spec, h1, h1, am.EMPTY)):
                 try:
                     call()

@@ -217,6 +217,45 @@ class TestSeparate:
                      "-o", str(tmp_path / "w.cert")]) == 0
 
 
+class TestVerify:
+    """`amalgams verify` re-checks a certificate from the two files alone."""
+
+    @pytest.fixture()
+    def cert(self, amalg1_file, tmp_path, capsys):
+        path = tmp_path / "w.cert"
+        assert main(["separate", amalg1_file, "H:1", "K:1", "-o", str(path)]) == 0
+        capsys.readouterr()
+        return path
+
+    def test_separate_then_verify(self, amalg1_file, cert, capsys):
+        assert main(["verify", amalg1_file, str(cert)]) == 0
+        assert capsys.readouterr().out.startswith("VERIFIED")
+        assert main(["--format", "json", "verify", amalg1_file, str(cert)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "VERIFIED" and payload["p"] == 2
+
+    @pytest.mark.parametrize("old,new", [
+        ("[psi_K]\n0 1 0 1", "[psi_K]\n0 0 0 0"),  # a hom that does not separate
+        ("[psi_K]\n0 1 0 1", "[psi_K]\n0 1 1 1"),  # not a hom
+        ("g_image 1", "g_image 0"),                # recorded image is wrong
+        ("g_class_rep 1", "g_class_rep 0")])
+    def test_tampered_certificate_rejected(self, amalg1_file, cert, capsys,
+                                           old, new):
+        text = cert.read_text()
+        assert old in text
+        cert.write_text(text.replace(old, new))
+        assert main(["verify", amalg1_file, str(cert)]) == 1
+        out, err = capsys.readouterr()
+        assert out.startswith("REJECTED") and "Traceback" not in err
+
+    def test_target_order_not_a_prime_power(self, amalg1_file, cert, capsys):
+        text = cert.read_text()
+        trivial = "order 1\ntable\n0\n[psi_H]\n0 0 0 0\n[psi_K]\n0 0 0 0\n"
+        start, end = text.index("order 2"), text.index("[images]")
+        cert.write_text(text[:start] + trivial + text[end:])
+        assert main(["verify", amalg1_file, str(cert)]) == 1
+
+
 class TestPi1:
     def test_amalgam_graph_presentation(self, tmp_path, capsys):
         c4 = fg.cyclic(4)
@@ -365,16 +404,33 @@ class TestMalformedFiles:
             self._assert_input_error(
                 capsys, ["pairs", str(path), "--max-index", "4"], label)
 
-    def test_certificate_files(self, tmp_path):
+    CERTIFICATE_MUTATIONS = [
+        ("strategy direct", "strategy"), ("[psi_H]\n0", "[psi_H]\nx"),
+        ("g_image 1", "g_image x"), ("g_image 1", "g_image 1 2"),
+        ("[images]", "[imagez]"), ("order 2", "order 3")]
+
+    def _certificate_text(self):
         spec = fileio.parse_amalgam(self._named_amalgam_text())
         f, g = am.word([("H", 1)]), am.word([("K", 1)])
-        text = fileio.serialize_certificate(
+        return fileio.serialize_certificate(
             spec, sep.search_witness(spec, f, g, sep.SearchBudget()), f, g)
+
+    def test_certificate_files(self, tmp_path):
+        text = self._certificate_text()
         assert fileio.parse_certificate(text)["images"]["g_image"] == 1
-        mutations = [("strategy direct", "strategy"), ("[psi_H]\n0", "[psi_H]\nx"),
-                     ("g_image 1", "g_image x"), ("g_image 1", "g_image 1 2"),
-                     ("[images]", "[imagez]"), ("order 2", "order 3")]
-        for label, bad in _damaged(text, mutations):
+        for label, bad in _damaged(text, self.CERTIFICATE_MUTATIONS):
             with pytest.raises(AmalgamsError) as exc:
                 fileio.parse_certificate(bad)
             assert exc.type in (ParseError, NotAGroup), label
+
+    def test_certificate_files_through_verify(self, tmp_path, capsys):
+        amalgam, cert = tmp_path / "amalgam.txt", tmp_path / "w.cert"
+        amalgam.write_text(self._named_amalgam_text())
+        text = self._certificate_text()
+        cert.write_text(text)
+        assert main(["verify", str(amalgam), str(cert)]) == 0
+        capsys.readouterr()
+        for label, bad in _damaged(text, self.CERTIFICATE_MUTATIONS):
+            cert.write_text(bad)
+            self._assert_input_error(capsys, ["verify", str(amalgam), str(cert)],
+                                     label)

@@ -18,12 +18,16 @@ from conftest import (
     make_amalg1,
     make_c2c3,
     make_c9_amalgam,
+    make_d8_d8,
     make_d8_q8,
     make_s3_amalgam,
+    make_s3_s3,
 )
 
-MAKERS = [make_amalg1, make_s3_amalgam, make_c9_amalgam, make_d8_q8, make_c2c3]
-IDS = ["c4_c2_c4", "s3_c3_c6", "c9_c3_c3xc3", "d8_z_q8", "c2_c3"]
+MAKERS = [make_amalg1, make_s3_amalgam, make_c9_amalgam, make_d8_q8, make_c2c3,
+          make_s3_s3, make_d8_d8]
+IDS = ["c4_c2_c4", "s3_c3_c6", "c9_c3_c3xc3", "d8_z_q8", "c2_c3",
+       "s3_c2_s3", "d8_c2_d8"]
 
 
 def ref_phi_map(spec):
@@ -130,6 +134,9 @@ def test_tables_match_brute_force(make):
             assert am._coset_decompose(spec, tag, e) == \
                 ref_coset_decompose(spec, tag, e)
             assert spec.in_amalg(tag, e) == ref_in_amalg(spec, tag, e)
+            G, S = spec.factor(tag), spec.amalg(tag).elements
+            assert spec._double_cosets[tag][e] == \
+                min(G.mul(G.mul(a, e), b) for a in S for b in S)
     for a, b in spec.phi:
         assert spec.transport(TAG_H, a) == b
         assert spec.transport(TAG_K, b) == a
@@ -165,9 +172,12 @@ def test_deciders_match_reference(make):
 @pytest.mark.parametrize("make", MAKERS, ids=IDS)
 def test_tables_do_not_affect_equality(make):
     built, fresh = make(), make()
-    am.normal_form(built, Word(((TAG_H, 1), (TAG_K, 1))))
+    h, k = (next(e for e in built.factor(tag).elements()
+                 if not built.in_amalg(tag, e)) for tag in (TAG_H, TAG_K))
+    hk = Word(((TAG_H, h), (TAG_K, k)))
+    assert am.is_conjugate_general(built, hk, hk).conjugate
     assert 0 in built.A and 0 in built.B
-    assert {"_across", "_cosets"} <= set(vars(built))
+    assert {"_across", "_cosets", "_double_cosets"} <= set(vars(built))
     assert built == fresh and hash(built) == hash(fresh)
     assert {built: 1}[fresh] == 1
     other = fg.make_subgroup(built.H, built.A.elements)

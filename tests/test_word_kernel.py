@@ -21,12 +21,16 @@ from conftest import (
     make_amalg1,
     make_c2c3,
     make_c9_amalgam,
+    make_d8_d8,
     make_d8_q8,
     make_s3_amalgam,
+    make_s3_s3,
 )
 
-MAKERS = [make_amalg1, make_s3_amalgam, make_c9_amalgam, make_d8_q8, make_c2c3]
-IDS = ["c4_c2_c4", "s3_c3_c6", "c9_c3_c3xc3", "d8_z_q8", "c2_c3"]
+MAKERS = [make_amalg1, make_s3_amalgam, make_c9_amalgam, make_d8_q8, make_c2c3,
+          make_s3_s3, make_d8_d8]
+IDS = ["c4_c2_c4", "s3_c3_c6", "c9_c3_c3xc3", "d8_z_q8", "c2_c3",
+       "s3_c2_s3", "d8_c2_d8"]
 
 
 def ref_merge_pass(spec, syl):
@@ -223,6 +227,39 @@ def test_deciders_match_reference(make):
             if spec.central:
                 assert am.is_conjugate_central(spec, x, v) == \
                     ref_is_conjugate_central(spec, x, v)
+
+
+def cyclic_word(spec, rng, n):
+    """A random cyclically reduced word of even length n: alternating tags
+    and no syllable in an amalgamated subgroup."""
+    syl = []
+    for i in range(n):
+        tag = (TAG_H, TAG_K)[i % 2]
+        pool = [e for e in spec.factor(tag).elements() if not spec.in_amalg(tag, e)]
+        syl.append((tag, rng.choice(pool)))
+    return Word(tuple(syl))
+
+
+@pytest.mark.parametrize("make", MAKERS, ids=IDS)
+def test_deciders_at_equal_cyclic_length(make):
+    """The pairs the rotation filter sorts: equal cyclic lengths, and
+    conjugates by a word ending in an amalgamated syllable a, whose last
+    syllable u_n*a leaves the right coset A*u_n (when A is not normal) but
+    not the double coset A*u_n*A."""
+    spec = make()
+    rng = random.Random(14)
+    for _ in range(150):
+        n = rng.choice((2, 4, 6))
+        x, y = cyclic_word(spec, rng, n), cyclic_word(spec, rng, n)
+        tag = rng.choice((TAG_H, TAG_K))
+        a = rng.choice(spec.amalg(tag).elements)
+        z = Word(x.syllables[:rng.randrange(n)] + ((tag, a),))
+        for v in (y, am.inverse(spec, z).concat(x).concat(z)):
+            assert am.is_conjugate_general(spec, x, v) == \
+                ref_is_conjugate_general(spec, x, v), (x, v)
+            if spec.central:
+                assert am.is_conjugate_central(spec, x, v) == \
+                    ref_is_conjugate_central(spec, x, v), (x, v)
 
 
 def test_merge_comes_before_absorption():
