@@ -12,6 +12,7 @@ stderr; no positive answer is printed in that case.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -106,10 +107,7 @@ def cmd_separate(args) -> int:
     g = fileio.parse_word(spec, args.word2)
     config = fileio.load_config(args.config)
     if args.p is not None:
-        config = fileio.WorkspaceConfig(args.p, config.max_target_order,
-                                        config.max_quotient_index,
-                                        config.max_conjugator_length,
-                                        config.output)
+        config = dataclasses.replace(config, p=args.p)
     try:
         witness = sep.search_witness(spec, f, g, config.budget())
     except ElementsConjugate as exc:

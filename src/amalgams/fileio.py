@@ -8,7 +8,7 @@ input byte-for-byte, so files round-trip exactly.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -17,7 +17,7 @@ from . import fingroup
 from . import graphgroups as gg
 from . import separability as sep
 from .amalgam import TAG_H, TAG_K, AmalgamSpec, Word
-from .errors import IndexOutOfRange, ParseError
+from .errors import ParseError
 from .fingroup import FiniteGroup, GroupHom
 
 
@@ -306,7 +306,6 @@ class WorkspaceConfig:
     max_target_order: int = 16
     max_quotient_index: int = 16
     max_conjugator_length: int = 4
-    output: str = "text"  # or "json"
 
     def budget(self) -> sep.SearchBudget:
         return sep.SearchBudget(self.p, self.max_target_order,
@@ -316,24 +315,23 @@ class WorkspaceConfig:
 
 def load_config(path: Optional[str | Path] = None,
                 env: Optional[dict[str, str]] = None) -> WorkspaceConfig:
-    """`key value` lines; environment variables AMALGAMS_<KEY> override."""
+    """`key value` lines, one integer per WorkspaceConfig field; environment
+    variables AMALGAMS_<KEY> override.  An unknown key in the file raises
+    ParseError naming the accepted keys."""
+    keys = [fld.name for fld in fields(WorkspaceConfig)]
     values: dict[str, str] = {}
     if path is not None:
         for ln in Path(path).read_text().splitlines():
             ln = ln.strip()
             if ln and not ln.startswith("#"):
                 key, _, val = ln.partition(" ")
+                if key not in keys:
+                    raise ParseError(f"unknown config key {key!r}; accepted "
+                                     f"keys: {', '.join(keys)}")
                 values[key] = val.strip()
     env = os.environ if env is None else env
-    for fld in ("p", "max_target_order", "max_quotient_index",
-                "max_conjugator_length", "output"):
-        ev = env.get(ENV_PREFIX + fld.upper())
+    for key in keys:
+        ev = env.get(ENV_PREFIX + key.upper())
         if ev is not None:
-            values[fld] = ev
-    kwargs = {}
-    for fld, cast in (("p", int), ("max_target_order", int),
-                      ("max_quotient_index", int),
-                      ("max_conjugator_length", int), ("output", str)):
-        if fld in values:
-            kwargs[fld] = cast(values[fld])
-    return WorkspaceConfig(**kwargs)
+            values[key] = ev
+    return WorkspaceConfig(**{key: int(val) for key, val in values.items()})

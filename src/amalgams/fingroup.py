@@ -49,10 +49,6 @@ class FiniteGroup:
             n += 1
         return n
 
-    def is_abelian(self) -> bool:
-        t = self.table
-        return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(a))
-
     def name_of(self, a: int) -> str:
         return self.names[a] if self.names else str(a)
 
@@ -221,22 +217,9 @@ def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
 
 @lru_cache(maxsize=None)
 def enumerate_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
-    """All subgroups, sorted by size then lexicographically.
-
-    Closure-of-subsets search; fine for desk-scale orders.
-    """
-    found = {(0,): trivial_subgroup(G)}
-    frontier = [trivial_subgroup(G)]
-    while frontier:
-        H = frontier.pop()
-        for g in G.elements():
-            if g in H.element_set():
-                continue
-            bigger = subgroup_closure(G, set(H.elements) | {g})
-            if bigger.elements not in found:
-                found[bigger.elements] = bigger
-                frontier.append(bigger)
-    return tuple(sorted(found.values(), key=lambda s: (len(s), s.elements)))
+    """All subgroups, sorted by size then lexicographically: the joins of
+    cyclic subgroups.  Fine for desk-scale orders."""
+    return _joins(G, [subgroup_closure(G, [g]) for g in G.elements()])
 
 
 @lru_cache(maxsize=None)
@@ -246,12 +229,17 @@ def enumerate_normal_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     Generated as joins of normal closures of single elements, which reach
     every normal subgroup without enumerating the full subgroup lattice.
     """
-    closures = [normal_closure(G, [g]) for g in G.elements()]
+    return _joins(G, [normal_closure(G, [g]) for g in G.elements()])
+
+
+def _joins(G: FiniteGroup, pieces: Sequence[Subgroup]) -> tuple[Subgroup, ...]:
+    """Every join of some of the pieces (the trivial subgroup for none),
+    sorted by size then lexicographically."""
     found = {(0,): trivial_subgroup(G)}
     frontier = [trivial_subgroup(G)]
     while frontier:
         N = frontier.pop()
-        for C in closures:
+        for C in pieces:
             if C.element_set() <= N.element_set():
                 continue
             join = subgroup_closure(G, set(N.elements) | set(C.elements))
@@ -278,34 +266,8 @@ class GroupHom:
         return all(m[self.source.mul(a, b)] == self.target.mul(m[a], m[b])
                    for a in self.source.elements() for b in self.source.elements())
 
-    def compose(self, then: "GroupHom") -> "GroupHom":
-        """x -> then(self(x))."""
-        return GroupHom(self.source, then.target,
-                        tuple(then.images[i] for i in self.images))
-
     def is_injective(self) -> bool:
         return len(set(self.images)) == self.source.order
-
-    def kernel(self) -> Subgroup:
-        return Subgroup(self.source,
-                        tuple(x for x in self.source.elements() if self.images[x] == 0))
-
-
-def make_hom(source: FiniteGroup, target: FiniteGroup,
-             images: Sequence[int]) -> GroupHom:
-    h = GroupHom(source, target, tuple(images))
-    if not h.is_valid():
-        raise NotSubgroup("mapping is not a homomorphism")
-    return h
-
-
-def identity_hom(G: FiniteGroup) -> GroupHom:
-    return GroupHom(G, G, tuple(G.elements()))
-
-
-def trivial_hom(G: FiniteGroup, X: FiniteGroup) -> GroupHom:
-    return GroupHom(G, X, (0,) * G.order)
-
 
 def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     """Quotient on minimal-index coset representatives plus the projection."""
@@ -421,8 +383,10 @@ def enumerate_homs(G: FiniteGroup, X: FiniteGroup,
                    partial: Optional[dict[int, int]] = None) -> tuple[GroupHom, ...]:
     """All homomorphisms G -> X extending ``partial``, in deterministic order.
 
-    Backtracks over images of a fixed greedy generating sequence, pruning by
-    element-order divisibility.  ``partial`` may constrain arbitrary elements
+    Tries the images of a fixed greedy generating sequence whose orders
+    divide the generators' orders, as one ``itertools.product`` over the
+    per-generator candidates: the homs come in lexicographic order of
+    their generator images.  ``partial`` may constrain arbitrary elements
     of G (not just generators); constraints already violating a relation
     raise InconsistentPartial.
     """
@@ -444,23 +408,15 @@ def enumerate_homs(G: FiniteGroup, X: FiniteGroup,
                 raise InconsistentPartial(f"violated at ({a},{b})")
 
     gens = generating_sequence(G)
-    gen_orders = [G.element_order(g) for g in gens]
+    x_orders = [X.element_order(x) for x in X.elements()]
+    candidates = [[x for x in X.elements()
+                   if G.element_order(g) % x_orders[x] == 0] for g in gens]
     results = []
-
-    def backtrack(pos: int, chosen: list[int]):
-        if pos == len(gens):
-            images = _images_from_generators(G, X, chosen)
-            if images is None:
-                return
-            if any(images[e] != x for e, x in partial.items()):
-                return
+    for chosen in itertools.product(*candidates):
+        images = _images_from_generators(G, X, chosen)
+        if images is not None and all(images[e] == x
+                                      for e, x in partial.items()):
             results.append(GroupHom(G, X, images))
-            return
-        for x in range(X.order):
-            if gen_orders[pos] % X.element_order(x) == 0:
-                backtrack(pos + 1, chosen + [x])
-
-    backtrack(0, [])
     return tuple(results)
 
 

@@ -159,9 +159,6 @@ class Presentation:
     edge_relators: tuple[Relator, ...]
     stable_letters: tuple[str, ...]
 
-    def group_at(self, v: str) -> FiniteGroup:
-        return dict(self.vertex_groups)[v]
-
     @property
     def generators(self) -> tuple[str, ...]:
         gens = []
@@ -218,11 +215,11 @@ def fundamental_presentation(gg: GroupGraph,
             raise InvalidTree("tree not closed under inversion")
         if len(tree) != 2 * (len(g.vertices) - 1):
             raise InvalidTree("wrong spanning tree size")
-        span = make_graph(g.vertices, tuple(sorted(tree)),
-                          {e: g.inv_of(e) for e in tree},
-                          {e: g.orig_of(e) for e in tree},
-                          {e: g.term_of(e) for e in tree})
-        assert span is not None
+        # Raises unless the tree edges connect every vertex.
+        make_graph(g.vertices, tuple(sorted(tree)),
+                   {e: g.inv_of(e) for e in tree},
+                   {e: g.orig_of(e) for e in tree},
+                   {e: g.term_of(e) for e in tree})
 
     geometric = []
     used = set()

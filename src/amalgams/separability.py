@@ -107,33 +107,12 @@ def _abelian_p_group(p: int, partition: tuple[int, ...]) -> FiniteGroup:
     return G
 
 
-def p_group_catalog(p: int, max_order: int,
-                    extras: Sequence[FiniteGroup] = ()) -> tuple[FiniteGroup, ...]:
-    """Search space of witness targets: all abelian p-groups of order
-    <= max_order (one per partition), for p = 2 the dihedral and quaternion
-    groups of order 8 and 16, plus caller extras; deduplicated by table.
-    The catalog without extras is built once per (p, max_order)."""
-    catalog = _base_catalog(p, max_order)
-    if not extras:
-        return catalog
-    return _distinct(catalog + tuple(
-        X for X in extras if fingroup.is_p_group(X, p) and X.order <= max_order))
-
-
-def _distinct(groups: Sequence[FiniteGroup]) -> tuple[FiniteGroup, ...]:
-    """The groups in order, each table kept at its first occurrence."""
-    seen = set()
-    out = []
-    for X in groups:
-        key = (X.order, X.table)
-        if key not in seen:
-            seen.add(key)
-            out.append(X)
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
-def _base_catalog(p: int, max_order: int) -> tuple[FiniteGroup, ...]:
+def p_group_catalog(p: int, max_order: int) -> tuple[FiniteGroup, ...]:
+    """Search space of witness targets, smallest order first: all abelian
+    p-groups of order <= max_order (one per partition) and, for p = 2, the
+    dihedral and quaternion groups of order 8 and 16.  No two share a
+    table.  Built once per (p, max_order)."""
     fingroup.check_prime(p)
     n, k = max_order, 0
     while n % p == 0:
@@ -151,7 +130,7 @@ def _base_catalog(p: int, max_order: int) -> tuple[FiniteGroup, ...]:
         if p == 2 and exp == 4:
             catalog.append(fingroup.dihedral(8))
             catalog.append(fingroup.quaternion(16))
-    return _distinct(catalog)
+    return tuple(catalog)
 
 
 def agreeing_pairs(spec: AmalgamSpec,
@@ -183,13 +162,12 @@ def _first_agreeing_pair(spec: AmalgamSpec, catalog: Sequence[FiniteGroup],
     if there is none.
 
     A pair's images of the words depend only on the images of their
-    letters, so Hom(K, X) is bucketed by its images on B and, within a
-    bucket, kept once per tuple of K-letter images (the first such psi_K;
-    a bucket is deduplicated when a psi_H first needs it).
-    A psi_H whose images on A and on the H-letters were already seen is
-    skipped: every pair it forms was tested through the earlier one.  The
-    pair returned is therefore the first passing one in agreeing_pairs
-    order."""
+    letters.  So, per X, Hom(K, X) is first tabled by its images on B and
+    then by its K-letter images, keeping the first psi_K of each (dicts
+    keep insertion order, so enumeration order survives).  A psi_H whose
+    images on A and on the H-letters were already seen is skipped: every
+    pair it forms was tested through the earlier one.  The pair returned
+    is therefore the first passing one in agreeing_pairs order."""
     letters = sorted({s for u in words for s in u})  # "H" sorts before "K"
     slot = {s: i for i, s in enumerate(letters)}
     programs = [[slot[s] for s in u] for u in words]
@@ -200,11 +178,11 @@ def _first_agreeing_pair(spec: AmalgamSpec, catalog: Sequence[FiniteGroup],
     n = len(spec.phi)
     for X in catalog:
         test = make_test(X)
-        by_b: dict[tuple[int, ...], list[GroupHom]] = {}
+        by_b: dict[tuple[int, ...], dict[tuple[int, ...], GroupHom]] = {}
         for psi_K in fingroup.enumerate_homs(spec.K, X):
-            by_b.setdefault(tuple(map(psi_K.images.__getitem__, b_elems)),
-                            []).append(psi_K)
-        classes: dict[tuple[int, ...], list] = {}  # by_b, deduplicated
+            img = psi_K.images.__getitem__
+            by_b.setdefault(tuple(map(img, b_elems)), {}).setdefault(
+                tuple(map(img, k_letters)), psi_K)
         table = X.table
         seen = set()
         for psi_H in fingroup.enumerate_homs(spec.H, X):
@@ -212,15 +190,8 @@ def _first_agreeing_pair(spec: AmalgamSpec, catalog: Sequence[FiniteGroup],
             if key in seen:
                 continue
             seen.add(key)
-            b_images, h_images = key[:n], key[n:]
-            bucket = classes.get(b_images)
-            if bucket is None:
-                first: dict[tuple[int, ...], GroupHom] = {}
-                for psi_K in by_b.get(b_images, ()):
-                    first.setdefault(
-                        tuple(map(psi_K.images.__getitem__, k_letters)), psi_K)
-                bucket = classes[b_images] = list(first.items())
-            for k_images, psi_K in bucket:
+            h_images = key[n:]
+            for k_images, psi_K in by_b.get(key[:n], {}).items():
                 values = h_images + k_images  # images of the letters
                 images = []
                 for program in programs:
@@ -246,13 +217,6 @@ def _nontrivial(images: list[int]) -> bool:
     return images[0] != 0
 
 
-def _hom_pair_witness(spec: AmalgamSpec, f: Word, g: Word,
-                      catalog: Sequence[FiniteGroup]) -> Optional[Witness]:
-    """First agreeing pair over the catalog separating the images of f, g."""
-    found = _first_agreeing_pair(spec, catalog, (f, g), _separates)
-    return Witness(*found, "direct") if found else None
-
-
 def search_witness(spec: AmalgamSpec, f: Word, g: Word,
                    budget: SearchBudget) -> Witness:
     """A verified homomorphism pair separating the conjugacy classes of f
@@ -269,8 +233,8 @@ def search_witness(spec: AmalgamSpec, f: Word, g: Word,
     verdict = _decide_conjugacy(spec, f, g)
     if verdict.conjugate:
         raise ElementsConjugate(verdict.conjugator)
-    found = _hom_pair_witness(spec, f, g,
-                              p_group_catalog(p, budget.max_target_order))
+    found = _first_agreeing_pair(
+        spec, p_group_catalog(p, budget.max_target_order), (f, g), _separates)
     if found is None:
         raise BudgetExhausted(
             f"no agreeing homomorphism pair into a catalog {p}-group of "
@@ -278,9 +242,10 @@ def search_witness(spec: AmalgamSpec, f: Word, g: Word,
             f"for amalgams of finite p-groups this is consistent with the "
             f"group not being residually a finite {p}-group (separability "
             f"holds iff residual-{p} holds)")
-    if not verify_witness(spec, found, f, g, p):
+    witness = Witness(*found, "direct")
+    if not verify_witness(spec, witness, f, g, p):
         raise VerificationFailed("witness failed the independent re-check")
-    return found
+    return witness
 
 
 def enumerate_cyclically_reduced(spec: AmalgamSpec,
@@ -369,11 +334,11 @@ def is_cfp_separable_bounded(spec: AmalgamSpec, g: Word,
     length <= budget.max_conjugator_length.  Never claims the negative."""
     entries = []
     for a in enumerate_cyclically_reduced(spec, budget.max_conjugator_length):
-        if _decide_conjugacy(spec, a, g).conjugate:
-            continue
         try:
             w = search_witness(spec, a, g, budget)
             entries.append(SeparationEntry(a, True, w))
+        except ElementsConjugate:
+            continue
         except BudgetExhausted as exc:
             entries.append(SeparationEntry(a, False, None, str(exc)))
     return SeparabilityReport(g, tuple(entries))

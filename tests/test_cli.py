@@ -96,6 +96,13 @@ class TestFileFormats:
         assert conf.max_target_order == 16 and conf.p == 2
         assert conf.budget().max_target_order == 16
 
+    @pytest.mark.parametrize("line", ["max_target_ordr 2", "output text"])
+    def test_config_unknown_key(self, tmp_path, line):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("p 2\n" + line + "\n")
+        with pytest.raises(ParseError, match="max_conjugator_length"):
+            fileio.load_config(cfg, env={})
+
 
 class TestReduce:
     def test_text(self, amalg1_file, capsys):
@@ -215,6 +222,21 @@ class TestSeparate:
         assert main(["separate", amalg1_file, "H:1", "K:1",
                      "--config", str(cfg),
                      "-o", str(tmp_path / "w.cert")]) == 0
+
+    @pytest.mark.parametrize("line,code", [
+        ("max_target_order 2", 5), ("max_target_ordr 2", 2), ("output text", 2),
+    ])
+    def test_config_keys_checked(self, amalg1_file, tmp_path, capsys,
+                                 line, code):
+        """A misspelt key would otherwise leave max_target_order at 16,
+        where an order-4 target separates "" from H:2."""
+        cfg = tmp_path / "cfg"
+        cfg.write_text(line + "\n")
+        assert main(["separate", amalg1_file, "", "H:2", "--config", str(cfg),
+                     "-o", str(tmp_path / "w.cert")]) == code
+        err = capsys.readouterr().err
+        assert ("unknown config key" in err) == (code == 2)
+        assert "Traceback" not in err
 
 
 class TestVerify:

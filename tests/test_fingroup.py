@@ -27,11 +27,12 @@ def brute_force_subgroups(G):
     return sorted(out, key=lambda t: (len(t), t))
 
 
-def brute_force_homs(G, X):
-    """Every assignment of generator images, extended along a search from
-    the identity and kept when it passes the full n^2 homomorphism law."""
+def brute_force_homs(G, X, partial=None):
+    """Every assignment of generator images, in lexicographic order,
+    extended along a search from the identity and kept when it passes the
+    full n^2 homomorphism law and agrees with ``partial``."""
     gens = fg.generating_sequence(G)
-    out = set()
+    out = []
     for assignment in itertools.product(X.elements(), repeat=len(gens)):
         images = {0: 0}
         frontier = [0]
@@ -43,8 +44,8 @@ def brute_force_homs(G, X):
                     images[b] = X.mul(images[a], x)
                     frontier.append(b)
         h = fg.GroupHom(G, X, tuple(images[e] for e in G.elements()))
-        if h.is_valid():
-            out.add(h.images)
+        if h.is_valid() and all(h(e) == x for e, x in (partial or {}).items()):
+            out.append(h.images)
     return out
 
 
@@ -248,11 +249,20 @@ class TestHoms:
         (fg.dihedral(4), fg.quaternion(8)),
         (fg.symmetric3(), fg.symmetric3()),
         (fg.dihedral(4), fg.direct_product(fg.cyclic(2), fg.cyclic(2))),
+        (fg.dihedral(8), fg.quaternion(8)),
     ])
     def test_homs_match_brute_force(self, G, X):
+        """Same homs in the same order: the witness search returns the
+        first passing pair in this order."""
         homs = [h.images for h in fg.enumerate_homs(G, X)]
-        assert len(homs) == len(set(homs))
-        assert set(homs) == brute_force_homs(G, X)
+        assert homs == brute_force_homs(G, X)
+
+    def test_partial_homs_match_brute_force(self):
+        G = X = fg.dihedral(4)
+        assert 5 not in fg.generating_sequence(G)
+        homs = [h.images for h in fg.enumerate_homs(G, X, partial={5: 2})]
+        assert homs == brute_force_homs(G, X, partial={5: 2})
+        assert 1 < len(homs) < len(fg.enumerate_homs(G, X))
 
     def test_is_valid_rejects_out_of_range_images(self):
         c2 = fg.cyclic(2)

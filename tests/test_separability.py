@@ -56,21 +56,13 @@ class TestCatalog:
                              for a in X.elements() for b in X.elements())]
         assert len(nonabelian) == 2  # dihedral and quaternion of order 8
 
-    def test_extras_deduplicated(self):
-        c4 = fg.cyclic(4)
-        cat = sep.p_group_catalog(2, 4, extras=[c4, fg.cyclic(6)])
-        assert sum(1 for X in cat if X.table == c4.table) == 1
-        assert all(X.order != 6 for X in cat)
-
     def test_built_once(self):
         assert sep.p_group_catalog(2, 16) is sep.p_group_catalog(2, 16)
 
-    def test_extras_leave_cached_catalog_unchanged(self):
-        base = sep.p_group_catalog(2, 16)
-        extra = fg.direct_product(fg.cyclic(2), fg.quaternion(8))
-        cat = sep.p_group_catalog(2, 16, extras=[extra, fg.cyclic(4)])
-        assert cat == base + (extra,)
-        assert sep.p_group_catalog(2, 16) is base and extra not in base
+    @pytest.mark.parametrize("p,order", [(2, 16), (3, 27)])
+    def test_tables_distinct(self, p, order):
+        cat = sep.p_group_catalog(p, order)
+        assert len({X.table for X in cat}) == len(cat)
 
 
 class TestWordImage:
@@ -228,7 +220,7 @@ class TestVerdictPinning:
 
     @pytest.fixture(autouse=True)
     def cold_catalog(self):
-        sep._base_catalog.cache_clear()
+        sep.p_group_catalog.cache_clear()
 
     @pytest.mark.parametrize("make,length,p,order,expected", [
         (make_s3_amalgam, 2, 2, 16, (81, 5, 19)),

@@ -70,7 +70,8 @@ def test_same_witness_as_pair_loop(make, length, p, order):
     reps = sep.enumerate_cyclically_reduced(spec, length)
     found = 0
     for f, g in itertools.combinations(reps, 2):
-        got = sep._hom_pair_witness(spec, f, g, catalog)
+        hit = sep._first_agreeing_pair(spec, catalog, (f, g), sep._separates)
+        got = sep.Witness(*hit, "direct") if hit else None
         assert key(got) == key(ref_hom_pair_witness(spec, f, g, catalog)), \
             (f, g)
         found += got is not None
