@@ -6,7 +6,11 @@ adjacent same-factor syllables, then absorbs syllables lying in the
 amalgamated subgroup by transporting them across phi: into the left
 neighbour, or the right one for a leading syllable.  The canonical normal
 form uses fixed right transversals with minimal-index coset representatives,
-so equality in G is decidable by comparison.
+so equality in G is decidable by comparison.  It is computed from the raw
+syllables in one right-to-left pass, each syllable acting from the left on
+the normal form built so far, and does not call the reduction: the
+conjugator checks, which compare normal forms, share no code with the
+reduction and rotation whose output they check.
 
 The conjugacy deciders compare cyclically reduced words u, v of length >= 2
 through their normal forms only for the rotations u' of u whose syllables
@@ -120,6 +124,20 @@ class AmalgamSpec:
                 rows.append((G.mul(e, G.inv(rep)), rep))
             out[tag] = tuple(rows)
         return out
+
+    @cached_property
+    def _left_action(self) -> dict[str, tuple]:
+        """Per tag, what ``normal_form`` reads: the factor's table, the map
+        carrying an element of A (H-side index) into the factor, and the
+        coset table with its amalgamated part on the H side."""
+        fwd, back = self._across[TAG_H], self._across[TAG_K]
+        into_k = [0] * self.H.order
+        for a, b in fwd.items():
+            into_k[a] = b
+        return {TAG_H: (self.H.table, tuple(range(self.H.order)),
+                        self._cosets[TAG_H]),
+                TAG_K: (self.K.table, tuple(into_k),
+                        tuple((back[a], rep) for a, rep in self._cosets[TAG_K]))}
 
     @cached_property
     def _double_cosets(self) -> dict[str, tuple[int, ...]]:
@@ -256,25 +274,29 @@ def _coset_decompose(spec: AmalgamSpec, tag: str, e: int) -> tuple[int, int]:
 def normal_form(spec: AmalgamSpec, w: Word) -> NormalForm:
     """Canonical form w.r.t. the fixed minimal-index transversals.
 
-    Two words are equal in G iff their normal forms are identical.
+    Two words are equal in G iff their normal forms are identical.  The
+    word need not be reduced: its syllables act from the left, last one
+    first, on the normal form a * t1 ... tn built so far.  A syllable e
+    with tag T gives y = e * a (a carried into T's factor), times t1 when
+    t1 also has tag T, which is then popped; y = a' * rep by the coset
+    table, rep is pushed unless it is the identity, and a' is the new
+    carry.  After a pop the next tail syllable has the other tag, so no
+    merge cascades: one table step per syllable.
     """
-    syl = reduce(spec, w).syllables
-    if len(syl) == 1 and spec.in_amalg(syl[0][0], syl[0][1]):
-        tag, e = syl[0]
-        a = e if tag == TAG_H else spec.transport(TAG_K, e)
-        return NormalForm(a, ())
-    fwd, back = spec._across[TAG_H], spec._across[TAG_K]
-    cosets_h, cosets_k = spec._cosets[TAG_H], spec._cosets[TAG_K]
-    tab_h, tab_k = spec.H.table, spec.K.table
+    act = spec._left_action
     carry = 0  # element of A, H-side index
-    tail: list[tuple[str, int]] = []
-    for tag, e in reversed(syl):
-        if tag == TAG_H:
-            carry, rep = cosets_h[tab_h[e][carry]]
-        else:
-            a, rep = cosets_k[tab_k[e][fwd[carry]]]
-            carry = back[a]
-        tail.append((tag, rep))
+    tail: list[tuple[str, int]] = []  # tn ... t1
+    for tag, e in reversed(w.syllables):
+        try:
+            tab, into, cosets = act[tag]
+        except KeyError:
+            raise IndexOutOfRange(f"bad factor tag {tag!r}") from None
+        y = tab[e][into[carry]]
+        if tail and tail[-1][0] == tag:
+            y = tab[y][tail.pop()[1]]
+        carry, rep = cosets[y]
+        if rep:
+            tail.append((tag, rep))
     tail.reverse()
     return NormalForm(carry, tuple(tail))
 
@@ -323,8 +345,13 @@ def cyclic_permutations(spec: AmalgamSpec, w: Word) -> tuple[Word, ...]:
         raise NotCyclicallyReduced(str(w))
     if len(w) <= 1:
         return (w,)
-    n = len(w)
-    return tuple(Word(w.syllables[i:] + w.syllables[:i]) for i in range(n))
+    return tuple(_rotation(w, i) for i in range(len(w)))
+
+
+def _rotation(w: Word, i: int) -> Word:
+    """The rotation x_i...x_n x_1...x_{i-1}, unchecked: the deciders rotate
+    only words ``cyclically_reduce`` returned."""
+    return Word(w.syllables[i:] + w.syllables[:i])
 
 
 def _label_matches(spec: AmalgamSpec, cx: Word, cy: Word) -> list[int]:
@@ -400,12 +427,12 @@ def is_conjugate_central(spec: AmalgamSpec, x: Word, y: Word) -> ConjugacyVerdic
             return _not(("factor-classes-differ", (tx, ex), (ty, ey)))
         return _verified(spec, x, y, zx.concat(word([(tx, t)])).concat(zy_inv))
     nfy = normal_form(spec, cy)
-    rotations = cyclic_permutations(spec, cx)
     for i in _label_matches(spec, cx, cy):
-        if normal_form(spec, rotations[i]) == nfy:
+        if normal_form(spec, _rotation(cx, i)) == nfy:
             prefix = Word(cx.syllables[:i])
             return _verified(spec, x, y, zx.concat(prefix).concat(zy_inv))
-    return _not(("exhausted", tuple(u.syllables for u in rotations)))
+    return _not(("exhausted", tuple(_rotation(cx, i).syllables
+                                    for i in range(len(cx)))))
 
 
 def _length1_closure(spec: AmalgamSpec, tag: str, e: int) -> dict[tuple[str, int], Word]:
@@ -455,14 +482,14 @@ def is_conjugate_general(spec: AmalgamSpec, x: Word, y: Word) -> ConjugacyVerdic
             return _verified(spec, x, y, zx.concat(closure[(ty, ey)]).concat(zy_inv))
         return _not(("closure-exhausted", tuple(sorted(closure))))
     nfy = normal_form(spec, cy)
-    rotations = cyclic_permutations(spec, cx)
     for i in _label_matches(spec, cx, cy):
-        prefix = Word(cx.syllables[:i])
+        prefix, u = Word(cx.syllables[:i]), _rotation(cx, i)
         for a in spec.A.elements:
             a_word = word([(TAG_H, a)])
-            cand = inverse(spec, a_word).concat(rotations[i]).concat(a_word)
+            cand = inverse(spec, a_word).concat(u).concat(a_word)
             if normal_form(spec, cand) == nfy:
                 return _verified(spec, x, y,
                                  zx.concat(prefix).concat(a_word).concat(zy_inv))
-    return _not(("exhausted", tuple((u.syllables, a) for u in rotations
+    return _not(("exhausted", tuple((_rotation(cx, i).syllables, a)
+                                    for i in range(len(cx))
                                     for a in spec.A.elements)))

@@ -317,7 +317,9 @@ def load_config(path: Optional[str | Path] = None,
                 env: Optional[dict[str, str]] = None) -> WorkspaceConfig:
     """`key value` lines, one integer per WorkspaceConfig field; environment
     variables AMALGAMS_<KEY> override.  An unknown key in the file raises
-    ParseError naming the accepted keys."""
+    ParseError naming the accepted keys; a key given twice in the file, or
+    a value (from the file or the environment) that is not an integer,
+    raises ParseError naming the key."""
     keys = [fld.name for fld in fields(WorkspaceConfig)]
     values: dict[str, str] = {}
     if path is not None:
@@ -328,10 +330,19 @@ def load_config(path: Optional[str | Path] = None,
                 if key not in keys:
                     raise ParseError(f"unknown config key {key!r}; accepted "
                                      f"keys: {', '.join(keys)}")
+                if key in values:
+                    raise ParseError(f"config key {key!r} given twice")
                 values[key] = val.strip()
     env = os.environ if env is None else env
     for key in keys:
         ev = env.get(ENV_PREFIX + key.upper())
         if ev is not None:
             values[key] = ev
-    return WorkspaceConfig(**{key: int(val) for key, val in values.items()})
+    ints = {}
+    for key, val in values.items():
+        try:
+            ints[key] = int(val)
+        except ValueError:
+            raise ParseError(f"config key {key!r} needs an integer value, "
+                             f"got {val!r}") from None
+    return WorkspaceConfig(**ints)

@@ -104,6 +104,20 @@ class TestFileFormats:
             fileio.load_config(cfg, env={})
 
 
+    @pytest.mark.parametrize("text,env", [
+        ("max_target_order\n", {}),
+        ("max_target_order eight\n", {}),
+        ("max_target_order 8\n", {"AMALGAMS_MAX_TARGET_ORDER": ""}),
+        ("max_target_order 8\n", {"AMALGAMS_MAX_TARGET_ORDER": "1.5"}),
+        ("max_target_order 2\nmax_target_order 16\n", {}),
+    ])
+    def test_config_bad_value_or_repeated_key(self, tmp_path, text, env):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("p 2\n" + text)
+        with pytest.raises(ParseError, match="'max_target_order'"):
+            fileio.load_config(cfg, env=env)
+
+
 class TestReduce:
     def test_text(self, amalg1_file, capsys):
         assert main(["reduce", amalg1_file, "H:1 K:2 H:1"]) == 0
@@ -237,6 +251,26 @@ class TestSeparate:
         err = capsys.readouterr().err
         assert ("unknown config key" in err) == (code == 2)
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("text,env", [
+        ("max_target_order\n", {}),
+        ("max_target_order 8\n", {"AMALGAMS_MAX_TARGET_ORDER": "x"}),
+        ("max_target_order 2\nmax_target_order 16\n", {}),
+    ])
+    def test_config_bad_value_or_repeated_key(self, amalg1_file, tmp_path,
+                                              capsys, monkeypatch, text, env):
+        """Exit 2 with the key named: a repeated key used to let its last
+        value win silently, here order 16, which separates "" from H:2."""
+        for var, val in env.items():
+            monkeypatch.setenv(var, val)
+        cfg = tmp_path / "cfg"
+        cfg.write_text(text)
+        assert main(["separate", amalg1_file, "", "H:2", "--config", str(cfg),
+                     "-o", str(tmp_path / "w.cert")]) == 2
+        err = capsys.readouterr().err
+        assert "'max_target_order'" in err and "Traceback" not in err
+        assert not (tmp_path / "w.cert").exists()
 
 
 class TestVerify:

@@ -177,7 +177,8 @@ def test_tables_do_not_affect_equality(make):
     hk = Word(((TAG_H, h), (TAG_K, k)))
     assert am.is_conjugate_general(built, hk, hk).conjugate
     assert 0 in built.A and 0 in built.B
-    assert {"_across", "_cosets", "_double_cosets"} <= set(vars(built))
+    assert {"_across", "_cosets", "_double_cosets", "_left_action"} \
+        <= set(vars(built))
     assert built == fresh and hash(built) == hash(fresh)
     assert {built: 1}[fresh] == 1
     other = fg.make_subgroup(built.H, built.A.elements)

@@ -2,11 +2,13 @@
 
 The references below are the word layer and both conjugacy deciders as
 they were before the stack reduction: ``ref_reduce`` runs a whole merge
-pass again after every flip of an amalgamated syllable, and
-``ref_cyclically_reduce`` reduces the whole word again for every rotation.
-The library must give exactly their outputs: reduced words, cyclic
-reductions with their conjugators, normal forms and verdicts (conjugator
-and certificate included).
+pass again after every flip of an amalgamated syllable,
+``ref_cyclically_reduce`` reduces the whole word again for every rotation,
+and ``ref_normal_form`` reduces before its coset pass.  The library must
+give exactly their outputs: reduced words, cyclic reductions with their
+conjugators, normal forms and verdicts (conjugator and certificate
+included).  ``normal_form`` must not depend on ``reduce``, so that the
+conjugator checks do not share the code whose output they check.
 """
 
 import random
@@ -16,7 +18,12 @@ import pytest
 from amalgams import amalgam as am
 from amalgams import fingroup
 from amalgams.amalgam import TAG_H, TAG_K, EMPTY, NormalForm, Word, word
-from amalgams.errors import NotCentral, NotCyclicallyReduced, VerificationFailed
+from amalgams.errors import (
+    IndexOutOfRange,
+    NotCentral,
+    NotCyclicallyReduced,
+    VerificationFailed,
+)
 from conftest import (
     make_amalg1,
     make_c2c3,
@@ -287,3 +294,84 @@ def test_absorption_sides():
     assert am.reduce(spec, leading) == Word(((TAG_H, 3), (TAG_K, 1)))
     for w in (trailing, leading):
         assert am.reduce(spec, w) == ref_reduce(spec, w)
+
+
+def unreduced_words(spec, rng, count):
+    """Words the one-pass normal form must fold without a reduction:
+    identity syllables, runs of one factor, runs of amalgamated syllables
+    from both factors, and mixtures of the three."""
+    def syllable(tag, kind):
+        if kind == "identity":
+            return tag, 0
+        if kind == "amalgamated":
+            return tag, rng.choice(spec.amalg(tag).elements)
+        return tag, rng.randrange(spec.factor(tag).order)
+
+    for _ in range(count):
+        syl, tag = [], rng.choice((TAG_H, TAG_K))
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.choice(("identity", "amalgamated", "any"))
+            same_tag = rng.random() < 0.5
+            for _ in range(rng.randint(1, 4)):
+                if not same_tag:
+                    tag = TAG_K if tag == TAG_H else TAG_H
+                syl.append(syllable(tag, kind))
+        yield Word(tuple(syl))
+
+
+@pytest.mark.parametrize("make", MAKERS, ids=IDS)
+def test_normal_form_of_unreduced_words_matches_reference(make):
+    spec = make()
+    rng = random.Random(15)
+    words = list(unreduced_words(spec, rng, 400))
+    assert am.normal_form(spec, EMPTY) == ref_normal_form(spec, EMPTY) \
+        == NormalForm(0, ())
+    for w in words:
+        assert am.normal_form(spec, w) == ref_normal_form(spec, w), w
+    # The unreduced z^-1 * w * z words the conjugator checks build.
+    for w, z in zip(words, words[1:]):
+        conj = am.inverse(spec, z).concat(w).concat(z)
+        assert am.normal_form(spec, conj) == ref_normal_form(spec, conj), conj
+        assert am.equal_in_g(spec, conj, w) == ref_equal_in_g(spec, conj, w)
+
+
+def test_normal_form_rejects_an_unknown_tag():
+    spec = make_amalg1()
+    for syl in ((("X", 1),), ((TAG_H, 1), ("X", 1), (TAG_K, 1)),
+                ((TAG_H, 1), ("k", 0))):
+        with pytest.raises(IndexOutOfRange):
+            word(syl)
+        with pytest.raises(IndexOutOfRange):
+            am.normal_form(spec, Word(syl))
+
+
+def test_normal_form_does_not_reduce(monkeypatch):
+    def no_reduce(spec, w):
+        raise AssertionError("normal_form called reduce")
+
+    spec = make_d8_q8()
+    words = list(biased_words(spec, seed=16, count=200, max_len=10))
+    expected = [ref_normal_form(spec, w) for w in words]
+    monkeypatch.setattr(am, "reduce", no_reduce)
+    assert [am.normal_form(spec, w) for w in words] == expected
+    for u, v in zip(words, words[1:]):
+        assert am.equal_in_g(spec, u, v) == ref_equal_in_g(spec, u, v)
+
+
+def test_conjugator_checks_catch_a_corrupted_reduce(monkeypatch):
+    """A reduce that drops its last syllable corrupts the cyclic reductions
+    and conjugators; the checks, which do not reduce, reject them.  Without
+    its last syllable the reduced even-length word below rotates."""
+    spec = make_d8_q8()
+    real_reduce = am.reduce
+    w = Word(((TAG_H, 4), (TAG_K, 3), (TAG_H, 1), (TAG_K, 1)))
+    x, z = Word(((TAG_H, 1),)), Word(((TAG_H, 6),))
+    y = am.inverse(spec, z).concat(x).concat(z)
+    assert am.cyclically_reduce(spec, w) == (w, EMPTY)
+    assert am.is_conjugate_central(spec, x, y).conjugate
+    monkeypatch.setattr(am, "reduce", lambda spec, w:
+                        Word(real_reduce(spec, w).syllables[:-1]))
+    with pytest.raises(VerificationFailed):
+        am.cyclically_reduce(spec, w)
+    with pytest.raises(VerificationFailed):
+        am.is_conjugate_central(spec, x, y)
