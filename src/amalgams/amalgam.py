@@ -44,7 +44,7 @@ TAG_H = "H"
 TAG_K = "K"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     syllables: tuple[tuple[str, int], ...] = ()
 
@@ -256,7 +256,7 @@ def inverse(spec: AmalgamSpec, w: Word) -> Word:
                       for tag, e in reversed(w.syllables)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormalForm:
     """w = a * t1 * ... * tn with a in A (H-side index) and each ti the
     minimal-index non-identity right-coset representative in its factor;
@@ -364,7 +364,7 @@ def _label_matches(spec: AmalgamSpec, cx: Word, cy: Word) -> list[int]:
     return [i for i in range(n) if lx[i:i + n] == ly]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConjugacyVerdict:
     conjugate: bool
     conjugator: Optional[Word]

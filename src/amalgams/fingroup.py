@@ -249,7 +249,7 @@ def _joins(G: FiniteGroup, pieces: Sequence[Subgroup]) -> tuple[Subgroup, ...]:
     return tuple(sorted(found.values(), key=lambda s: (len(s), s.elements)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupHom:
     source: FiniteGroup
     target: FiniteGroup
@@ -344,39 +344,35 @@ def generating_sequence(G: FiniteGroup) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _element_expressions(G: FiniteGroup) -> tuple[tuple[int, int, int], ...]:
-    """Breadth-first spanning tree of G from the identity over the greedy
-    generating sequence: steps (e, prev, genpos) with e = prev * gens[genpos],
-    in discovery order, so each prev precedes the step that uses it."""
+def _hom_plan(G: FiniteGroup) -> tuple[tuple[int, ...],
+                                       tuple[tuple[int, int, int], ...],
+                                       tuple[tuple[int, int, int], ...]]:
+    """How ``enumerate_homs`` extends and checks generator images on G:
+    (orders, steps, checks).
+
+    ``orders`` are the orders of the greedy generating sequence.  ``steps``
+    is a breadth-first spanning tree of G from the identity: (e, prev, gi)
+    with e = prev * gens[gi], in discovery order, so each prev precedes the
+    step that uses it.  ``checks`` are the relations img(a*s) = img(a)*img(s)
+    as (a, gi, a*s), one per element a and generator s, except the n - 1
+    tree edges, which the extension satisfies by construction: n*d - (n - 1)
+    checks for n elements and d generators."""
     gens = generating_sequence(G)
+    table = G.table
     steps = []
     seen = {0}
     frontier = [0]
     for x in frontier:  # grows while iterated: breadth-first order
         for gi, g in enumerate(gens):
-            y = G.mul(x, g)
+            y = table[x][g]
             if y not in seen:
                 seen.add(y)
                 frontier.append(y)
                 steps.append((y, x, gi))
-    return tuple(steps)
-
-
-def _images_from_generators(G: FiniteGroup, X: FiniteGroup,
-                            gen_images: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Extend generator images along the breadth-first spanning tree; verify
-    img(a*s) = img(a)*img(s) for every element a and generator s, which
-    implies the full homomorphism law since the generators span G.  None if
-    not a homomorphism."""
-    images = [0] * G.order
-    for e, prev, gi in _element_expressions(G):
-        images[e] = X.mul(images[prev], gen_images[gi])
-    gens = generating_sequence(G)
-    for a in G.elements():
-        for s, x in zip(gens, gen_images):
-            if images[G.mul(a, s)] != X.mul(images[a], x):
-                return None
-    return tuple(images)
+    tree = {(prev, gi) for _, prev, gi in steps}
+    checks = tuple((a, gi, table[a][g]) for a in G.elements()
+                   for gi, g in enumerate(gens) if (a, gi) not in tree)
+    return tuple(map(G.element_order, gens)), tuple(steps), checks
 
 
 def enumerate_homs(G: FiniteGroup, X: FiniteGroup,
@@ -386,9 +382,14 @@ def enumerate_homs(G: FiniteGroup, X: FiniteGroup,
     Tries the images of a fixed greedy generating sequence whose orders
     divide the generators' orders, as one ``itertools.product`` over the
     per-generator candidates: the homs come in lexicographic order of
-    their generator images.  ``partial`` may constrain arbitrary elements
-    of G (not just generators); constraints already violating a relation
-    raise InconsistentPartial.
+    their generator images.  Each candidate is extended along the spanning
+    tree of G's plan (``_hom_plan``, built once per G) by rows of
+    ``X.table`` and kept when it passes the plan's relation checks: every
+    img(a*s) = img(a)*img(s) that the tree does not already imply, which
+    gives the full homomorphism law since the generators span G.
+    ``partial`` may constrain arbitrary elements of G (not just
+    generators); constraints already violating a relation raise
+    InconsistentPartial.
     """
     partial = dict(partial) if partial else {}
     for e, x in partial.items():
@@ -407,16 +408,22 @@ def enumerate_homs(G: FiniteGroup, X: FiniteGroup,
             if ab in partial and partial[ab] != X.mul(partial[a], partial[b]):
                 raise InconsistentPartial(f"violated at ({a},{b})")
 
-    gens = generating_sequence(G)
+    orders, steps, checks = _hom_plan(G)
     x_orders = [X.element_order(x) for x in X.elements()]
-    candidates = [[x for x in X.elements()
-                   if G.element_order(g) % x_orders[x] == 0] for g in gens]
+    candidates = [[x for x in X.elements() if order % x_orders[x] == 0]
+                  for order in orders]
+    table = X.table
+    images = [0] * G.order
     results = []
     for chosen in itertools.product(*candidates):
-        images = _images_from_generators(G, X, chosen)
-        if images is not None and all(images[e] == x
-                                      for e, x in partial.items()):
-            results.append(GroupHom(G, X, images))
+        for e, prev, gi in steps:
+            images[e] = table[images[prev]][chosen[gi]]
+        for a, gi, b in checks:
+            if images[b] != table[images[a]][chosen[gi]]:
+                break
+        else:
+            if all(images[e] == x for e, x in partial.items()):
+                results.append(GroupHom(G, X, tuple(images)))
     return tuple(results)
 
 

@@ -36,7 +36,7 @@ from .errors import (
 from .fingroup import FiniteGroup, GroupHom
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Witness:
     target: FiniteGroup
     psi_H: GroupHom

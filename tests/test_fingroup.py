@@ -12,6 +12,7 @@ from amalgams.errors import (
     NotNormal,
     NotPrime,
 )
+from amalgams.separability import p_group_catalog
 
 
 def brute_force_subgroups(G):
@@ -47,6 +48,16 @@ def brute_force_homs(G, X, partial=None):
         if h.is_valid() and all(h(e) == x for e, x in (partial or {}).items()):
             out.append(h.images)
     return out
+
+
+# The factors of the benchmark corpus's amalgams.
+BENCHMARK_FACTORS = {
+    "D8": fg.dihedral(4), "Q8": fg.quaternion(8),
+    "D16": fg.dihedral(8), "Q16": fg.quaternion(16),
+    "S3": fg.symmetric3(), "C6": fg.cyclic(6), "C4": fg.cyclic(4),
+    "C9": fg.cyclic(9), "C3xC3": fg.direct_product(fg.cyclic(3), fg.cyclic(3)),
+    "C2": fg.cyclic(2), "C3": fg.cyclic(3),
+}
 
 
 def brute_force_normal_subgroups(G):
@@ -263,6 +274,36 @@ class TestHoms:
         homs = [h.images for h in fg.enumerate_homs(G, X, partial={5: 2})]
         assert homs == brute_force_homs(G, X, partial={5: 2})
         assert 1 < len(homs) < len(fg.enumerate_homs(G, X))
+
+    def test_plan_checks_only_non_tree_relations(self):
+        for G in BENCHMARK_FACTORS.values():
+            orders, steps, checks = fg._hom_plan(G)
+            n, d = G.order, len(fg.generating_sequence(G))
+            assert len(steps) == n - 1
+            assert len(checks) == n * d - (n - 1)
+            tree = {(prev, gi) for _, prev, gi in steps}
+            assert not tree & {(a, gi) for a, gi, _ in checks}
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_FACTORS))
+    def test_benchmark_pairs_match_brute_force(self, name):
+        """Every factor of the benchmark corpus into every group of the
+        catalogs it meets: the same homs in the same order."""
+        G = BENCHMARK_FACTORS[name]
+        for X in p_group_catalog(2, 16) + p_group_catalog(3, 27):
+            homs = [h.images for h in fg.enumerate_homs(G, X)]
+            assert homs == brute_force_homs(G, X), (name, X.order)
+
+    @pytest.mark.parametrize("name", ["D8", "Q8", "D16", "Q16", "S3", "C3xC3"])
+    def test_benchmark_partial_matches_brute_force(self, name):
+        G = BENCHMARK_FACTORS[name]
+        X = (fg.direct_product(fg.cyclic(3), fg.cyclic(3)) if name == "C3xC3"
+             else fg.dihedral(4))
+        every = brute_force_homs(G, X)
+        e = max(set(G.elements()) - set(fg.generating_sequence(G)))
+        partial = {e: every[len(every) // 2][e]}
+        homs = [h.images for h in fg.enumerate_homs(G, X, partial=partial)]
+        assert homs == brute_force_homs(G, X, partial=partial)
+        assert 1 <= len(homs) < len(every)
 
     def test_is_valid_rejects_out_of_range_images(self):
         c2 = fg.cyclic(2)

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 
@@ -158,6 +159,31 @@ class TestSearchWitness:
     def test_strategy_tag_present(self, amalg1):
         w = sep.search_witness(amalg1, W(("H", 1)), W(("K", 1)), BUDGET)
         assert w.strategy_tag
+
+
+class TestVerificationIndependence:
+    def test_kernel_without_relation_checks_is_caught(self, monkeypatch):
+        """With every relation check dropped, enumerate_homs returns maps
+        that are not homomorphisms; the re-check must reject the witness
+        the search builds from them, not pass it on."""
+        plan = fg._hom_plan
+        monkeypatch.setattr(fg, "_hom_plan", lambda G: plan(G)[:2] + ((),))
+        with pytest.raises(VerificationFailed):
+            sep.search_witness(make_d8_q8(), W(("H", 1), ("K", 1)),
+                               W(("H", 1), ("K", 3)), BUDGET)
+
+
+def test_value_classes_are_slotted_and_pickle(amalg1):
+    f, g = W(("H", 1), ("K", 1)), W(("K", 1), ("H", 3))
+    witness = sep.search_witness(amalg1, W(("H", 1)), W(("K", 1)), BUDGET)
+    values = [f, am.normal_form(amalg1, g),
+              am.is_conjugate_central(amalg1, f, g), witness.psi_H, witness]
+    assert [type(v).__name__ for v in values] == [
+        "Word", "NormalForm", "ConjugacyVerdict", "GroupHom", "Witness"]
+    for v in values:
+        assert not hasattr(v, "__dict__")
+        back = pickle.loads(pickle.dumps(v))
+        assert back == v and hash(back) == hash(v)
 
 
 class TestEnumeration:
