@@ -105,11 +105,11 @@ def cmd_separate(args) -> int:
     spec = fileio.load_amalgam(args.amalgam)
     f = fileio.parse_word(spec, args.word1)
     g = fileio.parse_word(spec, args.word2)
-    config = fileio.load_config(args.config)
+    budget = fileio.load_config(args.config)
     if args.p is not None:
-        config = dataclasses.replace(config, p=args.p)
+        budget = dataclasses.replace(budget, p=args.p)
     try:
-        witness = sep.search_witness(spec, f, g, config.budget())
+        witness = sep.search_witness(spec, f, g, budget)
     except ElementsConjugate as exc:
         z = fileio.render_word(spec, exc.conjugator) if exc.conjugator else ""
         print(f"inputs are conjugate; conjugator: {z or '(identity)'}",

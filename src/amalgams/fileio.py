@@ -1,14 +1,16 @@
 """Text file formats: groups, amalgams, group graphs, witness certificates,
-and the workspace config.
+and the search budget config (its keys are the SearchBudget fields).
 
 All serializations are canonical: serializing a parsed value reproduces the
-input byte-for-byte, so files round-trip exactly.
+input byte-for-byte, so files round-trip exactly.  Hence a group file's
+identity must be element 0, no element name may read as another index, and
+a key given twice in ``key value`` lines is rejected.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
@@ -23,13 +25,11 @@ from .fingroup import FiniteGroup, GroupHom
 
 # -- group files --------------------------------------------------------
 
-def serialize_group(G: FiniteGroup, presentation: Optional[str] = None) -> str:
+def serialize_group(G: FiniteGroup) -> str:
     lines = [f"order {G.order}", "table"]
     lines.extend(" ".join(str(x) for x in row) for row in G.table)
     if G.names:
         lines.append("names " + " ".join(G.names))
-    if presentation:
-        lines.append("presentation " + presentation)
     return "\n".join(lines) + "\n"
 
 
@@ -76,20 +76,30 @@ def parse_group(text: str) -> FiniteGroup:
         G = fingroup.from_table(order, table, names)
     except ValueError as exc:
         raise ParseError(str(exc))
+    if table[0] != list(range(order)):
+        raise ParseError("the identity must be element 0")
     for i, name in enumerate(G.names or ()):
-        if _as_int(name) not in (None, i):
-            # parse_word looks names up before indices and render_word
-            # writes indices, so `H:<name>` would mean two elements.
+        if fingroup.names_other_index(name, i):
             raise ParseError(
                 f"element {i} is named {name!r}, a different index")
     return G
 
 
-def _as_int(token: str) -> Optional[int]:
-    try:
-        return int(token)
-    except ValueError:
-        return None
+def _keyed(lines: list[str], where: str,
+           required: tuple[str, ...] = ()) -> dict[str, str]:
+    """``key value`` lines as key -> value, the rest of the line.  Raises
+    ParseError naming a key given twice or a required key that is missing
+    or has no value."""
+    values: dict[str, str] = {}
+    for ln in lines:
+        key, *rest = ln.split()
+        if key in values:
+            raise ParseError(f"{where} key {key!r} given twice")
+        values[key] = " ".join(rest)
+    for key in required:
+        if not values.get(key):
+            raise ParseError(f"{where}: missing or empty {key!r} line")
+    return values
 
 
 def load_group(path: str | Path) -> FiniteGroup:
@@ -187,21 +197,16 @@ def parse_group_graph(text: str, base_dir: str | Path = ".") -> gg.GroupGraph:
     edges: dict[str, tuple[str, str, FiniteGroup, list[int], list[int]]] = {}
     for header, lines in sections.items():
         kind, *rest = header.split()
-        fields = {ln.split()[0]: ln.split()[1:] for ln in lines}
-
-        def field(key: str) -> list[str]:
-            if not fields.get(key):
-                raise ParseError(f"[{header}]: missing or empty {key!r} line")
-            return fields[key]
-
         if kind == "vertex":
             (name,) = rest
-            vertex_group[name] = load_group(base / field("group")[0])
+            values = _keyed(lines, f"[{header}]", ("group",))
+            vertex_group[name] = load_group(base / values["group"].split()[0])
         elif kind == "edge":
             name, orig, term = rest
-            egrp = load_group(base / field("group")[0])
-            rho = _ints(field("rho"), "rho")
-            tau = _ints(field("tau"), "tau")
+            values = _keyed(lines, f"[{header}]", ("group", "rho", "tau"))
+            egrp = load_group(base / values["group"].split()[0])
+            rho = _ints(values["rho"].split(), "rho")
+            tau = _ints(values["tau"].split(), "tau")
             edges[name] = (orig, term, egrp, rho, tau)
         else:
             raise ParseError(f"unknown section kind {kind!r}")
@@ -264,7 +269,7 @@ def serialize_certificate(spec: AmalgamSpec, w: sep.Witness,
 
 def parse_certificate(text: str) -> dict:
     """Inverse of serialize_certificate; ParseError on a missing section,
-    key or value."""
+    key or value, or a key given twice."""
     sections = _split_sections(text)
 
     def section(name: str) -> list[str]:
@@ -272,19 +277,12 @@ def parse_certificate(text: str) -> dict:
             raise ParseError(f"missing or empty section [{name}]")
         return sections[name]
 
-    def keyed(name: str, keys: tuple[str, ...]) -> dict[str, str]:
-        values = {ln.split()[0]: " ".join(ln.split()[1:]) for ln in section(name)}
-        for key in keys:
-            if not values.get(key):
-                raise ParseError(f"[{name}]: missing or empty {key!r} line")
-        return values
-
-    meta = keyed("witness", ("strategy", "f", "g"))
+    meta = _keyed(section("witness"), "[witness]", ("strategy", "f", "g"))
     target = parse_group("\n".join(section("target")))
     psi_h = _ints(section("psi_H")[0].split(), "psi_H")
     psi_k = _ints(section("psi_K")[0].split(), "psi_K")
     image_keys = ("f_image", "g_image", "f_class_rep", "g_class_rep")
-    found = keyed("images", image_keys)
+    found = _keyed(section("images"), "[images]", image_keys)
     images = {key: _ints([found[key]], key)[0] for key in image_keys}
     return {"strategy": meta["strategy"],
             "f": "" if meta["f"] == "-" else meta["f"],
@@ -295,44 +293,30 @@ def parse_certificate(text: str) -> dict:
             "images": images}
 
 
-# -- workspace config ----------------------------------------------------
+# -- search budget config ------------------------------------------------
 
 ENV_PREFIX = "AMALGAMS_"
 
 
-@dataclass(frozen=True)
-class WorkspaceConfig:
-    p: int = 2
-    max_target_order: int = 16
-    max_quotient_index: int = 16
-    max_conjugator_length: int = 4
-
-    def budget(self) -> sep.SearchBudget:
-        return sep.SearchBudget(self.p, self.max_target_order,
-                                self.max_quotient_index,
-                                self.max_conjugator_length)
-
-
 def load_config(path: Optional[str | Path] = None,
-                env: Optional[dict[str, str]] = None) -> WorkspaceConfig:
-    """`key value` lines, one integer per WorkspaceConfig field; environment
+                env: Optional[dict[str, str]] = None) -> sep.SearchBudget:
+    """The search budget: `key value` lines, one integer per SearchBudget
+    field, with the field's default for a key not given; environment
     variables AMALGAMS_<KEY> override.  An unknown key in the file raises
     ParseError naming the accepted keys; a key given twice in the file, or
     a value (from the file or the environment) that is not an integer,
-    raises ParseError naming the key."""
-    keys = [fld.name for fld in fields(WorkspaceConfig)]
+    raises ParseError naming the key; SearchBudget raises for a p that is
+    not prime or a cap below 1."""
+    keys = [fld.name for fld in fields(sep.SearchBudget)]
     values: dict[str, str] = {}
     if path is not None:
-        for ln in Path(path).read_text().splitlines():
-            ln = ln.strip()
-            if ln and not ln.startswith("#"):
-                key, _, val = ln.partition(" ")
-                if key not in keys:
-                    raise ParseError(f"unknown config key {key!r}; accepted "
-                                     f"keys: {', '.join(keys)}")
-                if key in values:
-                    raise ParseError(f"config key {key!r} given twice")
-                values[key] = val.strip()
+        lines = [ln for ln in Path(path).read_text().splitlines()
+                 if ln.strip() and not ln.strip().startswith("#")]
+        values = _keyed(lines, "config")
+        for key in values:
+            if key not in keys:
+                raise ParseError(f"unknown config key {key!r}; accepted "
+                                 f"keys: {', '.join(keys)}")
     env = os.environ if env is None else env
     for key in keys:
         ev = env.get(ENV_PREFIX + key.upper())
@@ -345,4 +329,4 @@ def load_config(path: Optional[str | Path] = None,
         except ValueError:
             raise ParseError(f"config key {key!r} needs an integer value, "
                              f"got {val!r}") from None
-    return WorkspaceConfig(**ints)
+    return sep.SearchBudget(**ints)

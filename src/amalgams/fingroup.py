@@ -215,7 +215,6 @@ def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
     return all(G.conj(h, z) in s for h in H.elements for z in G.elements())
 
 
-@lru_cache(maxsize=None)
 def enumerate_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     """All subgroups, sorted by size then lexicographically: the joins of
     cyclic subgroups.  Fine for desk-scale orders."""
@@ -296,10 +295,17 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
 def _quotient_name(name: str, index: int) -> str:
     """A coset's name is its representative's, unless that reads as an
     index other than the coset's own: then it is the coset's index."""
+    return str(index) if names_other_index(name, index) else name
+
+
+def names_other_index(name: str, index: int) -> bool:
+    """Whether an element name reads as an index other than the element's
+    own.  Words are parsed by name before index and rendered by index, so
+    such a name would make one token mean two elements."""
     try:
-        return name if int(name) == index else str(index)
+        return int(name) != index
     except ValueError:
-        return name
+        return False
 
 
 @lru_cache(maxsize=None)
@@ -330,7 +336,6 @@ def are_conjugate_in(G: FiniteGroup, a: int, b: int) -> Optional[int]:
     return None
 
 
-@lru_cache(maxsize=None)
 def generating_sequence(G: FiniteGroup) -> tuple[int, ...]:
     """Greedy minimal generating sequence: repeatedly add the smallest
     element outside the closure so far."""
@@ -432,12 +437,18 @@ def check_prime(p: int) -> None:
         raise NotPrime(str(p))
 
 
-def is_p_group(G: FiniteGroup, p: int) -> bool:
+def p_exponent(n: int, p: int) -> Optional[int]:
+    """k with n = p**k, or None when n is not a power of the prime p."""
     check_prime(p)
-    n = G.order
+    k = 0
     while n % p == 0:
         n //= p
-    return n == 1
+        k += 1
+    return k if n == 1 else None
+
+
+def is_p_group(G: FiniteGroup, p: int) -> bool:
+    return p_exponent(G.order, p) is not None
 
 
 def index(G: FiniteGroup, H: Subgroup) -> int:
@@ -445,11 +456,7 @@ def index(G: FiniteGroup, H: Subgroup) -> int:
 
 
 def is_p_power_index(G: FiniteGroup, H: Subgroup, p: int) -> bool:
-    check_prime(p)
-    n = index(G, H)
-    while n % p == 0:
-        n //= p
-    return n == 1
+    return p_exponent(index(G, H), p) is not None
 
 
 def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:

@@ -10,7 +10,6 @@ non-tree edge.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional
@@ -58,41 +57,39 @@ def make_graph(vertices, edges, inv: Mapping[str, str],
             raise InvalidTree(f"involution not involutive at {e}")
         if orig[inv[e]] != term[e] or term[inv[e]] != orig[e]:
             raise InvalidTree(f"inverse edge endpoints wrong at {e}")
-    # connectivity
-    if vs:
-        seen = {vs[0]}
-        queue = deque([vs[0]])
-        while queue:
-            v = queue.popleft()
-            for e in es:
-                if orig[e] == v and term[e] not in seen:
-                    seen.add(term[e])
-                    queue.append(term[e])
-        if seen != set(vs):
-            raise NotConnected(f"unreached vertices {sorted(set(vs) - seen)}")
+    _walk(vs, es, orig, term)  # raises unless connected
     return Graph(vs, es, tuple(sorted(inv.items())),
                  tuple(sorted(orig.items())), tuple(sorted(term.items())))
 
 
+def _walk(vertices: tuple[str, ...], edges: tuple[str, ...],
+          orig: Mapping[str, str], term: Mapping[str, str]) -> list[str]:
+    """Breadth-first walk from the first vertex, trying edges in the given
+    order: the edges that reach a new vertex.  Raises NotConnected when a
+    vertex is left unreached."""
+    if not vertices:
+        return []
+    reached = [vertices[0]]
+    seen = set(reached)
+    used = []
+    for v in reached:  # grows while iterated: breadth-first order
+        for e in edges:
+            if orig[e] == v and term[e] not in seen:
+                seen.add(term[e])
+                reached.append(term[e])
+                used.append(e)
+    if seen != set(vertices):
+        raise NotConnected(f"unreached vertices {sorted(set(vertices) - seen)}")
+    return used
+
+
 def maximal_tree(g: Graph) -> frozenset[str]:
-    """Spanning tree edge set, closed under inversion; breadth-first from the
-    minimal vertex, preferring lexicographically smaller edges."""
-    if not g.vertices:
-        return frozenset()
-    tree: set[str] = set()
-    seen = {g.vertices[0]}
-    queue = deque([g.vertices[0]])
-    while queue:
-        v = queue.popleft()
-        for e in g.edges:
-            if g.orig_of(e) == v and g.term_of(e) not in seen:
-                seen.add(g.term_of(e))
-                tree.add(e)
-                tree.add(g.inv_of(e))
-                queue.append(g.term_of(e))
-    if seen != set(g.vertices):
-        raise NotConnected("graph is not connected")
-    return frozenset(tree)
+    """Spanning tree edge set, closed under inversion: the edges by which a
+    breadth-first walk from the minimal vertex, trying lexicographically
+    smaller edges first, reaches each vertex, and their inverses.  Raises
+    NotConnected for a disconnected graph."""
+    used = _walk(g.vertices, g.edges, g._maps["orig"], g._maps["term"])
+    return frozenset(used + [g.inv_of(e) for e in used])
 
 
 @dataclass(frozen=True)

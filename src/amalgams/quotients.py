@@ -109,9 +109,8 @@ def refine_to_compatible(spec: AmalgamSpec, M: Subgroup, N: Subgroup,
     def best(G: FiniteGroup, bound: Subgroup, amalg_sub: Subgroup,
              inter: frozenset[int]) -> Subgroup:
         cands = [
-            X for X in fingroup.enumerate_normal_subgroups(G)
+            X for X in _p_power_index_normals(G, p, G.order)
             if X.element_set() <= bound.element_set()
-            and fingroup.is_p_power_index(G, X, p)
             and X.element_set() & amalg_sub.element_set() == inter
         ]
         if not cands:

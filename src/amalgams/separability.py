@@ -113,12 +113,8 @@ def p_group_catalog(p: int, max_order: int) -> tuple[FiniteGroup, ...]:
     p-groups of order <= max_order (one per partition) and, for p = 2, the
     dihedral and quaternion groups of order 8 and 16.  No two share a
     table.  Built once per (p, max_order)."""
-    fingroup.check_prime(p)
-    n, k = max_order, 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    if n != 1 or max_order < p:
+    k = fingroup.p_exponent(max_order, p)
+    if not k:  # None, or 0 for max_order 1
         raise NotPPower(f"{max_order} is not a power of {p} (>= p)")
     catalog: list[FiniteGroup] = []
     for exp in range(1, k + 1):
@@ -251,7 +247,10 @@ def search_witness(spec: AmalgamSpec, f: Word, g: Word,
 def enumerate_cyclically_reduced(spec: AmalgamSpec,
                                  max_length: int) -> tuple[Word, ...]:
     """One representative word per distinct cyclically reduced element of
-    length <= max_length (deduplicated by normal form)."""
+    length <= max_length (deduplicated by normal form).  The candidates
+    are cyclically reduced as built: longer ones alternate syllables
+    outside the amalgam, first tag != last; a K-syllable in B shares its
+    normal form with the H-syllable listed before it."""
     words: list[Word] = [am.EMPTY]
     for tag in (TAG_H, TAG_K):
         for e in range(1, spec.factor(tag).order):
@@ -268,18 +267,10 @@ def enumerate_cyclically_reduced(spec: AmalgamSpec,
                               if e not in sub])
             for combo in itertools.product(*pools):
                 words.append(Word(tuple(zip(tags, combo))))
-    seen = set()
-    out = []
+    first: dict[am.NormalForm, Word] = {}
     for w in words:
-        nf = am.normal_form(spec, w)
-        key = (nf.amalgam_part, nf.tail)
-        if key in seen:
-            continue
-        r = am.reduce(spec, w)
-        if am.is_cyclically_reduced(spec, r):
-            seen.add(key)
-            out.append(r)
-    return tuple(out)
+        first.setdefault(am.normal_form(spec, w), w)
+    return tuple(first.values())
 
 
 def enumerate_elements(spec: AmalgamSpec, max_length: int) -> tuple[Word, ...]:

@@ -89,12 +89,18 @@ class TestFileFormats:
         with pytest.raises(ParseError):
             fileio.parse_word(make_amalg1(), "X:1")
 
+    def test_identity_not_element_zero_rejected(self):
+        """The file's indices would no longer name the elements written."""
+        text = "order 4\ntable\n2 0 3 1\n0 1 2 3\n3 2 1 0\n1 3 0 2\n"
+        with pytest.raises(ParseError, match="identity must be element 0"):
+            fileio.parse_group(text)
+
     def test_config_env_override(self, tmp_path):
         cfg = tmp_path / "cfg"
         cfg.write_text("p 2\nmax_target_order 8\n")
         conf = fileio.load_config(cfg, env={"AMALGAMS_MAX_TARGET_ORDER": "16"})
         assert conf.max_target_order == 16 and conf.p == 2
-        assert conf.budget().max_target_order == 16
+        assert isinstance(conf, sep.SearchBudget)
 
     @pytest.mark.parametrize("line", ["max_target_ordr 2", "output text"])
     def test_config_unknown_key(self, tmp_path, line):
@@ -389,6 +395,23 @@ def test_ambiguous_names_exit_2(tmp_path, names):
     assert "input error" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_identity_not_element_zero_exits_2(tmp_path):
+    """C4 written with its identity at index 1; [A] holds the identity and
+    the involution as written."""
+    c4 = "order 4\ntable\n2 0 3 1\n0 1 2 3\n3 2 1 0\n1 3 0 2\n"
+    path = tmp_path / "amalgam.txt"
+    path.write_text(f"[H]\n{c4}[K]\n{c4}[A]\nelements 1 2\n"
+                    "[B]\nelements 1 2\n[phi]\n1 1\n2 2\n")
+    src = str(Path(fileio.__file__).resolve().parents[1])
+    env_path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "amalgams.cli", "pairs", str(path)],
+        env=dict(os.environ, PYTHONPATH=env_path), capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "identity must be element 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def _damaged(text, mutations, optional=("names ",)):
     """Named variants of a valid file that must all be rejected: every
     proper prefix, every file with one line deleted (except optional
@@ -478,6 +501,20 @@ class TestMalformedFiles:
             with pytest.raises(AmalgamsError) as exc:
                 fileio.parse_certificate(bad)
             assert exc.type in (ParseError, NotAGroup), label
+
+    def test_repeated_key_rejected(self, tmp_path, capsys):
+        """A second f_image or rho line used to win silently."""
+        text = self._certificate_text()
+        with pytest.raises(ParseError, match="'f_image' given twice"):
+            fileio.parse_certificate(
+                text.replace("[images]\n", "[images]\nf_image 0\n"))
+        (tmp_path / "c2.grp").write_text(fileio.serialize_group(fg.cyclic(2)))
+        graph = tmp_path / "graph.txt"
+        graph.write_text("[vertex u]\ngroup c2.grp\n[edge e0 u u]\n"
+                         "group c2.grp\nrho 0 1\nrho 0 0\ntau 0 1\n")
+        with pytest.raises(ParseError, match="'rho' given twice"):
+            fileio.load_group_graph(graph)
+        self._assert_input_error(capsys, ["pi1", str(graph)], "rho twice")
 
     def test_certificate_files_through_verify(self, tmp_path, capsys):
         amalgam, cert = tmp_path / "amalgam.txt", tmp_path / "w.cert"

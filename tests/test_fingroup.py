@@ -99,6 +99,13 @@ class TestFromTable:
         assert all(G.mul(0, x) == x and G.mul(x, 0) == x for x in range(3))
         assert G.element_order(1) == 3
 
+    def test_identity_relabel_moves_names(self):
+        # C3 with identity at index 2: elements 0 and 2 swap, names too
+        table = [[1, 2, 0], [2, 0, 1], [0, 1, 2]]
+        G = fg.from_table(3, table, names=["a", "b", "e"])
+        assert G.names == ("e", "b", "a")
+        assert G.mul(2, 2) == 1 and G.mul(1, 1) == 2
+
     def test_non_associative_rejected(self):
         # A Latin square with identity that is not associative
         table = [[0, 1, 2, 3, 4],

@@ -217,6 +217,33 @@ class TestKillAndCollapse:
                 acc = P.mul(acc, x if exp == 1 else P.inv(x))
             assert acc == 0
 
+    def test_stable_letter_kept_then_sent_to_identity(self):
+        """C4 and C2 joined by a trivial edge, with a loop at C4 whose
+        edge group is its C2: the loop's stable letter survives killing
+        and maps to the identity of the direct product."""
+        c1, c2, c4 = fg.cyclic(1), fg.cyclic(2), fg.cyclic(4)
+        graph = gg.make_graph(
+            ("u", "v"), ("e0", "e0bar", "e1", "e1bar"),
+            {"e0": "e0bar", "e0bar": "e0", "e1": "e1bar", "e1bar": "e1"},
+            {"e0": "u", "e0bar": "v", "e1": "u", "e1bar": "u"},
+            {"e0": "v", "e0bar": "u", "e1": "u", "e1bar": "u"})
+        into_u, into_v = fg.GroupHom(c1, c4, (0,)), fg.GroupHom(c1, c2, (0,))
+        loop = fg.GroupHom(c2, c4, (0, 2))
+        pres = gg.fundamental_presentation(gg.make_group_graph(
+            graph, {"u": c4, "v": c2},
+            {"e0": c1, "e0bar": c1, "e1": c2, "e1bar": c2},
+            {"e0": into_u, "e0bar": into_v, "e1": loop, "e1bar": loop},
+            {"e0": into_v, "e0bar": into_u, "e1": loop, "e1bar": loop}))
+        assert pres.stable_letters == ("t_e1",)
+        kept = gg.kill_subgroups(pres, {})
+        assert kept.edge_relators == pres.edge_relators == (
+            (("t_e1", -1), (gg.symbol("u", 2), 1), ("t_e1", 1),
+             (gg.symbol("u", 2), -1)),)
+        killed = gg.kill_subgroups(pres, {"u": fg.make_subgroup(c4, [0, 2])})
+        assert killed.edge_relators == () and killed.stable_letters == ("t_e1",)
+        P, images = gg.collapse_to_direct_product(killed)
+        assert P.order == 4 and images["t_e1"] == 0
+
     def test_collapse_rejects_uncollapsed(self, amalg1):
         with pytest.raises(WrongShape):
             gg.collapse_to_direct_product(gg.amalgam_presentation(amalg1))

@@ -101,6 +101,24 @@ class TestWordImage:
             assert psi_h.is_valid() and psi_k.is_valid()
 
 
+class TestVerifyWitness:
+    def test_rejects_disagreement_on_amalgam(self, amalg1):
+        c4 = fg.cyclic(4)
+        w = sep.Witness(c4, fg.GroupHom(amalg1.H, c4, (0, 1, 2, 3)),
+                        fg.GroupHom(amalg1.K, c4, (0, 0, 0, 0)), "manual")
+        assert w.psi_H.is_valid() and w.psi_K.is_valid()
+        assert not sep.verify_witness(amalg1, w, W(("H", 1)), W(), 2)
+
+    def test_rejects_target_not_a_p_group(self, amalg1):
+        c6 = fg.cyclic(6)
+        w = sep.Witness(c6, fg.GroupHom(amalg1.H, c6, (0, 3, 0, 3)),
+                        fg.GroupHom(amalg1.K, c6, (0, 3, 0, 3)), "manual")
+        assert w.psi_H.is_valid() and w.psi_K.is_valid()
+        assert sep.agrees_on_amalgam(amalg1, w.psi_H, w.psi_K)
+        assert sep.word_image(w, W(("H", 1))) != sep.word_image(w, W())
+        assert not sep.verify_witness(amalg1, w, W(("H", 1)), W(), 2)
+
+
 class TestSearchWitness:
     def test_length_one_pair(self, amalg1):
         w = sep.search_witness(amalg1, W(("H", 1)), W(("K", 1)), BUDGET)
@@ -223,6 +241,21 @@ class TestReports:
         for entry in report.entries:
             assert sep.verify_witness(amalg1, entry.witness, entry.other,
                                       W(("H", 1)), 2)
+
+    def test_cfp_report_records_exhausted_budget(self, c2c3):
+        """In C2 * C3 with p = 2, K:1 maps to the identity of every 2-group,
+        so it is not separated from the identity or from K:2."""
+        budget = sep.SearchBudget(p=2, max_conjugator_length=1)
+        report = sep.is_cfp_separable_bounded(c2c3, W(("K", 1)), budget)
+        assert not report.all_separated
+        failed = {e.other.syllables: e for e in report.entries
+                  if not e.separated}
+        assert set(failed) == {(), (("K", 2),)}
+        for entry in failed.values():
+            assert entry.witness is None
+            assert entry.error.startswith("no agreeing homomorphism pair")
+        assert [e.other.syllables for e in report.entries if e.separated] \
+            == [(("H", 1),)]
 
     def test_residual_p_amalg1(self, amalg1):
         report = sep.check_residually_p_bounded(amalg1, 2, 2, BUDGET)

@@ -122,6 +122,14 @@ def ref_verified(spec, x, y, z):
     return am.ConjugacyVerdict(True, z, ("conjugator", z.syllables))
 
 
+def ref_canonical_length1(spec, w):
+    """Canonicalize a length-1 word into A (tag H) when possible."""
+    tag, e = w.syllables[0]
+    if tag == TAG_K and spec.in_amalg(TAG_K, e):
+        return TAG_H, spec.transport(TAG_K, e)
+    return tag, e
+
+
 def ref_is_conjugate_central(spec, x, y):
     if not spec.central:
         raise NotCentral("amalgamated subgroups are not central in the factors")
@@ -133,8 +141,8 @@ def ref_is_conjugate_central(spec, x, y):
     if len(cx) == 0:
         return ref_verified(spec, x, y, zx.concat(zy_inv))
     if len(cx) == 1:
-        tx, ex = am._canonical_length1(spec, cx)
-        ty, ey = am._canonical_length1(spec, cy)
+        tx, ex = ref_canonical_length1(spec, cx)
+        ty, ey = ref_canonical_length1(spec, cy)
         x_in_a = spec.in_amalg(tx, ex) and tx == TAG_H
         y_in_a = spec.in_amalg(ty, ey) and ty == TAG_H
         if x_in_a or y_in_a:
