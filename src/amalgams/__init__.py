@@ -19,7 +19,6 @@ from .amalgam import (
     make_amalgam,
     normal_form,
     reduce,
-    validate_spec,
     word,
 )
 from .fingroup import (

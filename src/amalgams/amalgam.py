@@ -24,7 +24,7 @@ search.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
@@ -34,7 +34,6 @@ from .errors import (
     IndexOutOfRange,
     NotCentral,
     NotCyclicallyReduced,
-    NotSubgroup,
     PhiNotIso,
     VerificationFailed,
 )
@@ -77,27 +76,32 @@ class AmalgamSpec:
     """(H, K, A <= H, B <= K, phi: A -> B) defining (H*K; A=B, phi).
 
     ``phi`` is stored as a sorted tuple of (a, b) pairs on parent element
-    indices.  Use validate_spec / make_amalgam to construct checked specs.
+    indices.  make_amalgam constructs checked specs.
 
-    The lookups the word algorithms need are built once per instance, on
-    first use: phi and its inverse as dicts (``phi_map`` and
-    ``phi_inv_map`` expose them read-only), and per factor the membership
-    set of the amalgamated subgroup and the coset table behind
-    ``_coset_decompose``.  They are not fields, so equality and hashing see
-    only the defining data.
+    What the tables fix is built once per instance, on first use: whether
+    A and B are central (``central``), phi and its inverse as dicts
+    (``phi_map`` and ``phi_inv_map`` expose them read-only), and per factor
+    the membership set of the amalgamated subgroup and the coset table
+    behind ``_coset_decompose``.  They are not fields, so equality and
+    hashing see only the defining data.
     """
     H: FiniteGroup
     K: FiniteGroup
     A: Subgroup
     B: Subgroup
     phi: tuple[tuple[int, int], ...]
-    central: bool = field(default=False, compare=False)
 
     def factor(self, tag: str) -> FiniteGroup:
         return self.H if tag == TAG_H else self.K
 
     def amalg(self, tag: str) -> Subgroup:
         return self.A if tag == TAG_H else self.B
+
+    @cached_property
+    def central(self) -> bool:
+        """Whether A and B are central in H and K."""
+        return (self.A.element_set() <= fingroup.center(self.H).element_set()
+                and self.B.element_set() <= fingroup.center(self.K).element_set())
 
     @cached_property
     def _across(self) -> dict[str, dict[int, int]]:
@@ -169,33 +173,19 @@ class AmalgamSpec:
 def make_amalgam(H: FiniteGroup, K: FiniteGroup,
                  A: Iterable[int], B: Iterable[int],
                  phi: dict[int, int]) -> AmalgamSpec:
-    spec = AmalgamSpec(H, K,
-                       fingroup.make_subgroup(H, A),
-                       fingroup.make_subgroup(K, B),
-                       tuple(sorted(phi.items())))
-    return validate_spec(spec)
-
-
-def validate_spec(spec: AmalgamSpec) -> AmalgamSpec:
-    """Verify all invariants; records whether A and B are central."""
-    H, K, A, B = spec.H, spec.K, spec.A, spec.B
-    fingroup.make_subgroup(H, A.elements)
-    fingroup.make_subgroup(K, B.elements)
-    if A.parent is not H and A.parent != H:
-        raise NotSubgroup("A is not a subgroup of H")
-    if B.parent is not K and B.parent != K:
-        raise NotSubgroup("B is not a subgroup of K")
-    fwd = dict(spec.phi)
-    if sorted(fwd) != list(A.elements) or sorted(fwd.values()) != list(B.elements):
+    """The checked spec of (H*K; A=B, phi), the one place an amalgam is
+    checked: A and B must be subgroups of H and K (NotSubgroup,
+    IndexOutOfRange) and phi, given on parent element indices, an
+    isomorphism A -> B (PhiNotIso)."""
+    A_sub, B_sub = fingroup.make_subgroup(H, A), fingroup.make_subgroup(K, B)
+    if (sorted(phi) != list(A_sub.elements)
+            or sorted(phi.values()) != list(B_sub.elements)):
         raise PhiNotIso("phi is not a bijection A -> B")
-    for a1 in A.elements:
-        for a2 in A.elements:
-            if fwd[H.mul(a1, a2)] != K.mul(fwd[a1], fwd[a2]):
+    for a1 in A_sub.elements:
+        for a2 in A_sub.elements:
+            if phi[H.mul(a1, a2)] != K.mul(phi[a1], phi[a2]):
                 raise PhiNotIso(f"phi not a homomorphism at ({a1},{a2})")
-    zH = fingroup.center(H).element_set()
-    zK = fingroup.center(K).element_set()
-    central = A.element_set() <= zH and B.element_set() <= zK
-    return AmalgamSpec(H, K, A, B, spec.phi, central)
+    return AmalgamSpec(H, K, A_sub, B_sub, tuple(sorted(phi.items())))
 
 
 def _push(tab, across, out, syllables) -> None:

@@ -8,8 +8,8 @@ class AmalgamsError(Exception):
 class NotAGroup(AmalgamsError):
     """Multiplication table fails a group axiom.
 
-    ``reason`` is one of: no-identity, not-a-latin-square, non-associative,
-    no-inverse.
+    ``reason`` is one of: not-a-latin-square, no-identity (element 0 is not
+    the identity), non-associative.
     """
 
     def __init__(self, reason, detail=""):
@@ -35,10 +35,6 @@ class NotPrime(AmalgamsError):
 
 class NotPPower(AmalgamsError):
     pass
-
-
-class InconsistentPartial(AmalgamsError):
-    """A partial homomorphism assignment already violates a relation."""
 
 
 class PhiNotIso(AmalgamsError):

@@ -72,12 +72,7 @@ def parse_group(text: str) -> FiniteGroup:
         raise ParseError(f"names line has {len(names)} names for order {order}")
     if names is not None and len(set(names)) != order:
         raise ParseError("names line repeats a name")
-    try:
-        G = fingroup.from_table(order, table, names)
-    except ValueError as exc:
-        raise ParseError(str(exc))
-    if table[0] != list(range(order)):
-        raise ParseError("the identity must be element 0")
+    G = fingroup.from_table(order, table, names)
     for i, name in enumerate(G.names or ()):
         if fingroup.names_other_index(name, i):
             raise ParseError(
@@ -269,7 +264,8 @@ def serialize_certificate(spec: AmalgamSpec, w: sep.Witness,
 
 def parse_certificate(text: str) -> dict:
     """Inverse of serialize_certificate; ParseError on a missing section,
-    key or value, or a key given twice."""
+    key or value, a key given twice, or a [psi_H] or [psi_K] section that
+    is not exactly one line."""
     sections = _split_sections(text)
 
     def section(name: str) -> list[str]:
@@ -277,10 +273,17 @@ def parse_certificate(text: str) -> dict:
             raise ParseError(f"missing or empty section [{name}]")
         return sections[name]
 
+    def images_line(name: str) -> list[int]:
+        lines = section(name)
+        if len(lines) != 1:
+            raise ParseError(f"section [{name}] must be a single line, "
+                             f"has {len(lines)}")
+        return _ints(lines[0].split(), name)
+
     meta = _keyed(section("witness"), "[witness]", ("strategy", "f", "g"))
     target = parse_group("\n".join(section("target")))
-    psi_h = _ints(section("psi_H")[0].split(), "psi_H")
-    psi_k = _ints(section("psi_K")[0].split(), "psi_K")
+    psi_h = images_line("psi_H")
+    psi_k = images_line("psi_K")
     image_keys = ("f_image", "g_image", "f_class_rep", "g_class_rep")
     found = _keyed(section("images"), "[images]", image_keys)
     images = {key: _ints([found[key]], key)[0] for key in image_keys}

@@ -13,7 +13,6 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
-    InconsistentPartial,
     IndexOutOfRange,
     NotAGroup,
     NotNormal,
@@ -68,8 +67,10 @@ def from_table(order: int, table: Sequence[Sequence[int]],
                names: Optional[Sequence[str]] = None) -> FiniteGroup:
     """Validate a multiplication table and build a group.
 
-    The identity is relabeled to index 0 if it sits elsewhere.  Raises
-    NotAGroup with a reason on any axiom failure.
+    The identity must be element 0: row 0 and column 0 read 0..n-1.  Raises
+    NotAGroup with a reason on any axiom failure.  An associative Latin
+    square with identity 0 is a group, so each inverse is read off its row
+    as the column holding 0.
     """
     if order <= 0 or len(table) != order or any(len(row) != order for row in table):
         raise NotAGroup("not-a-latin-square", "table is not order x order")
@@ -84,40 +85,17 @@ def from_table(order: int, table: Sequence[Sequence[int]],
     for j in rng:
         if {rows[i][j] for i in rng} != full:
             raise NotAGroup("not-a-latin-square", "column is not a permutation")
-
-    ident = next((e for e in rng
-                  if all(rows[e][x] == x and rows[x][e] == x for x in rng)), None)
-    if ident is None:
-        raise NotAGroup("no-identity")
-    if ident != 0:
-        perm = list(rng)
-        perm[0], perm[ident] = ident, 0  # involution: old index -> new index
-        relabeled = [[0] * order for _ in rng]
-        for a in rng:
-            for b in rng:
-                relabeled[perm[a]][perm[b]] = perm[rows[a][b]]
-        rows = [tuple(r) for r in relabeled]
-        if names is not None:
-            names = list(names)
-            names[0], names[ident] = names[ident], names[0]
-
+    if any(rows[0][x] != x or rows[x][0] != x for x in rng):
+        raise NotAGroup("no-identity", "the identity must be element 0")
     for a in rng:
         for b in rng:
             ab = rows[a][b]
             for c in rng:
                 if rows[ab][c] != rows[a][rows[b][c]]:
                     raise NotAGroup("non-associative", f"({a}*{b})*{c}")
-    inv = [None] * order
-    for a in rng:
-        for b in rng:
-            if rows[a][b] == 0 and rows[b][a] == 0:
-                inv[a] = b
-                break
-        if inv[a] is None:
-            raise NotAGroup("no-inverse", str(a))
     return FiniteGroup(order, tuple(rows),
                        tuple(names) if names is not None else None,
-                       tuple(inv))
+                       tuple(row.index(0) for row in rows))
 
 
 @dataclass(frozen=True)
@@ -380,9 +358,8 @@ def _hom_plan(G: FiniteGroup) -> tuple[tuple[int, ...],
     return tuple(map(G.element_order, gens)), tuple(steps), checks
 
 
-def enumerate_homs(G: FiniteGroup, X: FiniteGroup,
-                   partial: Optional[dict[int, int]] = None) -> tuple[GroupHom, ...]:
-    """All homomorphisms G -> X extending ``partial``, in deterministic order.
+def enumerate_homs(G: FiniteGroup, X: FiniteGroup) -> tuple[GroupHom, ...]:
+    """All homomorphisms G -> X, in deterministic order.
 
     Tries the images of a fixed greedy generating sequence whose orders
     divide the generators' orders, as one ``itertools.product`` over the
@@ -392,27 +369,7 @@ def enumerate_homs(G: FiniteGroup, X: FiniteGroup,
     ``X.table`` and kept when it passes the plan's relation checks: every
     img(a*s) = img(a)*img(s) that the tree does not already imply, which
     gives the full homomorphism law since the generators span G.
-    ``partial`` may constrain arbitrary elements of G (not just
-    generators); constraints already violating a relation raise
-    InconsistentPartial.
     """
-    partial = dict(partial) if partial else {}
-    for e, x in partial.items():
-        if not 0 <= e < G.order:
-            raise IndexOutOfRange(f"element {e} out of range")
-        if not 0 <= x < X.order:
-            raise IndexOutOfRange(f"image {x} out of range")
-    if partial.get(0, 0) != 0:
-        raise InconsistentPartial("identity must map to identity")
-    for e, x in partial.items():
-        if G.element_order(e) % X.element_order(x) != 0:
-            raise InconsistentPartial(f"image order of {e} does not divide its order")
-    for a in partial:
-        for b in partial:
-            ab = G.mul(a, b)
-            if ab in partial and partial[ab] != X.mul(partial[a], partial[b]):
-                raise InconsistentPartial(f"violated at ({a},{b})")
-
     orders, steps, checks = _hom_plan(G)
     x_orders = [X.element_order(x) for x in X.elements()]
     candidates = [[x for x in X.elements() if order % x_orders[x] == 0]
@@ -427,8 +384,7 @@ def enumerate_homs(G: FiniteGroup, X: FiniteGroup,
             if images[b] != table[images[a]][chosen[gi]]:
                 break
         else:
-            if all(images[e] == x for e, x in partial.items()):
-                results.append(GroupHom(G, X, tuple(images)))
+            results.append(GroupHom(G, X, tuple(images)))
     return tuple(results)
 
 
@@ -440,6 +396,8 @@ def check_prime(p: int) -> None:
 def p_exponent(n: int, p: int) -> Optional[int]:
     """k with n = p**k, or None when n is not a power of the prime p."""
     check_prime(p)
+    if n < 1:
+        return None
     k = 0
     while n % p == 0:
         n //= p

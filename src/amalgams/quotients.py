@@ -39,7 +39,7 @@ def is_compatible(spec: AmalgamSpec, R: Subgroup, S: Subgroup) -> bool:
 
 def quotient_amalgam(spec: AmalgamSpec, R: Subgroup, S: Subgroup) -> CompatiblePair:
     """Builds H/R, K/S, the images AR/R and BS/S, and the induced
-    isomorphism; the result passes validate_spec."""
+    isomorphism, checked by make_amalgam."""
     if not is_compatible(spec, R, S):
         raise NotCompatible(f"R={R.elements}, S={S.elements}")
     QH, pH = fingroup.quotient(spec.H, R)

@@ -356,13 +356,12 @@ class ResidualReport:
         return tuple(e for e in self.entries if not e.survives)
 
 
-def check_residually_p_bounded(spec: AmalgamSpec, p: int, length_bound: int,
+def check_residually_p_bounded(spec: AmalgamSpec, length_bound: int,
                                budget: SearchBudget) -> ResidualReport:
     """For every nontrivial element of length <= length_bound, look for an
-    agreeing homomorphism pair with nontrivial image; success for all yields
-    a bounded residual-p certificate."""
-    fingroup.check_prime(p)
-    catalog = p_group_catalog(p, budget.max_target_order)
+    agreeing homomorphism pair into a catalog budget.p-group with nontrivial
+    image; success for all yields a bounded residual-p certificate."""
+    catalog = p_group_catalog(budget.p, budget.max_target_order)
     entries = []
     for w in enumerate_elements(spec, length_bound):
         if not w.syllables:

@@ -262,7 +262,7 @@ def test_criterion_7_negative_control():
     spec = make_c2c3()
     budget = sep.SearchBudget(p=2, max_target_order=16,
                               max_quotient_index=16)
-    report = sep.check_residually_p_bounded(spec, 2, 1, budget)
+    report = sep.check_residually_p_bounded(spec, 1, budget)
     failed = {e.element.syllables for e in report.failures}
     obstruction_ok = (("K", 1),) in failed and (("K", 2),) in failed
 
@@ -297,7 +297,7 @@ def test_criterion_8_residual_separability_consistency():
     budget = sep.SearchBudget(p=2, max_target_order=16,
                               max_quotient_index=16,
                               max_conjugator_length=2)
-    residual = sep.check_residually_p_bounded(spec, 2, 4, budget)
+    residual = sep.check_residually_p_bounded(spec, 4, budget)
     residual_ok = residual.residually_p_up_to_bound
 
     separated_ok = True

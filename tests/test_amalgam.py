@@ -36,6 +36,15 @@ class TestSpecValidation:
     def test_s3_amalgam_not_central(self, s3_amalgam):
         assert not s3_amalgam.central
 
+    def test_directly_built_spec_derives_central(self, amalg1):
+        """Centrality is read off the tables, not stored by a checker."""
+        c4 = fg.cyclic(4)
+        half = fg.make_subgroup(c4, [0, 2])
+        spec = am.AmalgamSpec(c4, c4, half, half, ((0, 0), (2, 2)))
+        assert spec == amalg1 and spec.central
+        assert am.is_conjugate_central(spec, W(("H", 1), ("K", 1)),
+                                       W(("K", 1), ("H", 1))).conjugate
+
 
 class TestReduce:
     def test_already_reduced(self, amalg1):

@@ -92,7 +92,7 @@ class TestFileFormats:
     def test_identity_not_element_zero_rejected(self):
         """The file's indices would no longer name the elements written."""
         text = "order 4\ntable\n2 0 3 1\n0 1 2 3\n3 2 1 0\n1 3 0 2\n"
-        with pytest.raises(ParseError, match="identity must be element 0"):
+        with pytest.raises(NotAGroup, match="identity must be element 0"):
             fileio.parse_group(text)
 
     def test_config_env_override(self, tmp_path):
@@ -309,6 +309,17 @@ class TestVerify:
         assert main(["verify", amalg1_file, str(cert)]) == 1
         out, err = capsys.readouterr()
         assert out.startswith("REJECTED") and "Traceback" not in err
+
+    def test_extra_psi_line_is_malformed(self, amalg1_file, cert, capsys):
+        """A second [psi_K] line used to be ignored, so the first one was
+        checked as the witness and rejected (exit 1)."""
+        text = cert.read_text()
+        bad = text.replace("[psi_K]\n", "[psi_K]\n0 0 0 0\n")
+        with pytest.raises(ParseError, match=r"\[psi_K\] must be a single line"):
+            fileio.parse_certificate(bad)
+        cert.write_text(bad)
+        assert main(["verify", amalg1_file, str(cert)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_target_order_not_a_prime_power(self, amalg1_file, cert, capsys):
         text = cert.read_text()

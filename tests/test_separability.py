@@ -1,5 +1,9 @@
 import itertools
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +53,20 @@ class TestCatalog:
     def test_rejects_non_p_power_bound(self):
         with pytest.raises(NotPPower):
             sep.p_group_catalog(2, 12)
+
+    def test_rejects_order_bound_zero(self):
+        """In a subprocess with a timeout: this call used to loop forever."""
+        code = ("from amalgams.separability import p_group_catalog\n"
+                "from amalgams.errors import NotPPower\n"
+                "try:\n    p_group_catalog(2, 0)\n"
+                "except NotPPower:\n    raise SystemExit(0)\n"
+                "raise SystemExit('no NotPPower')\n")
+        src = str(Path(sep.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], timeout=60,
+                              env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_nonabelian_members_present(self):
         cat = sep.p_group_catalog(2, 8)
@@ -258,7 +276,7 @@ class TestReports:
             == [(("H", 1),)]
 
     def test_residual_p_amalg1(self, amalg1):
-        report = sep.check_residually_p_bounded(amalg1, 2, 2, BUDGET)
+        report = sep.check_residually_p_bounded(amalg1, 2, BUDGET)
         assert report.residually_p_up_to_bound
         for entry in report.entries:
             assert sep.word_image(entry.witness, entry.element) != 0
@@ -266,7 +284,7 @@ class TestReports:
     def test_residual_p_negative_c2_c3(self, c2c3):
         budget = sep.SearchBudget(p=2, max_target_order=8,
                                   max_quotient_index=8)
-        report = sep.check_residually_p_bounded(c2c3, 2, 1, budget)
+        report = sep.check_residually_p_bounded(c2c3, 1, budget)
         assert not report.residually_p_up_to_bound
         failed = {e.element.syllables for e in report.failures}
         assert (("K", 1),) in failed and (("K", 2),) in failed

@@ -84,7 +84,7 @@ def test_same_witness_as_pair_loop(make, length, p, order):
 def test_same_residual_entries_as_pair_loop(make, order):
     spec = make()
     budget = sep.SearchBudget(2, order, order)
-    got = sep.check_residually_p_bounded(spec, 2, 2, budget)
+    got = sep.check_residually_p_bounded(spec, 2, budget)
     ref = ref_check_residually_p_bounded(spec, 2, 2, budget)
     assert got.length_bound == ref.length_bound
     assert [(e.element, e.survives, key(e.witness)) for e in got.entries] == \
