@@ -358,22 +358,28 @@ def _hom_plan(G: FiniteGroup) -> tuple[tuple[int, ...],
     return tuple(map(G.element_order, gens)), tuple(steps), checks
 
 
+@lru_cache(maxsize=None)
+def elements_of_order_dividing(X: FiniteGroup, n: int) -> tuple[int, ...]:
+    """The elements x of X with x**n = 1, in index order.  Built once per
+    (X, n): the hom enumeration asks for it on every call into X."""
+    return tuple(x for x in X.elements() if n % X.element_order(x) == 0)
+
+
 def enumerate_homs(G: FiniteGroup, X: FiniteGroup) -> tuple[GroupHom, ...]:
     """All homomorphisms G -> X, in deterministic order.
 
     Tries the images of a fixed greedy generating sequence whose orders
     divide the generators' orders, as one ``itertools.product`` over the
-    per-generator candidates: the homs come in lexicographic order of
-    their generator images.  Each candidate is extended along the spanning
+    per-generator candidates, read from ``elements_of_order_dividing``
+    (built once per target and order): the homs come in lexicographic order
+    of their generator images.  Each candidate is extended along the spanning
     tree of G's plan (``_hom_plan``, built once per G) by rows of
     ``X.table`` and kept when it passes the plan's relation checks: every
     img(a*s) = img(a)*img(s) that the tree does not already imply, which
     gives the full homomorphism law since the generators span G.
     """
     orders, steps, checks = _hom_plan(G)
-    x_orders = [X.element_order(x) for x in X.elements()]
-    candidates = [[x for x in X.elements() if order % x_orders[x] == 0]
-                  for order in orders]
+    candidates = [elements_of_order_dividing(X, order) for order in orders]
     table = X.table
     images = [0] * G.order
     results = []

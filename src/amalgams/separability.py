@@ -74,15 +74,19 @@ def agrees_on_amalgam(spec: AmalgamSpec, psi_H: GroupHom, psi_K: GroupHom) -> bo
     return all(psi_H(a) == psi_K(phi[a]) for a in spec.A.elements)
 
 
+def _is_agreeing_p_pair(spec: AmalgamSpec, w: Witness, p: int) -> bool:
+    """Both maps are homomorphisms (checked on every product), they agree
+    on A and the target is a p-group."""
+    return (w.psi_H.is_valid() and w.psi_K.is_valid()
+            and agrees_on_amalgam(spec, w.psi_H, w.psi_K)
+            and fingroup.is_p_group(w.target, p))
+
+
 def verify_witness(spec: AmalgamSpec, w: Witness, f: Word, g: Word,
                    p: int) -> bool:
     """Independent re-check: agreement on A, p-group target, images in
     distinct conjugacy classes."""
-    if not (w.psi_H.is_valid() and w.psi_K.is_valid()):
-        return False
-    if not agrees_on_amalgam(spec, w.psi_H, w.psi_K):
-        return False
-    if not fingroup.is_p_group(w.target, p):
+    if not _is_agreeing_p_pair(spec, w, p):
         return False
     fi, gi = word_image(w, f), word_image(w, g)
     return fingroup.class_of(w.target, fi) != fingroup.class_of(w.target, gi)
@@ -200,12 +204,21 @@ def _first_agreeing_pair(spec: AmalgamSpec, catalog: Sequence[FiniteGroup],
     return None
 
 
-def _separates(X: FiniteGroup) -> Callable[[list[int]], bool]:
-    """Test that the two images lie in distinct conjugacy classes of X."""
-    cls_index = [0] * X.order
+@lru_cache(maxsize=None)
+def _class_index(X: FiniteGroup) -> tuple[int, ...]:
+    """Per element of X, the position of its class in
+    ``fingroup.conjugacy_classes(X)``.  Built once per X."""
+    index = [0] * X.order
     for i, cls in enumerate(fingroup.conjugacy_classes(X)):
         for e in cls:
-            cls_index[e] = i
+            index[e] = i
+    return tuple(index)
+
+
+def _separates(X: FiniteGroup) -> Callable[[list[int]], bool]:
+    """Test that the two images lie in distinct conjugacy classes of X,
+    read from X's class index (``_class_index``, built once per X)."""
+    cls_index = _class_index(X)
     return lambda images: cls_index[images[0]] != cls_index[images[1]]
 
 
@@ -360,7 +373,12 @@ def check_residually_p_bounded(spec: AmalgamSpec, length_bound: int,
                                budget: SearchBudget) -> ResidualReport:
     """For every nontrivial element of length <= length_bound, look for an
     agreeing homomorphism pair into a catalog budget.p-group with nontrivial
-    image; success for all yields a bounded residual-p certificate."""
+    image; success for all yields a bounded residual-p certificate.
+
+    Each pair found is re-checked independently of the search (both maps
+    are homomorphisms, they agree on A, the target is a p-group and the
+    element's image is not the identity); a pair that fails raises
+    VerificationFailed."""
     catalog = p_group_catalog(budget.p, budget.max_target_order)
     entries = []
     for w in enumerate_elements(spec, length_bound):
@@ -369,5 +387,9 @@ def check_residually_p_bounded(spec: AmalgamSpec, length_bound: int,
         found = _first_agreeing_pair(spec, catalog, (w,),
                                      lambda X: _nontrivial)
         hit = Witness(*found, "residual-p") if found else None
+        if hit and not (_is_agreeing_p_pair(spec, hit, budget.p)
+                        and word_image(hit, w) != 0):
+            raise VerificationFailed(
+                "residual witness failed the independent re-check")
         entries.append(ResidualEntry(w, hit is not None, hit))
     return ResidualReport(length_bound, tuple(entries))

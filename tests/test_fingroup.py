@@ -292,6 +292,24 @@ class TestHoms:
             homs = [h.images for h in fg.enumerate_homs(G, X)]
             assert homs == brute_force_homs(G, X), (name, X.order)
 
+    def test_order_table_matches_repeated_products(self):
+        """Every catalog group and every divisor n of its order: the
+        elements x with x**n = 1, by repeated ``mul``, in index order."""
+        for X in p_group_catalog(2, 16) + p_group_catalog(3, 27):
+            for n in (d for d in range(1, X.order + 1) if X.order % d == 0):
+                powers = []
+                for x in X.elements():
+                    y = 0
+                    for _ in range(n):
+                        y = X.mul(y, x)
+                    powers.append(y)
+                expected = tuple(x for x in X.elements() if powers[x] == 0)
+                assert fg.elements_of_order_dividing(X, n) == expected, \
+                    (X.order, n)
+
+    def test_order_table_is_a_clearable_cache(self):
+        assert callable(fg.elements_of_order_dividing.cache_clear)
+
     def test_is_valid_rejects_out_of_range_images(self):
         c2 = fg.cyclic(2)
         assert not fg.GroupHom(c2, c2, (0, 2)).is_valid()

@@ -290,6 +290,44 @@ class TestReports:
         assert (("K", 1),) in failed and (("K", 2),) in failed
 
 
+class TestResidualReverification:
+    """A pair the residual search returns is re-checked by code it does
+    not share: a wrong pair raises instead of becoming an entry."""
+
+    def test_pair_with_trivial_image_raises(self, amalg1, monkeypatch):
+        X = fg.cyclic(2)
+        trivial_H = fg.GroupHom(amalg1.H, X, (0,) * amalg1.H.order)
+        trivial_K = fg.GroupHom(amalg1.K, X, (0,) * amalg1.K.order)
+        monkeypatch.setattr(sep, "_first_agreeing_pair",
+                            lambda *args: (X, trivial_H, trivial_K))
+        with pytest.raises(VerificationFailed):
+            sep.check_residually_p_bounded(amalg1, 1, BUDGET)
+
+    def test_pair_disagreeing_on_amalgam_raises(self, amalg1, monkeypatch):
+        X = fg.cyclic(4)
+        identity_H = fg.GroupHom(amalg1.H, X, tuple(amalg1.H.elements()))
+        trivial_K = fg.GroupHom(amalg1.K, X, (0,) * amalg1.K.order)
+        assert identity_H.is_valid() and trivial_K.is_valid()
+        assert not sep.agrees_on_amalgam(amalg1, identity_H, trivial_K)
+        monkeypatch.setattr(sep, "_first_agreeing_pair",
+                            lambda *args: (X, identity_H, trivial_K))
+        with pytest.raises(VerificationFailed):
+            sep.check_residually_p_bounded(amalg1, 1, BUDGET)
+
+
+class TestClassIndex:
+    def test_shared_index_iff_conjugate(self):
+        for X in sep.p_group_catalog(2, 16) + sep.p_group_catalog(3, 27) \
+                + (fg.symmetric3(),):
+            index = sep._class_index(X)
+            for a, b in itertools.product(X.elements(), repeat=2):
+                conjugate = fg.are_conjugate_in(X, a, b) is not None
+                assert (index[a] == index[b]) == conjugate, (X.order, a, b)
+
+    def test_is_a_clearable_cache(self):
+        assert callable(sep._class_index.cache_clear)
+
+
 class TestVerdictPinning:
     """Every unordered pair of distinct cyclically reduced elements gets
     the same verdict (found / exhausted / conjugate) whatever the search
