@@ -12,13 +12,16 @@ the normal form built so far, and does not call the reduction: the
 conjugator checks, which compare normal forms, share no code with the
 reduction and rotation whose output they check.
 
-The conjugacy deciders compare cyclically reduced words u, v of length >= 2
-through their normal forms only for the rotations u' of u whose syllables
-lie, position by position, in the double cosets A*v_i*A (B*v_i*B for K).
-That filter is exact: if a^-1*u'*a = v with a in A, the normal form theorem
-puts each v_i in A*u'_i*A, so a rotation it drops never passes the normal
-form test.  Verdicts, conjugators and certificates are those of the full
-search.
+One decider, ``is_conjugate_general``, applies the conjugacy theorem for
+amalgamated products: cyclically reduced conjugates of length >= 2 differ
+by a cyclic permutation and then a conjugation by some a in A.  It compares
+u, v through their normal forms only for the rotations u' of u whose
+syllables lie, position by position, in the double cosets A*v_i*A (B*v_i*B
+for K).  That filter is exact: if a^-1*u'*a = v with a in A, the normal
+form theorem puts each v_i in A*u'_i*A, so a rotation it drops never passes
+the normal form test.  When A is central in both factors it is central in
+G, so a = 1 alone is tried.  ``is_conjugate_central`` is the same decider
+behind a check that the amalgam is central.
 """
 
 from __future__ import annotations
@@ -358,8 +361,10 @@ class ConjugacyVerdict:
     conjugator: Optional[Word]
     certificate: tuple
     """For CONJUGATE: ('conjugator', ...) with the verified conjugator word.
-    For NOT-CONJUGATE: the exhausted comparison, e.g. ('length-mismatch', m, n)
-    or ('exhausted', <description of the compared finite set>)."""
+    For NOT-CONJUGATE: the exhausted comparison, one of
+    ('length-mismatch', m, n), ('closure-exhausted', <sorted closure of a
+    length-1 x>) or ('exhausted', <syllables of the cyclically reduced x>,
+    <the elements a of A tried with each of its rotations>)."""
 
 
 def _verified(spec: AmalgamSpec, x: Word, y: Word, z: Word) -> ConjugacyVerdict:
@@ -373,78 +378,41 @@ def _not(reason: tuple) -> ConjugacyVerdict:
     return ConjugacyVerdict(False, None, reason)
 
 
-def is_conjugate_central(spec: AmalgamSpec, x: Word, y: Word) -> ConjugacyVerdict:
-    """Conjugacy decision for central amalgams: conjugates have equal
-    lengths; at length <= 1 conjugacy reduces to factor conjugacy, and at
-    length > 1 to equality with a cyclic permutation.  Only the rotations
-    whose syllables share y's double-coset labels are compared (exact, see
-    the module docstring)."""
-    if not spec.central:
-        raise NotCentral("amalgamated subgroups are not central in the factors")
-    cx, zx = cyclically_reduce(spec, x)
-    cy, zy = cyclically_reduce(spec, y)
-    zy_inv = inverse(spec, zy)
-    if len(cx) != len(cy):
-        return _not(("length-mismatch", len(cx), len(cy)))
-    if len(cx) == 0:
-        return _verified(spec, x, y, zx.concat(zy_inv))
-    if len(cx) == 1:
-        # cyclically_reduce gives a lone amalgamated syllable tag H.
-        (tx, ex), (ty, ey) = cx.syllables[0], cy.syllables[0]
-        x_in_a, y_in_a = spec.in_amalg(tx, ex), spec.in_amalg(ty, ey)
-        if x_in_a or y_in_a:
-            # A is central in both factors, hence central in G: classes of
-            # amalgamated elements are singletons.
-            if x_in_a and y_in_a and ex == ey:
-                return _verified(spec, x, y, zx.concat(zy_inv))
-            return _not(("central-amalgam-singleton", (tx, ex), (ty, ey)))
-        if tx != ty:
-            return _not(("different-factors", (tx, ex), (ty, ey)))
-        G = spec.factor(tx)
-        t = fingroup.are_conjugate_in(G, ex, ey)
-        if t is None:
-            return _not(("factor-classes-differ", (tx, ex), (ty, ey)))
-        return _verified(spec, x, y, zx.concat(word([(tx, t)])).concat(zy_inv))
-    nfy = normal_form(spec, cy)
-    for i in _label_matches(spec, cx, cy):
-        if normal_form(spec, _rotation(cx, i)) == nfy:
-            prefix = Word(cx.syllables[:i])
-            return _verified(spec, x, y, zx.concat(prefix).concat(zy_inv))
-    return _not(("exhausted", tuple(_rotation(cx, i).syllables
-                                    for i in range(len(cx)))))
-
-
 def _length1_closure(spec: AmalgamSpec, tag: str, e: int) -> dict[tuple[str, int], Word]:
     """Fixpoint closure of the factor conjugacy class of a length-<=1 element
     under transport through the amalgamated subgroups.  Maps each reachable
-    (tag, element) to a word z with z^-1 x z equal to it."""
-    start = (tag, e)
-    reached: dict[tuple[str, int], Word] = {start: EMPTY}
-    frontier = [start]
+    (tag, element) to a word z with z^-1 x z equal to it, breadth first.  A
+    factor class is listed from the element that entered it; its other
+    elements add only their transports."""
+    reached: dict[tuple[str, int], Word] = {(tag, e): EMPTY}
+    frontier = deque([(tag, e, True)])
     while frontier:
-        (t, v) = frontier.pop(0)
+        t, v, entered = frontier.popleft()
         zv = reached[(t, v)]
-        G = spec.factor(t)
-        for c in G.elements():
-            nxt = (t, G.conj(v, c))
-            if nxt not in reached:
-                reached[nxt] = zv.concat(word([(t, c)]))
-                frontier.append(nxt)
+        if entered:
+            G = spec.factor(t)
+            for c in G.elements():
+                nxt = (t, G.conj(v, c))
+                if nxt not in reached:
+                    reached[nxt] = zv.concat(word([(t, c)]))
+                    frontier.append((*nxt, False))
         if spec.in_amalg(t, v):
             other = TAG_K if t == TAG_H else TAG_H
             nxt = (other, spec.transport(t, v))
             if nxt not in reached:
                 reached[nxt] = zv
-                frontier.append(nxt)
+                frontier.append((*nxt, True))
     return reached
 
 
 def is_conjugate_general(spec: AmalgamSpec, x: Word, y: Word) -> ConjugacyVerdict:
-    """Conjugacy decision without the centrality assumption.
+    """Conjugacy decision in G (Magnus-Karrass-Solitar, Thm 4.6).
 
     Length > 1: finite search over a^-1 * u * a, a in A and u a cyclic
     permutation whose syllables share y's double-coset labels; conjugating
     by a keeps each syllable in its double coset, so no other u can match.
+    When A and B are central in the factors, A is central in G, so
+    a^-1 * u * a = u and only a = 1 is tried.
     Length <= 1: membership in the transport-closure of the factor class.
     """
     cx, zx = cyclically_reduce(spec, x)
@@ -460,15 +428,22 @@ def is_conjugate_general(spec: AmalgamSpec, x: Word, y: Word) -> ConjugacyVerdic
         if (ty, ey) in closure:
             return _verified(spec, x, y, zx.concat(closure[(ty, ey)]).concat(zy_inv))
         return _not(("closure-exhausted", tuple(sorted(closure))))
+    a_tried = (0,) if spec.central else spec.A.elements
     nfy = normal_form(spec, cy)
     for i in _label_matches(spec, cx, cy):
         prefix, u = Word(cx.syllables[:i]), _rotation(cx, i)
-        for a in spec.A.elements:
+        for a in a_tried:
             a_word = word([(TAG_H, a)])
             cand = inverse(spec, a_word).concat(u).concat(a_word)
             if normal_form(spec, cand) == nfy:
                 return _verified(spec, x, y,
                                  zx.concat(prefix).concat(a_word).concat(zy_inv))
-    return _not(("exhausted", tuple((_rotation(cx, i).syllables, a)
-                                    for i in range(len(cx))
-                                    for a in spec.A.elements)))
+    return _not(("exhausted", cx.syllables, a_tried))
+
+
+def is_conjugate_central(spec: AmalgamSpec, x: Word, y: Word) -> ConjugacyVerdict:
+    """``is_conjugate_general`` behind a check: raises NotCentral unless A
+    and B are central in H and K."""
+    if not spec.central:
+        raise NotCentral("amalgamated subgroups are not central in the factors")
+    return is_conjugate_general(spec, x, y)

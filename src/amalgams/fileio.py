@@ -138,19 +138,25 @@ def parse_amalgam(text: str) -> AmalgamSpec:
     H = parse_group("\n".join(sections["H"]))
     K = parse_group("\n".join(sections["K"]))
 
-    def elements(lines: list[str]) -> list[int]:
+    def elements(name: str) -> list[int]:
+        lines = sections[name]
         if len(lines) != 1 or not lines[0].startswith("elements"):
             raise ParseError("subgroup section must be a single 'elements' line")
-        return _ints(lines[0].split()[1:], "elements")
+        elts = _ints(lines[0].split()[1:], "elements")
+        for i, e in enumerate(elts):
+            if e in elts[:i]:
+                raise ParseError(f"[{name}] lists element {e} twice")
+        return elts
 
     phi = {}
     for ln in sections["phi"]:
         pair = _ints(ln.split(), "phi")
         if len(pair) != 2:
             raise ParseError(f"phi line {ln!r} is not a pair 'a b'")
+        if pair[0] in phi:
+            raise ParseError(f"[phi] maps element {pair[0]} twice")
         phi[pair[0]] = pair[1]
-    return am.make_amalgam(H, K, elements(sections["A"]),
-                           elements(sections["B"]), phi)
+    return am.make_amalgam(H, K, elements("A"), elements("B"), phi)
 
 
 def load_amalgam(path: str | Path) -> AmalgamSpec:

@@ -25,25 +25,32 @@ class CompatiblePair:
     proj_K: GroupHom
 
 
-def is_compatible(spec: AmalgamSpec, R: Subgroup, S: Subgroup) -> bool:
+def _intersections_agree(spec: AmalgamSpec, R: Subgroup, S: Subgroup) -> bool:
     """(A cap R) phi = B cap S as element sets."""
+    phi = spec.phi_map
+    lhs = {phi[a] for a in spec.A.element_set() & R.element_set()}
+    return lhs == spec.B.element_set() & S.element_set()
+
+
+def is_compatible(spec: AmalgamSpec, R: Subgroup, S: Subgroup) -> bool:
+    """(A cap R) phi = B cap S for R normal in H and S normal in K
+    (NotNormal otherwise)."""
     if not fingroup.is_normal(spec.H, R):
         raise NotNormal("R is not normal in H")
     if not fingroup.is_normal(spec.K, S):
         raise NotNormal("S is not normal in K")
-    phi = spec.phi_map
-    lhs = {phi[a] for a in spec.A.element_set() & R.element_set()}
-    rhs = spec.B.element_set() & S.element_set()
-    return lhs == rhs
+    return _intersections_agree(spec, R, S)
 
 
 def quotient_amalgam(spec: AmalgamSpec, R: Subgroup, S: Subgroup) -> CompatiblePair:
-    """Builds H/R, K/S, the images AR/R and BS/S, and the induced
-    isomorphism, checked by make_amalgam."""
-    if not is_compatible(spec, R, S):
-        raise NotCompatible(f"R={R.elements}, S={S.elements}")
+    """Builds H/R, K/S (``fingroup.quotient`` checks normality, raising
+    NotNormal), the images AR/R and BS/S, and the induced isomorphism,
+    checked by make_amalgam.  Raises NotCompatible for an incompatible
+    pair."""
     QH, pH = fingroup.quotient(spec.H, R)
     QK, pK = fingroup.quotient(spec.K, S)
+    if not _intersections_agree(spec, R, S):
+        raise NotCompatible(f"R={R.elements}, S={S.elements}")
     a_img = sorted({pH(a) for a in spec.A.elements})
     phi_q = {}
     for a in spec.A.elements:
@@ -71,14 +78,16 @@ def enumerate_compatible_pairs(spec: AmalgamSpec, p: int,
     """All compatible pairs (R, S) of normal subgroups with p-power indices
     <= max_index, each packaged with its quotient amalgam.
 
-    Sorted by (index of R, elements of R, index of S, elements of S).
+    Sorted by (index of R, elements of R, index of S, elements of S).  The
+    candidates are normal by construction, so only their intersections
+    with A and B are compared; each quotient checks its normality once.
     """
     rs = _p_power_index_normals(spec.H, p, max_index)
     ss = _p_power_index_normals(spec.K, p, max_index)
     pairs = []
     for R in rs:
         for S in ss:
-            if is_compatible(spec, R, S):
+            if _intersections_agree(spec, R, S):
                 pairs.append(quotient_amalgam(spec, R, S))
     pairs.sort(key=lambda c: (fingroup.index(spec.H, c.R), c.R.elements,
                               fingroup.index(spec.K, c.S), c.S.elements))

@@ -146,12 +146,6 @@ def agreeing_pairs(spec: AmalgamSpec,
             yield psi_H, psi_K
 
 
-def _decide_conjugacy(spec: AmalgamSpec, x: Word, y: Word) -> am.ConjugacyVerdict:
-    if spec.central:
-        return am.is_conjugate_central(spec, x, y)
-    return am.is_conjugate_general(spec, x, y)
-
-
 def _first_agreeing_pair(spec: AmalgamSpec, catalog: Sequence[FiniteGroup],
                          words: Sequence[Word],
                          make_test: Callable[[FiniteGroup],
@@ -239,7 +233,7 @@ def search_witness(spec: AmalgamSpec, f: Word, g: Word,
     that fails the independent re-check raises VerificationFailed.
     """
     p = budget.p
-    verdict = _decide_conjugacy(spec, f, g)
+    verdict = am.is_conjugate_general(spec, f, g)
     if verdict.conjugate:
         raise ElementsConjugate(verdict.conjugator)
     found = _first_agreeing_pair(

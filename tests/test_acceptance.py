@@ -234,7 +234,7 @@ def test_criterion_6_witness_engine():
     cross_factor_witnessed = False
     for i, f in enumerate(words):
         for g in words[i + 1:]:
-            if sep._decide_conjugacy(spec, f, g).conjugate:
+            if am.is_conjugate_general(spec, f, g).conjugate:
                 continue
             total += 1
             try:

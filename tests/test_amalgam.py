@@ -17,7 +17,13 @@ from amalgams.errors import (
     PhiNotIso,
     VerificationFailed,
 )
-from conftest import make_c9_amalgam, make_d8_d8, make_s3_amalgam, make_s3_s3
+from conftest import (
+    make_c9_amalgam,
+    make_d8_d8,
+    make_d8_q8,
+    make_s3_amalgam,
+    make_s3_s3,
+)
 
 
 def W(*syllables):
@@ -253,15 +259,18 @@ class TestLengthConfluence:
 
 class TestOraclesBeyondCentralP2:
     """Normal forms and the general decider against the brute-force oracles
-    on the non-central S3 *_{C3} C6, on C9 *_{C3} (C3 x C3) with p = 3, and
-    on S3 *_{C2} S3 and D8 *_{C2} D8, whose amalgamated subgroups are not
-    normal.  Each case: (amalgam, rewriting length, representative length,
-    conjugator candidate length); the candidate lengths cover the longest
-    conjugator the decider returns on these representatives."""
+    on the non-central S3 *_{C3} C6, on C9 *_{C3} (C3 x C3) with p = 3, on
+    S3 *_{C2} S3 and D8 *_{C2} D8, whose amalgamated subgroups are not
+    normal, and on D8 *_Z Q8, central with non-abelian factors, where the
+    decider tries a = 1 alone and lists each factor class once.  Each
+    case: (amalgam, rewriting length, representative length, conjugator
+    candidate length); the candidate lengths cover the longest conjugator
+    the decider returns on these representatives."""
 
     CASES = [(make_s3_amalgam, 3, 3, 3), (make_c9_amalgam, 3, 3, 2),
-             (make_s3_s3, 3, 2, 2), (make_d8_d8, 3, 2, 2)]
-    IDS = ["s3_c3_c6", "c9_c3_c3xc3", "s3_c2_s3", "d8_c2_d8"]
+             (make_s3_s3, 3, 2, 2), (make_d8_d8, 3, 2, 2),
+             (make_d8_q8, 3, 2, 2)]
+    IDS = ["s3_c3_c6", "c9_c3_c3xc3", "s3_c2_s3", "d8_c2_d8", "d8_z_q8"]
 
     @pytest.mark.parametrize("make,max_len,rep_len,cand_len", CASES,
                              ids=IDS)

@@ -89,6 +89,19 @@ class TestFileFormats:
         with pytest.raises(ParseError):
             fileio.parse_word(make_amalg1(), "X:1")
 
+    @pytest.mark.parametrize("old,new,repeated", [
+        ("[phi]\n0 0\n2 2", "[phi]\n0 0\n2 0\n2 2", r"\[phi\] maps element 2"),
+        ("elements 0 2\n[B]", "elements 0 2 2\n[B]", r"\[A\] lists element 2"),
+        ("elements 0 2\n[phi]", "elements 0 0 2\n[phi]", r"\[B\] lists element 0")],
+        ids=["phi", "A", "B"])
+    def test_repeated_entry_rejected(self, old, new, repeated):
+        """A repeated element used to be accepted, the last phi image
+        winning, and the file no longer round-tripped."""
+        text = fileio.serialize_amalgam(make_amalg1())
+        assert old in text
+        with pytest.raises(ParseError, match=repeated):
+            fileio.parse_amalgam(text.replace(old, new))
+
     def test_identity_not_element_zero_rejected(self):
         """The file's indices would no longer name the elements written."""
         text = "order 4\ntable\n2 0 3 1\n0 1 2 3\n3 2 1 0\n1 3 0 2\n"
@@ -488,6 +501,9 @@ class TestMalformedFiles:
                      ("elements 0 2\n[B]", "elements 0 x\n[B]"),
                      ("[phi]\n0 0", "[phi]\n0 0 0"), ("[phi]\n0 0", "[phi]\n0"),
                      ("2 2\n", "2 x\n"), ("2 2\n", "2 1\n"),
+                     ("2 2\n", "2 0\n2 2\n"),
+                     ("elements 0 2\n[B]", "elements 0 2 2\n[B]"),
+                     ("elements 0 2\n[phi]", "elements 0 2 0\n[phi]"),
                      ("[H]", "order 4\n[H]"), ("1 2 3 0", "1 2 3 3")]
         for label, bad in _damaged(text, mutations):
             path.write_text(bad)

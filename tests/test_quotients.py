@@ -7,7 +7,7 @@ from amalgams import amalgam as am
 from amalgams import fingroup as fg
 from amalgams import quotients as qt
 from amalgams.amalgam import Word, word
-from amalgams.errors import NoRefinementFound, NotCompatible
+from amalgams.errors import NoRefinementFound, NotCompatible, NotNormal
 
 
 def W(*syllables):
@@ -68,6 +68,13 @@ class TestQuotientAmalgam:
         with pytest.raises(NotCompatible):
             qt.quotient_amalgam(amalg1, R, S)
 
+    def test_rejects_non_normal(self, s3_amalgam):
+        R = next(X for X in fg.enumerate_subgroups(s3_amalgam.H) if len(X) == 2)
+        S = fg.make_subgroup(s3_amalgam.K, [0])
+        for call in (qt.is_compatible, qt.quotient_amalgam):
+            with pytest.raises(NotNormal):
+                call(s3_amalgam, R, S)
+
     def test_quotient_spec_validates(self, amalg1):
         for pair in qt.enumerate_compatible_pairs(amalg1, 2, 4):
             # make_amalgam already validates; re-check the induced map.
@@ -97,6 +104,17 @@ class TestEnumerate:
         again = qt.enumerate_compatible_pairs(amalg1, 2, 4)
         assert [(p.R.elements, p.S.elements) for p in again] == \
             [(p.R.elements, p.S.elements) for p in pairs]
+
+    def test_normality_checked_once_per_factor(self, amalg1, monkeypatch):
+        """The candidates are normal by construction: each returned pair
+        checks R and S once, in its quotients, and a rejected pair not at
+        all."""
+        calls = []
+        is_normal = fg.is_normal
+        monkeypatch.setattr(fg, "is_normal",
+                            lambda G, N: calls.append(N) or is_normal(G, N))
+        pairs = qt.enumerate_compatible_pairs(amalg1, 2, 4)
+        assert len(pairs) == 5 and len(calls) <= 2 * len(pairs)
 
     def test_s3_amalgam_brute_force(self, s3_amalgam):
         pairs = qt.enumerate_compatible_pairs(s3_amalgam, 2, 8)
