@@ -40,6 +40,7 @@ from .quotients import (
     CompatiblePair,
     enumerate_compatible_pairs,
     is_compatible,
+    p_residual,
     project_word,
     quotient_amalgam,
     refine_to_compatible,

@@ -391,10 +391,11 @@ def _length1_closure(spec: AmalgamSpec, tag: str, e: int) -> dict[tuple[str, int
         zv = reached[(t, v)]
         if entered:
             G = spec.factor(t)
-            for c in G.elements():
-                nxt = (t, G.conj(v, c))
+            tab, inv = G.table, G._inv
+            for c in G.elements():  # c = 0 gives v, already reached
+                nxt = (t, tab[tab[inv[c]][v]][c])
                 if nxt not in reached:
-                    reached[nxt] = zv.concat(word([(t, c)]))
+                    reached[nxt] = Word(zv.syllables + ((t, c),))
                     frontier.append((*nxt, False))
         if spec.in_amalg(t, v):
             other = TAG_K if t == TAG_H else TAG_H

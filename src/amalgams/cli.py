@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes are a stable contract: 0 success, 1 negative verdict, 2 input
-error, 3 precondition failed, 4 conjugate inputs, 5 budget exhausted.
+error, 3 precondition failed, 4 conjugate inputs, 5 budget exhausted (also
+when ``separate`` proves that no finite p-group separates the inputs).
 ``verify`` exits 0 for a certificate that passes, 1 for one that is
 rejected and 2 for a malformed certificate or amalgam file.
 VerificationFailed (an internal re-check rejected a computed conjugator or
@@ -29,6 +30,7 @@ from .errors import (
     ElementsConjugate,
     NotCentral,
     NotPrime,
+    NotSeparable,
 )
 
 EXIT_OK = 0
@@ -115,6 +117,9 @@ def cmd_separate(args) -> int:
         print(f"inputs are conjugate; conjugator: {z or '(identity)'}",
               file=sys.stderr)
         return EXIT_CONJUGATE
+    except NotSeparable as exc:
+        print(f"not separable: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except BudgetExhausted as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -80,10 +80,32 @@ class ElementsConjugate(AmalgamsError):
 class BudgetExhausted(AmalgamsError):
     """No witness found within the search budget.
 
-    Inconclusive by design: for amalgams of finite p-groups this outcome is
-    consistent with the group simply not being residually a finite p-group,
-    in which case no witness exists at any budget.
+    Raised as it is, the outcome is inconclusive: for amalgams of finite
+    p-groups it is consistent with the group simply not being residually a
+    finite p-group, in which case no witness exists at any budget.  The
+    subclass NotSeparable is the proved case: no witness exists at all.
     """
+
+
+class NotSeparable(BudgetExhausted):
+    """Proof that no finite p-group separates the inputs.
+
+    Every homomorphism of G onto a finite p-group kills the compatible
+    closure (R*, S*) of O^p(H) and O^p(K), so it factors through
+    G* = H/R* * K/S*; the inputs' images are conjugate there.  Carries R*,
+    S* and ``conjugator``, a word of G* conjugating the image of the first
+    input to that of the second.  A subclass of BudgetExhausted, so callers
+    that treat an exhausted search as "no witness" treat the proof alike.
+    """
+
+    def __init__(self, R, S, conjugator, p):
+        self.R, self.S, self.conjugator = R, S, conjugator
+        super().__init__(
+            f"no finite {p}-group separates the inputs (p-residual proof): "
+            f"every homomorphism onto a finite {p}-group factors through "
+            f"H/R* * K/S* with |R*| = {len(R)} and |S*| = {len(S)}, where "
+            f"the inputs' images are conjugate by "
+            f"{' '.join(f'{t}:{e}' for t, e in conjugator) or '(identity)'}")
 
 
 class ParseError(AmalgamsError):

@@ -15,6 +15,13 @@ the search tests each distinct combination of letter images once (see
 ``_first_agreeing_pair``) and returns the pair the loop over all agreeing
 pairs would return.  The bounded residual-p check uses the same search
 with "the image is not the identity" as its test.
+
+Before the catalog walk, both searches consult the p-residual quotient
+G* = H/R* * K/S* (``quotients.p_residual``), through which every
+homomorphism onto a finite p-group factors.  Inputs whose images are
+conjugate in G* raise NotSeparable, a proof that no finite p-group
+separates them, and an element trivial in G* dies in every finite
+p-quotient; neither needs the walk, whose answer there is always "none".
 """
 
 from __future__ import annotations
@@ -26,11 +33,13 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from . import amalgam as am
 from . import fingroup
+from . import quotients as qt
 from .amalgam import TAG_H, TAG_K, AmalgamSpec, Word
 from .errors import (
     BudgetExhausted,
     ElementsConjugate,
     NotPPower,
+    NotSeparable,
     VerificationFailed,
 )
 from .fingroup import FiniteGroup, GroupHom
@@ -225,17 +234,28 @@ def search_witness(spec: AmalgamSpec, f: Word, g: Word,
     """A verified homomorphism pair separating the conjugacy classes of f
     and g in a finite p-group.
 
-    Raises ElementsConjugate when f and g are conjugate in G, and
-    BudgetExhausted when no agreeing pair into a catalog group of order
-    <= budget.max_target_order separates them (for amalgams of finite
-    p-groups that outcome is consistent with G not being residually a
-    finite p-group, in which case separation may be impossible).  A witness
-    that fails the independent re-check raises VerificationFailed.
+    Raises ElementsConjugate when f and g are conjugate in G.  Raises
+    NotSeparable, without walking the catalog, when their images are
+    conjugate in the p-residual quotient G* (``quotients.p_residual``):
+    every homomorphism onto a finite p-group factors through G*, so none
+    separates them.  Otherwise raises BudgetExhausted when no agreeing pair
+    into a catalog group of order <= budget.max_target_order separates
+    them (for amalgams of finite p-groups, where G* = G, that outcome is
+    consistent with G not being residually a finite p-group, in which case
+    separation may be impossible).  A witness that fails the independent
+    re-check raises VerificationFailed.
     """
     p = budget.p
     verdict = am.is_conjugate_general(spec, f, g)
     if verdict.conjugate:
         raise ElementsConjugate(verdict.conjugator)
+    pair = qt.p_residual(spec, p)
+    if pair is not None:
+        star = am.is_conjugate_general(pair.quotient_spec,
+                                       qt.project_word(pair, f),
+                                       qt.project_word(pair, g))
+        if star.conjugate:
+            raise NotSeparable(pair.R, pair.S, star.conjugator, p)
     found = _first_agreeing_pair(
         spec, p_group_catalog(p, budget.max_target_order), (f, g), _separates)
     if found is None:
@@ -367,16 +387,24 @@ def check_residually_p_bounded(spec: AmalgamSpec, length_bound: int,
                                budget: SearchBudget) -> ResidualReport:
     """For every nontrivial element of length <= length_bound, look for an
     agreeing homomorphism pair into a catalog budget.p-group with nontrivial
-    image; success for all yields a bounded residual-p certificate.
+    image; success for all yields a bounded residual-p certificate.  An
+    element trivial in the p-residual quotient (``quotients.p_residual``)
+    dies in every finite p-quotient, so it gets a failing entry without the
+    catalog walk.
 
     Each pair found is re-checked independently of the search (both maps
     are homomorphisms, they agree on A, the target is a p-group and the
     element's image is not the identity); a pair that fails raises
     VerificationFailed."""
     catalog = p_group_catalog(budget.p, budget.max_target_order)
+    pair = qt.p_residual(spec, budget.p)
     entries = []
     for w in enumerate_elements(spec, length_bound):
         if not w.syllables:
+            continue
+        if pair is not None and am.equal_in_g(
+                pair.quotient_spec, qt.project_word(pair, w), am.EMPTY):
+            entries.append(ResidualEntry(w, False, None))
             continue
         found = _first_agreeing_pair(spec, catalog, (w,),
                                      lambda X: _nontrivial)

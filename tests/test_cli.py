@@ -248,6 +248,7 @@ class TestSeparate:
     def test_budget_exhausted_exit_5(self, c2c3_file, tmp_path, capsys):
         assert main(["separate", c2c3_file, "K:1", "K:2", "-p", "2",
                      "-o", str(tmp_path / "w.cert")]) == 5
+        assert "p-residual proof" in capsys.readouterr().err
 
     def test_config_file(self, amalg1_file, tmp_path, capsys):
         cfg = tmp_path / "cfg"

@@ -262,7 +262,8 @@ class TestReports:
 
     def test_cfp_report_records_exhausted_budget(self, c2c3):
         """In C2 * C3 with p = 2, K:1 maps to the identity of every 2-group,
-        so it is not separated from the identity or from K:2."""
+        so it is not separated from the identity or from K:2: both entries
+        carry the p-residual proof's message."""
         budget = sep.SearchBudget(p=2, max_conjugator_length=1)
         report = sep.is_cfp_separable_bounded(c2c3, W(("K", 1)), budget)
         assert not report.all_separated
@@ -271,7 +272,8 @@ class TestReports:
         assert set(failed) == {(), (("K", 2),)}
         for entry in failed.values():
             assert entry.witness is None
-            assert entry.error.startswith("no agreeing homomorphism pair")
+            assert entry.error.startswith(
+                "no finite 2-group separates the inputs (p-residual proof)")
         assert [e.other.syllables for e in report.entries if e.separated] \
             == [(("H", 1),)]
 
