@@ -27,7 +27,7 @@ behind a check that the amalgam is central.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
@@ -365,6 +365,10 @@ class ConjugacyVerdict:
     ('length-mismatch', m, n), ('closure-exhausted', <sorted closure of a
     length-1 x>) or ('exhausted', <syllables of the cyclically reduced x>,
     <the elements a of A tried with each of its rotations>)."""
+    reduced: Optional[tuple[Word, Word]] = field(default=None, compare=False)
+    """For NOT-CONJUGATE: the cyclically reduced conjugates (cx, cy) of x
+    and y that the decision compared; None for CONJUGATE.  Not compared,
+    so it leaves verdict equality alone."""
 
 
 def _verified(spec: AmalgamSpec, x: Word, y: Word, z: Word) -> ConjugacyVerdict:
@@ -374,8 +378,8 @@ def _verified(spec: AmalgamSpec, x: Word, y: Word, z: Word) -> ConjugacyVerdict:
     return ConjugacyVerdict(True, z, ("conjugator", z.syllables))
 
 
-def _not(reason: tuple) -> ConjugacyVerdict:
-    return ConjugacyVerdict(False, None, reason)
+def _not(reason: tuple, cx: Word, cy: Word) -> ConjugacyVerdict:
+    return ConjugacyVerdict(False, None, reason, (cx, cy))
 
 
 def _length1_closure(spec: AmalgamSpec, tag: str, e: int) -> dict[tuple[str, int], Word]:
@@ -415,12 +419,14 @@ def is_conjugate_general(spec: AmalgamSpec, x: Word, y: Word) -> ConjugacyVerdic
     When A and B are central in the factors, A is central in G, so
     a^-1 * u * a = u and only a = 1 is tried.
     Length <= 1: membership in the transport-closure of the factor class.
+    A negative verdict carries the cyclically reduced conjugates (cx, cy)
+    of x and y that it compared (``ConjugacyVerdict.reduced``).
     """
     cx, zx = cyclically_reduce(spec, x)
     cy, zy = cyclically_reduce(spec, y)
     zy_inv = inverse(spec, zy)
     if len(cx) != len(cy):
-        return _not(("length-mismatch", len(cx), len(cy)))
+        return _not(("length-mismatch", len(cx), len(cy)), cx, cy)
     if len(cx) == 0:
         return _verified(spec, x, y, zx.concat(zy_inv))
     if len(cx) == 1:
@@ -428,7 +434,7 @@ def is_conjugate_general(spec: AmalgamSpec, x: Word, y: Word) -> ConjugacyVerdic
         ty, ey = cy.syllables[0]
         if (ty, ey) in closure:
             return _verified(spec, x, y, zx.concat(closure[(ty, ey)]).concat(zy_inv))
-        return _not(("closure-exhausted", tuple(sorted(closure))))
+        return _not(("closure-exhausted", tuple(sorted(closure))), cx, cy)
     a_tried = (0,) if spec.central else spec.A.elements
     nfy = normal_form(spec, cy)
     for i in _label_matches(spec, cx, cy):
@@ -439,7 +445,7 @@ def is_conjugate_general(spec: AmalgamSpec, x: Word, y: Word) -> ConjugacyVerdic
             if normal_form(spec, cand) == nfy:
                 return _verified(spec, x, y,
                                  zx.concat(prefix).concat(a_word).concat(zy_inv))
-    return _not(("exhausted", cx.syllables, a_tried))
+    return _not(("exhausted", cx.syllables, a_tried), cx, cy)
 
 
 def is_conjugate_central(spec: AmalgamSpec, x: Word, y: Word) -> ConjugacyVerdict:

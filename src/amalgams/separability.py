@@ -10,11 +10,20 @@ witness through a quotient amalgam or a collapse onto a direct product
 composes to an agreeing pair into a catalog group, so this one exhaustive
 stage decides the same verdicts.
 
-A pair's images of f and g depend only on the images of their letters, so
-the search tests each distinct combination of letter images once (see
+The walk runs not on f and g but on their cyclically reduced conjugates
+(cx, cy), which the conjugacy decider has already computed
+(``ConjugacyVerdict.reduced``).  The test compares conjugacy classes, and
+the images of conjugate elements are conjugate, so a pair passes on
+(cx, cy) exactly when it passes on (f, g): the first passing pair, the
+witness, is the same.  The shorter words with fewer letters only make the
+walk cheaper.  The independent re-check and the certificate use f and g.
+
+A pair's images of the words depend only on the images of their letters,
+so the search tests each distinct combination of letter images once (see
 ``_first_agreeing_pair``) and returns the pair the loop over all agreeing
 pairs would return.  The bounded residual-p check uses the same search
-with "the image is not the identity" as its test.
+with "the image is not the identity" as its test, on the element words
+themselves.
 
 Before the catalog walk, both searches consult the p-residual quotient
 G* = H/R* * K/S* (``quotients.p_residual``), through which every
@@ -22,6 +31,8 @@ homomorphism onto a finite p-group factors.  Inputs whose images are
 conjugate in G* raise NotSeparable, a proof that no finite p-group
 separates them, and an element trivial in G* dies in every finite
 p-quotient; neither needs the walk, whose answer there is always "none".
+The proof projects f and g themselves, so its conjugator carries the
+image of the first input to that of the second.
 """
 
 from __future__ import annotations
@@ -244,6 +255,12 @@ def search_witness(spec: AmalgamSpec, f: Word, g: Word,
     consistent with G not being residually a finite p-group, in which case
     separation may be impossible).  A witness that fails the independent
     re-check raises VerificationFailed.
+
+    The catalog walk runs on the cyclically reduced conjugates (cx, cy)
+    that the decider returns with its negative verdict: conjugate inputs
+    have conjugate images, so the walk returns the witness it would return
+    on f and g, and the shorter words make it cheaper.  The re-check runs
+    on f and g, and the G* proof projects f and g.
     """
     p = budget.p
     verdict = am.is_conjugate_general(spec, f, g)
@@ -257,7 +274,8 @@ def search_witness(spec: AmalgamSpec, f: Word, g: Word,
         if star.conjugate:
             raise NotSeparable(pair.R, pair.S, star.conjugator, p)
     found = _first_agreeing_pair(
-        spec, p_group_catalog(p, budget.max_target_order), (f, g), _separates)
+        spec, p_group_catalog(p, budget.max_target_order), verdict.reduced,
+        _separates)
     if found is None:
         raise BudgetExhausted(
             f"no agreeing homomorphism pair into a catalog {p}-group of "
@@ -329,10 +347,14 @@ def enumerate_elements(spec: AmalgamSpec, max_length: int) -> tuple[Word, ...]:
 
 @dataclass(frozen=True)
 class SeparationEntry:
+    """One search of the report.  ``proved`` is set when the search raised
+    NotSeparable, a proof that no finite p-group separates the pair; an
+    unseparated entry without it only exhausted its budget."""
     other: Word
     separated: bool
     witness: Optional[Witness]
     error: str = ""
+    proved: bool = False
 
 
 @dataclass(frozen=True)
@@ -349,7 +371,8 @@ def is_cfp_separable_bounded(spec: AmalgamSpec, g: Word,
                              budget: SearchBudget) -> SeparabilityReport:
     """Bounded, one-sided diagnostic for C_fp-separability of g: runs the
     witness search against every non-conjugate cyclically reduced element of
-    length <= budget.max_conjugator_length.  Never claims the negative."""
+    length <= budget.max_conjugator_length.  Claims the negative only
+    with a NotSeparable proof (``SeparationEntry.proved``)."""
     entries = []
     for a in enumerate_cyclically_reduced(spec, budget.max_conjugator_length):
         try:
@@ -358,7 +381,8 @@ def is_cfp_separable_bounded(spec: AmalgamSpec, g: Word,
         except ElementsConjugate:
             continue
         except BudgetExhausted as exc:
-            entries.append(SeparationEntry(a, False, None, str(exc)))
+            entries.append(SeparationEntry(a, False, None, str(exc),
+                                           isinstance(exc, NotSeparable)))
     return SeparabilityReport(g, tuple(entries))
 
 

@@ -47,11 +47,30 @@ def make_c9_amalgam():
                            {0: 0, 3: 3, 6: 6})
 
 
+def _over_centres(H, K):
+    zh, zk = fingroup.center(H).elements, fingroup.center(K).elements
+    return am.make_amalgam(H, K, zh, zk, dict(zip(zh, zk)))
+
+
 def make_d8_q8():
     """D8 * Q8 amalgamated over their centres (both of order 2); central."""
-    d8, q8 = fingroup.dihedral(4), fingroup.quaternion(8)
-    zd, zq = fingroup.center(d8).elements, fingroup.center(q8).elements
-    return am.make_amalgam(d8, q8, zd, zq, dict(zip(zd, zq)))
+    return _over_centres(fingroup.dihedral(4), fingroup.quaternion(8))
+
+
+def make_d16_q16():
+    """D16 * Q16 amalgamated over their centres (both of order 2); central."""
+    return _over_centres(fingroup.dihedral(8), fingroup.quaternion(16))
+
+
+def random_conjugate(spec, w, rng):
+    """The unreduced word z^-1 w z for a random z of one to three
+    alternating non-identity syllables."""
+    tag, syl = rng.choice((am.TAG_H, am.TAG_K)), []
+    for _ in range(rng.randint(1, 3)):
+        syl.append((tag, rng.randrange(1, spec.factor(tag).order)))
+        tag = am.TAG_K if tag == am.TAG_H else am.TAG_H
+    z = am.Word(tuple(syl))
+    return am.inverse(spec, z).concat(w).concat(z)
 
 
 def make_s3_s3():

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -18,6 +19,7 @@ from amalgams.errors import (
     VerificationFailed,
 )
 from conftest import (
+    make_amalg1,
     make_c9_amalgam,
     make_d8_d8,
     make_d8_q8,
@@ -246,6 +248,32 @@ class TestConjugacyGeneral:
                 assert am.equal_in_g(s3_amalgam,
                                      zi.concat(x).concat(v.conjugator), y)
         assert hits > 0
+
+
+    @pytest.mark.parametrize("make", [
+        make_amalg1, make_c9_amalgam, make_s3_s3, make_d8_q8,
+    ], ids=["c4_c2_c4", "c9_c3_c3xc3", "s3_c2_s3", "d8_z_q8"])
+    def test_negative_verdict_carries_cyclic_reductions(self, make):
+        """Each negative verdict carries cyclically reduced conjugates of
+        x and y, outside verdict equality; a positive one carries none."""
+        spec = make()
+        rng = random.Random(17)
+        alpha = oracles.syllable_alphabet(spec)
+        kinds = set()
+        for _ in range(150):
+            x, y = (Word(tuple(rng.choice(alpha)
+                               for _ in range(rng.randrange(7))))
+                    for _ in range(2))
+            v = am.is_conjugate_general(spec, x, y)
+            if v.conjugate:
+                assert v.reduced is None
+                continue
+            kinds.add(v.certificate[0])
+            for u, c in zip((x, y), v.reduced):
+                assert am.is_cyclically_reduced(spec, c)
+                assert am.is_conjugate_general(spec, u, c).conjugate
+            assert v == dataclasses.replace(v, reduced=None)
+        assert kinds == {"length-mismatch", "closure-exhausted", "exhausted"}
 
 
 class TestLengthConfluence:

@@ -6,6 +6,7 @@ in G* dies in every finite p-quotient.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -25,6 +26,7 @@ from conftest import (
     make_c9_amalgam,
     make_d8_q8,
     make_s3_amalgam,
+    random_conjugate,
 )
 
 
@@ -103,6 +105,34 @@ def test_not_separable_carries_a_checked_conjugator(s3_amalgam):
     assert am.equal_in_g(
         q, am.inverse(q, z).concat(qt.project_word(pair, f)).concat(z),
         qt.project_word(pair, g))
+
+
+@pytest.mark.parametrize("make", [make_s3_amalgam, make_c2c3],
+                         ids=["s3_c3_c6", "c2_c3"])
+def test_proof_conjugator_speaks_of_the_inputs(make):
+    """With conjugated inputs, the proof's conjugator carries the G* image
+    of the first input itself, not of its cyclic reduction, to that of the
+    second."""
+    spec = make()
+    pair = qt.p_residual(spec, 2)
+    q = pair.quotient_spec
+    budget = sep.SearchBudget(2, 16, 16)
+    rng = random.Random(23)
+    proofs = 0
+    for f, g in itertools.permutations(
+            sep.enumerate_cyclically_reduced(spec, 2), 2):
+        f, g = random_conjugate(spec, f, rng), random_conjugate(spec, g, rng)
+        try:
+            sep.search_witness(spec, f, g, budget)
+        except ElementsConjugate:
+            continue
+        except NotSeparable as exc:
+            z = exc.conjugator
+            assert am.equal_in_g(
+                q, am.inverse(q, z).concat(qt.project_word(pair, f)).concat(z),
+                qt.project_word(pair, g)), (f, g)
+            proofs += 1
+    assert proofs
 
 
 def test_non_p_group_quotient_raises(monkeypatch):

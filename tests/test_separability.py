@@ -1,6 +1,7 @@
 import itertools
 import os
 import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -15,9 +16,16 @@ from amalgams.errors import (
     BudgetExhausted,
     ElementsConjugate,
     NotPPower,
+    NotSeparable,
     VerificationFailed,
 )
-from conftest import make_c9_amalgam, make_d8_q8, make_s3_amalgam
+from conftest import (
+    make_c9_amalgam,
+    make_d8_q8,
+    make_d16_q16,
+    make_s3_amalgam,
+    random_conjugate,
+)
 
 
 def W(*syllables):
@@ -272,10 +280,23 @@ class TestReports:
         assert set(failed) == {(), (("K", 2),)}
         for entry in failed.values():
             assert entry.witness is None
+            assert entry.proved
             assert entry.error.startswith(
                 "no finite 2-group separates the inputs (p-residual proof)")
         assert [e.other.syllables for e in report.entries if e.separated] \
             == [(("H", 1),)]
+
+    def test_cfp_report_marks_an_exhausted_budget_unproved(self, amalg1):
+        """Only 2-groups of order 2 are tried, and every one kills H:2, so
+        the search for H:2 against the identity runs out of catalog without
+        a proof."""
+        budget = sep.SearchBudget(p=2, max_target_order=2,
+                                  max_quotient_index=2, max_conjugator_length=1)
+        report = sep.is_cfp_separable_bounded(amalg1, W(("H", 2)), budget)
+        entry = next(e for e in report.entries if not e.other.syllables)
+        assert not entry.separated and not entry.proved
+        assert entry.error.startswith("no agreeing homomorphism pair")
+        assert not any(e.proved for e in report.entries)
 
     def test_residual_p_amalg1(self, amalg1):
         report = sep.check_residually_p_bounded(amalg1, 2, BUDGET)
@@ -328,6 +349,60 @@ class TestClassIndex:
 
     def test_is_a_clearable_cache(self):
         assert callable(sep._class_index.cache_clear)
+
+
+class TestWalkOnCyclicReductions:
+    """The catalog walk runs on the decider's cyclic reductions of the
+    inputs.  Conjugating the inputs changes neither the outcome nor the
+    witness, which still passes the re-check on the inputs themselves."""
+
+    @staticmethod
+    def outcome(spec, f, g, budget):
+        try:
+            w = sep.search_witness(spec, f, g, budget)
+        except ElementsConjugate:
+            return "conjugate", None
+        except NotSeparable:
+            return "proved", None
+        except BudgetExhausted:
+            return "exhausted", None
+        assert sep.verify_witness(spec, w, f, g, budget.p)
+        return "found", (w.target, w.psi_H, w.psi_K)
+
+    @pytest.mark.parametrize("make,order", [
+        (make_d8_q8, 16), (make_d16_q16, 8),
+    ], ids=["d8_z_q8", "d16_z_q16"])
+    def test_conjugated_inputs_give_the_same_witness(self, make, order):
+        spec = make()
+        budget = sep.SearchBudget(2, order, order)
+        rng = random.Random(order)
+        kinds = set()
+        for f, g in itertools.permutations(
+                sep.enumerate_cyclically_reduced(spec, 1), 2):
+            bare = self.outcome(spec, f, g, budget)
+            moved = self.outcome(spec, random_conjugate(spec, f, rng),
+                                 random_conjugate(spec, g, rng), budget)
+            assert moved == bare, (f, g)
+            kinds.add(bare[0])
+        assert {"found", "conjugate"} <= kinds
+
+    def test_walk_reads_the_verdict_reductions(self, amalg1, monkeypatch):
+        walked = []
+        walk = sep._first_agreeing_pair
+
+        def spy(spec, catalog, words, make_test):
+            walked.append(tuple(words))
+            return walk(spec, catalog, words, make_test)
+
+        monkeypatch.setattr(sep, "_first_agreeing_pair", spy)
+        rng = random.Random(5)
+        f = random_conjugate(amalg1, W(("H", 1), ("K", 1)), rng)
+        g = random_conjugate(amalg1, W(("H", 1), ("K", 3)), rng)
+        w = sep.search_witness(amalg1, f, g, BUDGET)
+        assert walked == [am.is_conjugate_general(amalg1, f, g).reduced]
+        for u, c in zip((f, g), walked[0]):
+            assert am.is_cyclically_reduced(amalg1, c) and len(c) < len(u)
+        assert sep.verify_witness(amalg1, w, f, g, 2)
 
 
 class TestVerdictPinning:

@@ -148,6 +148,10 @@ def ref_length1_closure(spec, tag, e):
     return reached
 
 
+def ref_not(reason, cx, cy):
+    return am.ConjugacyVerdict(False, None, reason, (cx, cy))
+
+
 def ref_is_conjugate_general(spec, x, y):
     """Every rotation of x against every a in A; the certificate of a
     negative names the elements a that the library needs to try: a = 1
@@ -156,7 +160,7 @@ def ref_is_conjugate_general(spec, x, y):
     cy, zy = ref_cyclically_reduce(spec, y)
     zy_inv = am.inverse(spec, zy)
     if len(cx) != len(cy):
-        return am._not(("length-mismatch", len(cx), len(cy)))
+        return ref_not(("length-mismatch", len(cx), len(cy)), cx, cy)
     if len(cx) == 0:
         return ref_verified(spec, x, y, zx.concat(zy_inv))
     if len(cx) == 1:
@@ -165,7 +169,7 @@ def ref_is_conjugate_general(spec, x, y):
         if (ty, ey) in closure:
             return ref_verified(spec, x, y,
                                 zx.concat(closure[(ty, ey)]).concat(zy_inv))
-        return am._not(("closure-exhausted", tuple(sorted(closure))))
+        return ref_not(("closure-exhausted", tuple(sorted(closure))), cx, cy)
     nfy = ref_normal_form(spec, cy)
     for i, u in enumerate(ref_cyclic_permutations(spec, cx)):
         prefix = Word(cx.syllables[:i])
@@ -176,7 +180,7 @@ def ref_is_conjugate_general(spec, x, y):
                 return ref_verified(spec, x, y,
                                     zx.concat(prefix).concat(a_word).concat(zy_inv))
     a_tried = (0,) if spec.central else spec.A.elements
-    return am._not(("exhausted", cx.syllables, a_tried))
+    return ref_not(("exhausted", cx.syllables, a_tried), cx, cy)
 
 
 def biased_words(spec, seed, count, max_len):
@@ -223,7 +227,9 @@ def test_deciders_match_reference(make):
     for x, y, z in zip(words, words[1:], words[2:]):
         for v in (y, am.inverse(spec, z).concat(x).concat(z)):
             expected = ref_is_conjugate_general(spec, x, v)
-            assert am.is_conjugate_general(spec, x, v) == expected
+            got = am.is_conjugate_general(spec, x, v)
+            assert got == expected
+            assert got.reduced == expected.reduced  # not compared by ==
             if spec.central:
                 assert am.is_conjugate_central(spec, x, v) == expected
 
