@@ -43,7 +43,6 @@ from .quotients import (
     p_residual,
     project_word,
     quotient_amalgam,
-    refine_to_compatible,
 )
 from .graphgroups import (
     Graph,

@@ -85,8 +85,10 @@ class AmalgamSpec:
     A and B are central (``central``), phi and its inverse as dicts
     (``phi_map`` and ``phi_inv_map`` expose them read-only), and per factor
     the membership set of the amalgamated subgroup and the coset table
-    behind ``_coset_decompose``.  They are not fields, so equality and
-    hashing see only the defining data.
+    behind ``_coset_decompose``.  ``p_residuals`` holds, per prime p, the
+    p-residual pair that ``quotients.p_residual`` builds on first request.
+    They are not fields, so equality and hashing see only the defining
+    data.
     """
     H: FiniteGroup
     K: FiniteGroup
@@ -105,6 +107,12 @@ class AmalgamSpec:
         """Whether A and B are central in H and K."""
         return (self.A.element_set() <= fingroup.center(self.H).element_set()
                 and self.B.element_set() <= fingroup.center(self.K).element_set())
+
+    @cached_property
+    def p_residuals(self) -> dict:
+        """Per prime p, the result of ``quotients.p_residual``, filled in
+        on first request."""
+        return {}
 
     @cached_property
     def _across(self) -> dict[str, dict[int, int]]:

@@ -54,7 +54,9 @@ class NotCompatible(AmalgamsError):
 
 
 class NoRefinementFound(AmalgamsError):
-    """No compatible refinement exists for the given normal subgroups."""
+    """No compatible refinement exists for the given normal subgroups.
+    The library no longer raises it; ``perfbench/spans.py`` still names
+    it."""
 
 
 class NotConnected(AmalgamsError):
@@ -80,21 +82,21 @@ class ElementsConjugate(AmalgamsError):
 class BudgetExhausted(AmalgamsError):
     """No witness found within the search budget.
 
-    Raised as it is, the outcome is inconclusive: for amalgams of finite
-    p-groups it is consistent with the group simply not being residually a
-    finite p-group, in which case no witness exists at any budget.  The
-    subclass NotSeparable is the proved case: no witness exists at all.
+    Raised as it is, the outcome is inconclusive: the budget ran out, and
+    a larger one may or may not find a witness.  The subclass NotSeparable
+    is the proved case: no witness exists at all.
     """
 
 
 class NotSeparable(BudgetExhausted):
     """Proof that no finite p-group separates the inputs.
 
-    Every homomorphism of G onto a finite p-group kills the compatible
-    closure (R*, S*) of O^p(H) and O^p(K), so it factors through
-    G* = H/R* * K/S*; the inputs' images are conjugate there.  Carries R*,
-    S* and ``conjugator``, a word of G* conjugating the image of the first
-    input to that of the second.  A subclass of BudgetExhausted, so callers
+    Every homomorphism of G into a finite p-group kills (R*, S*), the end
+    of the compatible lower exponent-p central series
+    (``quotients.p_residual``), so it factors through G* = H/R* * K/S*;
+    the inputs' images are conjugate there.  Carries R*, S* and
+    ``conjugator``, a word of G* conjugating the image of the first input
+    to that of the second.  A subclass of BudgetExhausted, so callers
     that treat an exhausted search as "no witness" treat the proof alike.
     """
 

@@ -423,54 +423,6 @@ def is_p_power_index(G: FiniteGroup, H: Subgroup, p: int) -> bool:
     return p_exponent(index(G, H), p) is not None
 
 
-def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    s = H.element_set()
-    elts = [z for z in G.elements() if all(G.conj(h, z) in s for h in H.elements)]
-    return Subgroup(G, tuple(elts))
-
-
-def is_subnormal_p_index(G: FiniteGroup, H: Subgroup, p: int) -> bool:
-    """Chain H = H0 <| H1 <| ... <| G with p-power indices, by normalizer ascent."""
-    check_prime(p)
-    current = H
-    while True:
-        if len(current) == G.order:
-            return is_p_power_index(G, H, p)
-        nxt = normalizer(G, current)
-        if len(nxt) == len(current):
-            return False
-        current = nxt
-
-
-def is_p_isolated(G: FiniteGroup, H: Subgroup, p: int) -> bool:
-    """Closed under p-th roots: y^p in H implies y in H."""
-    check_prime(p)
-    s = H.element_set()
-    for y in G.elements():
-        yp = 0
-        for _ in range(p):
-            yp = G.mul(yp, y)
-        if yp in s and y not in s:
-            return False
-    return True
-
-
-def is_p_prime_isolated(G: FiniteGroup, H: Subgroup, p: int) -> bool:
-    """q-isolated for every prime q != p dividing the order of G."""
-    check_prime(p)
-    n = G.order
-    primes = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            primes.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        primes.add(n)
-    return all(is_p_isolated(G, H, q) for q in sorted(primes) if q != p)
-
-
 # Standard constructions used throughout the test corpus and the witness
 # catalog.
 

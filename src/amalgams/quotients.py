@@ -4,25 +4,21 @@ A pair of normal subgroups R <| H, S <| K is compatible when
 (A cap R) phi = B cap S; it then induces the amalgam
 G_{R,S} = (H/R * K/S; AR/R = BS/S) and a projection of words.
 
-``p_residual`` builds the compatible pair that every homomorphism onto a
-finite p-group kills: the quotient through which all of them factor.
+``p_residual`` builds the compatible pair that every homomorphism into a
+finite p-group kills, for any finite factors: the end of the compatible
+lower exponent-p central series, and the quotient through which all of
+those homomorphisms factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from . import amalgam as am
 from . import fingroup
 from .amalgam import AmalgamSpec, Word
-from .errors import (
-    NoRefinementFound,
-    NotCompatible,
-    NotNormal,
-    VerificationFailed,
-)
+from .errors import NotCompatible, NotNormal, VerificationFailed
 from .fingroup import FiniteGroup, GroupHom, Subgroup
 
 
@@ -104,45 +100,6 @@ def enumerate_compatible_pairs(spec: AmalgamSpec, p: int,
     return tuple(pairs)
 
 
-def refine_to_compatible(spec: AmalgamSpec, M: Subgroup, N: Subgroup,
-                         p: int) -> CompatiblePair:
-    """Compatible (R, S) with R <= M, S <= N, R cap A = U, S cap B = V where
-    U = (M cap A) cap (N cap B) phi^-1 and V = (M cap A) phi cap (N cap B).
-
-    Among candidates with the prescribed intersection we pick the largest
-    (smallest index).  Raises NoRefinementFound when no normal subgroup of
-    p-power index realizes the intersection, which is possible for general
-    finite factors.
-    """
-    fingroup.check_prime(p)
-    if not fingroup.is_normal(spec.H, M):
-        raise NotNormal("M is not normal in H")
-    if not fingroup.is_normal(spec.K, N):
-        raise NotNormal("N is not normal in K")
-    phi, phi_inv = spec.phi_map, spec.phi_inv_map
-    ma = M.element_set() & spec.A.element_set()
-    nb = N.element_set() & spec.B.element_set()
-    U = ma & {phi_inv[b] for b in nb}
-    V = {phi[a] for a in ma} & nb
-
-    def best(G: FiniteGroup, bound: Subgroup, amalg_sub: Subgroup,
-             inter: frozenset[int]) -> Subgroup:
-        cands = [
-            X for X in _p_power_index_normals(G, p, G.order)
-            if X.element_set() <= bound.element_set()
-            and X.element_set() & amalg_sub.element_set() == inter
-        ]
-        if not cands:
-            raise NoRefinementFound(
-                f"no p-power-index normal subgroup inside {bound.elements} "
-                f"with amalgam intersection {sorted(inter)}")
-        return max(cands, key=lambda X: (len(X), tuple(-e for e in X.elements)))
-
-    R = best(spec.H, M, spec.A, frozenset(U))
-    S = best(spec.K, N, spec.B, frozenset(V))
-    return quotient_amalgam(spec, R, S)
-
-
 def project_word(pair: CompatiblePair, w: Word) -> Word:
     """Syllable-wise projection followed by reduction in the quotient spec."""
     syl = []
@@ -153,45 +110,36 @@ def project_word(pair: CompatiblePair, w: Word) -> Word:
     return am.reduce(pair.quotient_spec, Word(tuple(syl)))
 
 
-def _p_prime_generated(G: FiniteGroup, p: int) -> Subgroup:
-    """O^p(G): the subgroup generated by the elements of order prime to p."""
-    return fingroup.normal_closure(
-        G, [e for e in G.elements() if G.element_order(e) % p])
-
-
 def p_residual(spec: AmalgamSpec, p: int) -> Optional[CompatiblePair]:
     """The p-residual quotient G* = H/R* * K/S* of G, or None when R* and
-    S* are trivial (always so when H and K are p-groups).
+    S* are trivial.
 
-    A homomorphism of G onto a finite p-group kills O^p(H) and O^p(K), the
-    subgroups generated by the elements of order prime to p, and, as its
-    restrictions agree on A, whatever phi carries across from them.  R*
-    and S* grow from O^p(H) and O^p(K) by phi^-1(S cap B) and phi(A cap R),
-    each step a normal closure, until neither grows; the pair is then
-    compatible and every such homomorphism factors through G*.  Built once
-    per (spec, p).  Raises VerificationFailed unless H/R* and K/S* are
-    p-groups."""
-    # The order test costs a third of a cache lookup, which hashes the
-    # spec's tables: p-group factors, the common case, skip the lookup.
-    if fingroup.is_p_group(spec.H, p) and fingroup.is_p_group(spec.K, p):
-        return None
-    return _p_residual(spec, p)
+    (R*, S*) is the end of the compatible lower exponent-p central series:
+    from (H, K), each step takes ([H, R] R^p, [K, S] S^p) and grows it by
+    phi^-1(S cap B) and phi(A cap R), each a normal closure, to the least
+    compatible pair containing it, until neither shrinks.  A homomorphism
+    of G into a finite p-group P kills R* and S*: the preimages in H and K
+    of the terms of P's lower exponent-p central series are compatible
+    pairs, as the two restrictions agree on A, and by induction each
+    contains the matching iterate; the last term is trivial.  So every
+    such homomorphism factors through G* (the necessary direction of
+    G. Higman, "Amalgams of p-groups", J. Algebra 1 (1964)).  Built once
+    per (spec, p) and held on the spec (``AmalgamSpec.p_residuals``).
+    Raises VerificationFailed unless H/R* and K/S* are p-groups."""
+    if p not in spec.p_residuals:
+        spec.p_residuals[p] = _p_residual(spec, p)
+    return spec.p_residuals[p]
 
 
-@lru_cache(maxsize=None)
 def _p_residual(spec: AmalgamSpec, p: int) -> Optional[CompatiblePair]:
-    phi, phi_inv = spec.phi_map, spec.phi_inv_map
-    R, S = _p_prime_generated(spec.H, p), _p_prime_generated(spec.K, p)
+    fingroup.check_prime(p)
+    R, S = fingroup.full_subgroup(spec.H), fingroup.full_subgroup(spec.K)
     while True:
-        grown_R = fingroup.normal_closure(
-            spec.H, R.elements + tuple(phi_inv[b] for b in S.elements
-                                       if b in phi_inv))
-        grown_S = fingroup.normal_closure(
-            spec.K, S.elements + tuple(phi[a] for a in grown_R.elements
-                                       if a in phi))
-        if len(grown_R) == len(R) and len(grown_S) == len(S):
+        lower_R, lower_S = _close(spec, _lower_step(spec.H, R, p),
+                                  _lower_step(spec.K, S, p))
+        if len(lower_R) == len(R) and len(lower_S) == len(S):
             break
-        R, S = grown_R, grown_S
+        R, S = lower_R, lower_S
     if len(R) == 1 and len(S) == 1:
         return None
     pair = quotient_amalgam(spec, R, S)
@@ -202,3 +150,36 @@ def _p_residual(spec: AmalgamSpec, p: int) -> Optional[CompatiblePair]:
             f"{pair.quotient_spec.H.order} and {pair.quotient_spec.K.order}, "
             f"not powers of {p}")
     return pair
+
+
+def _lower_step(G: FiniteGroup, N: Subgroup, p: int) -> Subgroup:
+    """[G, N] N^p for N normal in G.  Conjugation by G permutes the
+    commutators [g, n] and the powers n^p, so they generate a normal
+    subgroup."""
+    gens = set()
+    for n in N.elements:
+        for g in G.elements():
+            gens.add(G.mul(G.inv(g), G.conj(g, n)))  # g^-1 n^-1 g n
+        power = 0
+        for _ in range(p):
+            power = G.mul(power, n)
+        gens.add(power)
+    return fingroup.subgroup_closure(G, gens)
+
+
+def _close(spec: AmalgamSpec, R: Subgroup,
+           S: Subgroup) -> tuple[Subgroup, Subgroup]:
+    """The least compatible pair of normal subgroups containing (R, S):
+    R grows by phi^-1(S cap B) and S by phi(A cap R), each under normal
+    closure, until neither grows."""
+    phi, phi_inv = spec.phi_map, spec.phi_inv_map
+    while True:
+        grown_R = fingroup.normal_closure(
+            spec.H, R.elements + tuple(phi_inv[b] for b in S.elements
+                                       if b in phi_inv))
+        grown_S = fingroup.normal_closure(
+            spec.K, S.elements + tuple(phi[a] for a in grown_R.elements
+                                       if a in phi))
+        if len(grown_R) == len(R) and len(grown_S) == len(S):
+            return R, S
+        R, S = grown_R, grown_S

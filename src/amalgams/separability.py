@@ -251,9 +251,7 @@ def search_witness(spec: AmalgamSpec, f: Word, g: Word,
     every homomorphism onto a finite p-group factors through G*, so none
     separates them.  Otherwise raises BudgetExhausted when no agreeing pair
     into a catalog group of order <= budget.max_target_order separates
-    them (for amalgams of finite p-groups, where G* = G, that outcome is
-    consistent with G not being residually a finite p-group, in which case
-    separation may be impossible).  A witness that fails the independent
+    them: an inconclusive outcome.  A witness that fails the independent
     re-check raises VerificationFailed.
 
     The catalog walk runs on the cyclically reduced conjugates (cx, cy)
@@ -280,9 +278,7 @@ def search_witness(spec: AmalgamSpec, f: Word, g: Word,
         raise BudgetExhausted(
             f"no agreeing homomorphism pair into a catalog {p}-group of "
             f"order at most {budget.max_target_order} separates the inputs; "
-            f"for amalgams of finite p-groups this is consistent with the "
-            f"group not being residually a finite {p}-group (separability "
-            f"holds iff residual-{p} holds)")
+            f"the search budget ran out")
     witness = Witness(*found, "direct")
     if not verify_witness(spec, witness, f, g, p):
         raise VerificationFailed("witness failed the independent re-check")

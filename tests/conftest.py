@@ -87,6 +87,16 @@ def make_d8_d8():
     return am.make_amalgam(d8, d8, [0, 4], [0, 5], {0: 0, 4: 5})
 
 
+def make_d8_v_d8_twisted():
+    """D8 *_V D8 over the Klein four-group V = {1, r^2, s, r^2 s} (indices
+    0, 2, 4, 6) in both factors, with phi swapping the centre r^2 and the
+    reflection s.  Both factors are 2-groups, yet every homomorphism into
+    a finite 2-group kills V: G is not residually 2."""
+    d8 = fingroup.dihedral(4)
+    return am.make_amalgam(d8, d8, [0, 2, 4, 6], [0, 2, 4, 6],
+                           {0: 0, 2: 4, 4: 2, 6: 6})
+
+
 @pytest.fixture(scope="session")
 def amalg1():
     return make_amalg1()

@@ -121,8 +121,8 @@ def test_criterion_3_general_vs_central_consistency():
 
 def test_criterion_4_compatibility_machinery():
     """Pair enumeration equals the brute-force filter (and contains the
-    diagonal pairs), refinement satisfies its contract on the full grid,
-    and projection is a homomorphism on 500 random word pairs."""
+    diagonal pairs), and projection is a homomorphism on 500 random word
+    pairs."""
     spec = make_amalg1()
     pairs = qt.enumerate_compatible_pairs(spec, 2, 4)
     got = sorted((p.R.elements, p.S.elements) for p in pairs)
@@ -141,21 +141,6 @@ def test_criterion_4_compatibility_machinery():
         ((0,), (0,)), ((0, 2), (0, 2)), ((0, 1, 2, 3), (0, 1, 2, 3))
     } <= set(got)
 
-    refine_ok = True
-    phi, phi_inv = spec.phi_map, spec.phi_inv_map
-    for M in fg.enumerate_normal_subgroups(spec.H):
-        for N in fg.enumerate_normal_subgroups(spec.K):
-            ma = M.element_set() & spec.A.element_set()
-            nb = N.element_set() & spec.B.element_set()
-            U = ma & {phi_inv[b] for b in nb}
-            V = {phi[a] for a in ma} & nb
-            pair = qt.refine_to_compatible(spec, M, N, 2)
-            refine_ok &= pair.R.element_set() <= M.element_set()
-            refine_ok &= pair.S.element_set() <= N.element_set()
-            refine_ok &= pair.R.element_set() & spec.A.element_set() == U
-            refine_ok &= pair.S.element_set() & spec.B.element_set() == V
-            refine_ok &= qt.is_compatible(spec, pair.R, pair.S)
-
     rng = random.Random(104)
     alpha = oracles.syllable_alphabet(spec)
     hom_failures = 0
@@ -168,9 +153,9 @@ def test_criterion_4_compatibility_machinery():
         if not am.equal_in_g(pair.quotient_spec, lhs, rhs):
             hom_failures += 1
     _report("criterion 4: compatibility machinery",
-            enumeration_ok and refine_ok and hom_failures == 0,
-            f"{len(got)} pairs match brute force, refinement grid ok="
-            f"{refine_ok}, {hom_failures}/500 homomorphism failures")
+            enumeration_ok and hom_failures == 0,
+            f"{len(got)} pairs match brute force, "
+            f"{hom_failures}/500 homomorphism failures")
 
 
 def test_criterion_5_graph_of_groups_round_trip():

@@ -336,25 +336,3 @@ class TestPredicates:
         assert fg.is_p_power_index(c4, H, 2)
         assert fg.is_p_power_index(c4, fg.full_subgroup(c4), 2)  # p^0
         assert not fg.is_p_power_index(fg.cyclic(6), fg.make_subgroup(fg.cyclic(6), [0, 3]), 2)
-
-    def test_subnormal_p_index(self):
-        c4 = fg.cyclic(4)
-        assert fg.is_subnormal_p_index(c4, fg.make_subgroup(c4, [0, 2]), 2)
-        s3 = fg.symmetric3()
-        H2 = next(S for S in fg.enumerate_subgroups(s3) if len(S) == 2)
-        assert not fg.is_subnormal_p_index(s3, H2, 2)
-        assert fg.is_subnormal_p_index(s3, fg.full_subgroup(s3), 2)
-
-    def test_p_isolated(self):
-        c4 = fg.cyclic(4)
-        H = fg.make_subgroup(c4, [0, 2])
-        assert not fg.is_p_isolated(c4, H, 2)  # 1+1 = 2 in H, 1 not in H
-        assert fg.is_p_isolated(c4, H, 3)
-        assert fg.is_p_isolated(c4, fg.full_subgroup(c4), 2)
-
-    def test_p_prime_isolated(self):
-        c6 = fg.cyclic(6)
-        H = fg.make_subgroup(c6, [0, 3])
-        # 3-isolation fails: 1+1+1 = 3 in H but 1 outside
-        assert not fg.is_p_prime_isolated(c6, H, 2)
-        assert fg.is_p_prime_isolated(c6, H, 3)

@@ -7,7 +7,7 @@ from amalgams import amalgam as am
 from amalgams import fingroup as fg
 from amalgams import quotients as qt
 from amalgams.amalgam import Word, word
-from amalgams.errors import NoRefinementFound, NotCompatible, NotNormal
+from amalgams.errors import NotCompatible, NotNormal
 
 
 def W(*syllables):
@@ -120,34 +120,6 @@ class TestEnumerate:
         pairs = qt.enumerate_compatible_pairs(s3_amalgam, 2, 8)
         got = sorted((p.R.elements, p.S.elements) for p in pairs)
         assert got == brute_force_pairs(s3_amalgam, 2, 8)
-
-
-class TestRefine:
-    def test_example_trivial_targets(self, amalg1):
-        M = fg.make_subgroup(amalg1.H, [0])
-        N = fg.make_subgroup(amalg1.K, [0, 1, 2, 3])
-        pair = qt.refine_to_compatible(amalg1, M, N, 2)
-        assert pair.R.elements == (0,) and pair.S.elements == (0,)
-
-    def test_intersection_equation(self, amalg1):
-        phi, phi_inv = amalg1.phi_map, amalg1.phi_inv_map
-        normals_h = fg.enumerate_normal_subgroups(amalg1.H)
-        normals_k = fg.enumerate_normal_subgroups(amalg1.K)
-        for M in normals_h:
-            for N in normals_k:
-                ma = M.element_set() & amalg1.A.element_set()
-                nb = N.element_set() & amalg1.B.element_set()
-                U = ma & {phi_inv[b] for b in nb}
-                V = {phi[a] for a in ma} & nb
-                try:
-                    pair = qt.refine_to_compatible(amalg1, M, N, 2)
-                except NoRefinementFound:
-                    continue
-                assert pair.R.element_set() <= M.element_set()
-                assert pair.S.element_set() <= N.element_set()
-                assert pair.R.element_set() & amalg1.A.element_set() == U
-                assert pair.S.element_set() & amalg1.B.element_set() == V
-                assert qt.is_compatible(amalg1, pair.R, pair.S)
 
 
 class TestProjectWord:
