@@ -39,7 +39,6 @@ from .fingroup import (
 from .quotients import (
     CompatiblePair,
     enumerate_compatible_pairs,
-    is_compatible,
     p_residual,
     project_word,
     quotient_amalgam,
@@ -50,9 +49,7 @@ from .graphgroups import (
     Presentation,
     amalgam_as_group_graph,
     amalgam_presentation,
-    collapse_to_direct_product,
     fundamental_presentation,
-    kill_subgroups,
     maximal_tree,
 )
 from .separability import (

@@ -68,7 +68,8 @@ class InvalidTree(AmalgamsError):
 
 
 class WrongShape(AmalgamsError):
-    """Presentation does not have the expected collapsible shape."""
+    """The library no longer raises it: the presentation collapse that did
+    is gone.  ``perfbench/spans.py`` still names it."""
 
 
 class ElementsConjugate(AmalgamsError):

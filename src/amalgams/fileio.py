@@ -197,20 +197,27 @@ def parse_group_graph(text: str, base_dir: str | Path = ".") -> gg.GroupGraph:
     vertex_group: dict[str, FiniteGroup] = {}
     edges: dict[str, tuple[str, str, FiniteGroup, list[int], list[int]]] = {}
     for header, lines in sections.items():
-        kind, *rest = header.split()
-        if kind == "vertex":
-            (name,) = rest
+        words = header.split()
+        if words[:1] == ["vertex"] and len(words) == 2:
+            name = words[1]
+            if name in vertex_group:
+                raise ParseError(f"[{header}]: vertex {name} declared twice")
             values = _keyed(lines, f"[{header}]", ("group",))
             vertex_group[name] = load_group(base / values["group"].split()[0])
-        elif kind == "edge":
-            name, orig, term = rest
+        elif words[:1] == ["edge"] and len(words) == 4:
+            name, orig, term = words[1:]
+            if name in edges:
+                raise ParseError(f"[{header}]: edge {name} declared twice")
             values = _keyed(lines, f"[{header}]", ("group", "rho", "tau"))
             egrp = load_group(base / values["group"].split()[0])
             rho = _ints(values["rho"].split(), "rho")
             tau = _ints(values["tau"].split(), "tau")
             edges[name] = (orig, term, egrp, rho, tau)
         else:
-            raise ParseError(f"unknown section kind {kind!r}")
+            raise ParseError(f"bad section header [{header}], expected "
+                             f"[vertex NAME] or [edge NAME ORIG TERM]")
+    if not vertex_group:
+        raise ParseError("no [vertex] section")
     edge_names = []
     inv, orig, term = {}, {}, {}
     edge_group, rho_map, tau_map = {}, {}, {}
@@ -219,6 +226,9 @@ def parse_group_graph(text: str, base_dir: str | Path = ".") -> gg.GroupGraph:
             if v not in vertex_group:
                 raise ParseError(f"edge {name}: unknown vertex {v!r}")
         bar = name + "bar"
+        if bar in edges:
+            raise ParseError(f"edge {bar} collides with the inverse edge "
+                             f"generated for {name}")
         edge_names += [name, bar]
         inv[name], inv[bar] = bar, name
         orig[name], term[name] = o, t

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional
+from typing import Mapping
 
-from . import fingroup
 from .amalgam import AmalgamSpec
-from .errors import InvalidTree, NotConnected, NotSubgroup, WrongShape
-from .fingroup import FiniteGroup, GroupHom, Subgroup
+from .errors import InvalidTree, NotConnected, NotSubgroup
+from .fingroup import FiniteGroup, GroupHom
 
 
 @dataclass(frozen=True)
@@ -47,9 +46,12 @@ class Graph:
 
 def make_graph(vertices, edges, inv: Mapping[str, str],
                orig: Mapping[str, str], term: Mapping[str, str]) -> Graph:
-    """Validate the involution axioms and connectivity."""
+    """Validate the involution axioms and connectivity (NotConnected also
+    for a graph with no vertex)."""
     vs = tuple(sorted(vertices))
     es = tuple(sorted(edges))
+    if not vs:
+        raise NotConnected("graph has no vertex")
     for e in es:
         if inv[e] == e:
             raise InvalidTree(f"edge {e} is its own inverse")
@@ -67,8 +69,6 @@ def _walk(vertices: tuple[str, ...], edges: tuple[str, ...],
     """Breadth-first walk from the first vertex, trying edges in the given
     order: the edges that reach a new vertex.  Raises NotConnected when a
     vertex is left unreached."""
-    if not vertices:
-        return []
     reached = [vertices[0]]
     seen = set(reached)
     used = []
@@ -186,37 +186,15 @@ def symbol(vertex: str, element: int) -> str:
     return f"{vertex}_g{element}"
 
 
-def free_reduce(rel: Relator) -> Relator:
-    out: list[tuple[str, int]] = []
-    for sym, exp in rel:
-        if out and out[-1][0] == sym and out[-1][1] == -exp:
-            out.pop()
-        else:
-            out.append((sym, exp))
-    return tuple(out)
-
-
-def fundamental_presentation(gg: GroupGraph,
-                             tree: Optional[frozenset[str]] = None) -> Presentation:
-    """Presentation of the fundamental group w.r.t. a maximal tree.
+def fundamental_presentation(gg: GroupGraph) -> Presentation:
+    """Presentation of the fundamental group w.r.t. ``maximal_tree``.
 
     Tree edges give identification relations rho(g) = tau(g); each geometric
     non-tree edge gives one stable letter t with t^-1 rho(g) t = tau(g)
     (the relation for the inverse edge is folded into t^-1).
     """
     g = gg.graph
-    if tree is None:
-        tree = maximal_tree(g)
-    else:
-        if any(g.inv_of(e) not in tree for e in tree):
-            raise InvalidTree("tree not closed under inversion")
-        if len(tree) != 2 * (len(g.vertices) - 1):
-            raise InvalidTree("wrong spanning tree size")
-        # Raises unless the tree edges connect every vertex.
-        make_graph(g.vertices, tuple(sorted(tree)),
-                   {e: g.inv_of(e) for e in tree},
-                   {e: g.orig_of(e) for e in tree},
-                   {e: g.term_of(e) for e in tree})
+    tree = maximal_tree(g)
 
     geometric = []
     used = set()
@@ -244,79 +222,6 @@ def fundamental_presentation(gg: GroupGraph,
                                       (symbol(v, tau(x)), -1)))
     return Presentation(gg.vertex_group, tuple(edge_relators),
                         tuple(stable_letters))
-
-
-def kill_subgroups(pres: Presentation,
-                   targets: Mapping[str, Subgroup]) -> Presentation:
-    """Quotient presentation by the normal closure of all target elements.
-
-    Vertex groups are replaced by their quotients; edge relators are
-    rewritten through the projections and dropped when they become trivial.
-    """
-    vertex_groups = dict(pres.vertex_groups)
-    projections: dict[str, GroupHom] = {}
-    new_groups: dict[str, FiniteGroup] = {}
-    for v, G in vertex_groups.items():
-        sub = targets.get(v)
-        if sub is None:
-            sub = fingroup.trivial_subgroup(G)
-        if sub.parent != G:
-            raise NotSubgroup(f"target at {v} is not a subgroup of its vertex group")
-        closure = fingroup.normal_closure(G, sub.elements)
-        Q, proj = fingroup.quotient(G, closure)
-        new_groups[v] = Q
-        projections[v] = proj
-
-    sym_to = {}
-    for v, G in vertex_groups.items():
-        for e in range(1, G.order):
-            sym_to[symbol(v, e)] = (v, e)
-
-    new_relators = []
-    for rel in pres.edge_relators:
-        out = []
-        for sym, exp in rel:
-            if sym in sym_to:
-                v, e = sym_to[sym]
-                img = projections[v](e)
-                if img != 0:
-                    out.append((symbol(v, img), exp))
-            else:
-                out.append((sym, exp))
-        reduced = free_reduce(tuple(out))
-        if reduced:
-            new_relators.append(reduced)
-    return Presentation(tuple(sorted(new_groups.items())),
-                        tuple(new_relators), pres.stable_letters)
-
-
-def is_cyclic(G: FiniteGroup) -> bool:
-    return any(G.element_order(a) == G.order for a in G.elements())
-
-
-def collapse_to_direct_product(pres: Presentation) -> tuple[FiniteGroup, dict[str, int]]:
-    """Collapse a free product of two cyclic vertex groups (plus free stable
-    letters) onto the direct product of the two cyclic groups.
-
-    Each vertex generator maps to its coordinate; stable letters map to the
-    identity.  Raises WrongShape unless the presentation has that form.
-    """
-    if len(pres.vertex_groups) != 2:
-        raise WrongShape("expected exactly two vertex groups")
-    if pres.edge_relators:
-        raise WrongShape("leftover edge relators; not a free product")
-    (u, Gu), (v, Gv) = pres.vertex_groups
-    if not is_cyclic(Gu) or not is_cyclic(Gv):
-        raise WrongShape("vertex quotients are not cyclic")
-    P = fingroup.direct_product(Gu, Gv)
-    images: dict[str, int] = {}
-    for e in range(1, Gu.order):
-        images[symbol(u, e)] = e * Gv.order
-    for e in range(1, Gv.order):
-        images[symbol(v, e)] = e
-    for t in pres.stable_letters:
-        images[t] = 0
-    return P, images
 
 
 def amalgam_as_group_graph(spec: AmalgamSpec) -> GroupGraph:

@@ -18,7 +18,7 @@ from typing import Optional
 from . import amalgam as am
 from . import fingroup
 from .amalgam import AmalgamSpec, Word
-from .errors import NotCompatible, NotNormal, VerificationFailed
+from .errors import NotCompatible, VerificationFailed
 from .fingroup import FiniteGroup, GroupHom, Subgroup
 
 
@@ -36,16 +36,6 @@ def _intersections_agree(spec: AmalgamSpec, R: Subgroup, S: Subgroup) -> bool:
     phi = spec.phi_map
     lhs = {phi[a] for a in spec.A.element_set() & R.element_set()}
     return lhs == spec.B.element_set() & S.element_set()
-
-
-def is_compatible(spec: AmalgamSpec, R: Subgroup, S: Subgroup) -> bool:
-    """(A cap R) phi = B cap S for R normal in H and S normal in K
-    (NotNormal otherwise)."""
-    if not fingroup.is_normal(spec.H, R):
-        raise NotNormal("R is not normal in H")
-    if not fingroup.is_normal(spec.K, S):
-        raise NotNormal("S is not normal in K")
-    return _intersections_agree(spec, R, S)
 
 
 def quotient_amalgam(spec: AmalgamSpec, R: Subgroup, S: Subgroup) -> CompatiblePair:

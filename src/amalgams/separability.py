@@ -6,9 +6,8 @@ extends to the whole amalgam) and send f and g to non-conjugate images.
 The search runs over the agreeing homomorphism pairs into each group of
 the p-group catalog, smallest first, and returns the first pair (psi_H
 outer, in enumeration order) that separates the conjugacy classes.  Any
-witness through a quotient amalgam or a collapse onto a direct product
-composes to an agreeing pair into a catalog group, so this one exhaustive
-stage decides the same verdicts.
+witness through a quotient amalgam composes to an agreeing pair into a
+catalog group, so this one exhaustive stage decides the same verdicts.
 
 The walk runs not on f and g but on their cyclically reduced conjugates
 (cx, cy), which the conjugacy decider has already computed
@@ -153,27 +152,15 @@ def p_group_catalog(p: int, max_order: int) -> tuple[FiniteGroup, ...]:
     return tuple(catalog)
 
 
-def agreeing_pairs(spec: AmalgamSpec,
-                   X: FiniteGroup) -> Iterator[tuple[GroupHom, GroupHom]]:
-    """All (psi_H, psi_K) into X with psi_K(a phi) = psi_H(a) on A, in
-    canonical enumeration order (psi_H outer).  Hom(K, X) is enumerated
-    once and bucketed by its images on B, listed in phi order."""
-    by_b: dict[tuple[int, ...], list[GroupHom]] = {}
-    for psi_K in fingroup.enumerate_homs(spec.K, X):
-        by_b.setdefault(tuple(psi_K(b) for _, b in spec.phi), []).append(psi_K)
-    for psi_H in fingroup.enumerate_homs(spec.H, X):
-        for psi_K in by_b.get(tuple(psi_H(a) for a, _ in spec.phi), ()):
-            yield psi_H, psi_K
-
-
 def _first_agreeing_pair(spec: AmalgamSpec, catalog: Sequence[FiniteGroup],
                          words: Sequence[Word],
                          make_test: Callable[[FiniteGroup],
                                              Callable[[list[int]], bool]]
                          ) -> Optional[tuple[FiniteGroup, GroupHom, GroupHom]]:
-    """First (X, psi_H, psi_K) over the catalog, in agreeing_pairs order
-    within each X, whose images of ``words`` pass ``make_test(X)``; None
-    if there is none.
+    """First (X, psi_H, psi_K) over the catalog whose images of ``words``
+    pass ``make_test(X)``; None if there is none.  Within each X the order
+    is that of all agreeing pairs (psi_K(a phi) = psi_H(a) on A) with
+    psi_H outer, each factor's homs in ``enumerate_homs`` order.
 
     A pair's images of the words depend only on the images of their
     letters.  So, per X, Hom(K, X) is first tabled by its images on B and
@@ -181,7 +168,7 @@ def _first_agreeing_pair(spec: AmalgamSpec, catalog: Sequence[FiniteGroup],
     keep insertion order, so enumeration order survives).  A psi_H whose
     images on A and on the H-letters were already seen is skipped: every
     pair it forms was tested through the earlier one.  The pair returned
-    is therefore the first passing one in agreeing_pairs order."""
+    is therefore the first passing one in that order."""
     letters = sorted({s for u in words for s in u})  # "H" sorts before "K"
     slot = {s: i for i, s in enumerate(letters)}
     programs = [[slot[s] for s in u] for u in words]
@@ -293,9 +280,9 @@ def enumerate_cyclically_reduced(spec: AmalgamSpec,
     outside the amalgam, first tag != last; a K-syllable in B shares its
     normal form with the H-syllable listed before it."""
     words: list[Word] = [am.EMPTY]
-    for tag in (TAG_H, TAG_K):
-        for e in range(1, spec.factor(tag).order):
-            words.append(am.word([(tag, e)]))
+    if max_length >= 1:
+        words += [am.word([(tag, e)]) for tag in (TAG_H, TAG_K)
+                  for e in range(1, spec.factor(tag).order)]
     for n in range(2, max_length + 1):
         for start in (TAG_H, TAG_K):
             tags = [(TAG_H, TAG_K)[(i + (start == TAG_K)) % 2] for i in range(n)]

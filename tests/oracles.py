@@ -2,16 +2,33 @@
 
 These deliberately avoid the library's normal-form pushdown: equality is
 decided by reachability in the merge/absorb/transport rewriting graph, and
-conjugacy by exhaustive conjugator search.
+conjugacy by exhaustive conjugator search.  The agreeing homomorphism
+pairs are listed by a plain loop over Hom(H, X) and Hom(K, X), with none of
+the witness search's deduplication.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Iterator
 
 from amalgams.amalgam import TAG_H, TAG_K, AmalgamSpec, Word
 from amalgams import amalgam as am
 from amalgams import fingroup
+
+
+def agreeing_pairs(spec: AmalgamSpec, X: fingroup.FiniteGroup
+                   ) -> Iterator[tuple[fingroup.GroupHom, fingroup.GroupHom]]:
+    """All (psi_H, psi_K) into X with psi_K(a phi) = psi_H(a) on A, in
+    canonical enumeration order (psi_H outer).  Hom(K, X) is enumerated
+    once and bucketed by its images on B, listed in phi order.  The
+    reference for the witness search's deduplicated pair walk."""
+    by_b: dict[tuple[int, ...], list[fingroup.GroupHom]] = {}
+    for psi_K in fingroup.enumerate_homs(spec.K, X):
+        by_b.setdefault(tuple(psi_K(b) for _, b in spec.phi), []).append(psi_K)
+    for psi_H in fingroup.enumerate_homs(spec.H, X):
+        for psi_K in by_b.get(tuple(psi_H(a) for a, _ in spec.phi), ()):
+            yield psi_H, psi_K
 
 
 def syllable_alphabet(spec: AmalgamSpec) -> list[tuple[str, int]]:

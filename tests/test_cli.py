@@ -385,7 +385,22 @@ class TestPi1:
         # edge image outside the vertex group
         "[vertex u]\ngroup c2.grp\n"
         "[edge e0 u u]\ngroup c2.grp\nrho 0 7\ntau 0 1\n",
-    ], ids=["vertex-no-group", "edge-no-tau", "unknown-vertex", "bad-image"])
+        # no vertex at all
+        "",
+        # headers with too few words
+        "[vertex]\ngroup c2.grp\n",
+        "[]\ngroup c2.grp\n",
+        "[vertex u]\ngroup c2.grp\n[edge e0 u]\ngroup c2.grp\n"
+        "rho 0 1\ntau 0 1\n",
+        # an edge named like the inverse generated for another
+        "[vertex u]\ngroup c2.grp\n"
+        "[edge e0 u u]\ngroup c2.grp\nrho 0 1\ntau 0 1\n"
+        "[edge e0bar u u]\ngroup c2.grp\nrho 0 1\ntau 0 1\n",
+        # one vertex under two spellings of its header
+        "[vertex u]\ngroup c2.grp\n[vertex  u]\ngroup c2.grp\n",
+    ], ids=["vertex-no-group", "edge-no-tau", "unknown-vertex", "bad-image",
+            "empty", "vertex-no-name", "empty-header", "edge-no-term",
+            "inverse-collision", "vertex-twice"])
     def test_malformed_graph_exits_2(self, tmp_path, text):
         (tmp_path / "c2.grp").write_text(fileio.serialize_group(fg.cyclic(2)))
         (tmp_path / "graph.txt").write_text(text)

@@ -4,7 +4,7 @@ import pytest
 
 from amalgams import fingroup as fg
 from amalgams import graphgroups as gg
-from amalgams.errors import InvalidTree, NotConnected, NotSubgroup, WrongShape
+from amalgams.errors import InvalidTree, NotConnected, NotSubgroup
 
 
 def segment_graph():
@@ -53,6 +53,10 @@ class TestGraph:
     def test_rejects_disconnected(self):
         with pytest.raises(NotConnected):
             gg.make_graph(("u", "v"), (), {}, {}, {})
+
+    def test_rejects_empty(self):
+        with pytest.raises(NotConnected):
+            gg.make_graph((), (), {}, {}, {})
 
     def test_rejects_mismatched_inverse_endpoints(self):
         with pytest.raises(InvalidTree):
@@ -156,30 +160,6 @@ class TestFundamentalPresentation:
             graph, vgs, eg, rho, tau))
         assert len(pres.stable_letters) == 1
 
-    def test_explicit_tree_validation(self):
-        graph = triangle_graph()
-        vgs = {v: fg.cyclic(2) for v in graph.vertices}
-        eg, rho, tau = trivial_edge_data(graph, vgs)
-        ggraph = gg.make_group_graph(graph, vgs, eg, rho, tau)
-        with pytest.raises(InvalidTree):
-            gg.fundamental_presentation(ggraph, frozenset({"e0"}))
-        with pytest.raises(InvalidTree):
-            gg.fundamental_presentation(
-                ggraph, frozenset({"e0", "e0bar", "e1", "e1bar",
-                                   "e2", "e2bar"}))
-
-    def test_stable_letter_count_independent_of_tree(self):
-        graph = triangle_graph()
-        vgs = {v: fg.cyclic(2) for v in graph.vertices}
-        eg, rho, tau = trivial_edge_data(graph, vgs)
-        ggraph = gg.make_group_graph(graph, vgs, eg, rho, tau)
-        trees = [frozenset({"e0", "e0bar", "e1", "e1bar"}),
-                 frozenset({"e0", "e0bar", "e2", "e2bar"}),
-                 frozenset({"e1", "e1bar", "e2", "e2bar"})]
-        counts = {len(gg.fundamental_presentation(ggraph, t).stable_letters)
-                  for t in trees}
-        assert counts == {1}
-
     def test_group_graph_axioms_enforced(self):
         c2, c3 = fg.cyclic(2), fg.cyclic(3)
         graph = segment_graph()
@@ -192,71 +172,6 @@ class TestFundamentalPresentation:
                                 {"e0": bad_tau, "e0bar": e_c2})
 
 
-class TestKillAndCollapse:
-    def test_kill_amalgam_of_amalg1(self, amalg1):
-        pres = gg.amalgam_presentation(amalg1)
-        killed = gg.kill_subgroups(pres, {
-            "u": fg.make_subgroup(amalg1.H, [0, 2]),
-            "v": fg.make_subgroup(amalg1.K, [0, 2])})
-        assert killed.edge_relators == ()
-        assert all(G.order == 2 for _, G in killed.vertex_groups)
-
-    def test_collapse_gives_c2_times_c2(self, amalg1):
-        pres = gg.amalgam_presentation(amalg1)
-        killed = gg.kill_subgroups(pres, {
-            "u": fg.make_subgroup(amalg1.H, [0, 2]),
-            "v": fg.make_subgroup(amalg1.K, [0, 2])})
-        P, images = gg.collapse_to_direct_product(killed)
-        assert P.order == 4
-        assert all(images[t] == 0 for t in killed.stable_letters)
-        # relators of the killed presentation die in P
-        for rel in killed.relators:
-            acc = 0
-            for sym, exp in rel:
-                x = images[sym]
-                acc = P.mul(acc, x if exp == 1 else P.inv(x))
-            assert acc == 0
-
-    def test_stable_letter_kept_then_sent_to_identity(self):
-        """C4 and C2 joined by a trivial edge, with a loop at C4 whose
-        edge group is its C2: the loop's stable letter survives killing
-        and maps to the identity of the direct product."""
-        c1, c2, c4 = fg.cyclic(1), fg.cyclic(2), fg.cyclic(4)
-        graph = gg.make_graph(
-            ("u", "v"), ("e0", "e0bar", "e1", "e1bar"),
-            {"e0": "e0bar", "e0bar": "e0", "e1": "e1bar", "e1bar": "e1"},
-            {"e0": "u", "e0bar": "v", "e1": "u", "e1bar": "u"},
-            {"e0": "v", "e0bar": "u", "e1": "u", "e1bar": "u"})
-        into_u, into_v = fg.GroupHom(c1, c4, (0,)), fg.GroupHom(c1, c2, (0,))
-        loop = fg.GroupHom(c2, c4, (0, 2))
-        pres = gg.fundamental_presentation(gg.make_group_graph(
-            graph, {"u": c4, "v": c2},
-            {"e0": c1, "e0bar": c1, "e1": c2, "e1bar": c2},
-            {"e0": into_u, "e0bar": into_v, "e1": loop, "e1bar": loop},
-            {"e0": into_v, "e0bar": into_u, "e1": loop, "e1bar": loop}))
-        assert pres.stable_letters == ("t_e1",)
-        kept = gg.kill_subgroups(pres, {})
-        assert kept.edge_relators == pres.edge_relators == (
-            (("t_e1", -1), (gg.symbol("u", 2), 1), ("t_e1", 1),
-             (gg.symbol("u", 2), -1)),)
-        killed = gg.kill_subgroups(pres, {"u": fg.make_subgroup(c4, [0, 2])})
-        assert killed.edge_relators == () and killed.stable_letters == ("t_e1",)
-        P, images = gg.collapse_to_direct_product(killed)
-        assert P.order == 4 and images["t_e1"] == 0
-
-    def test_collapse_rejects_uncollapsed(self, amalg1):
-        with pytest.raises(WrongShape):
-            gg.collapse_to_direct_product(gg.amalgam_presentation(amalg1))
-
-    def test_kill_trivial_is_identity_shape(self, amalg1):
-        pres = gg.amalgam_presentation(amalg1)
-        killed = gg.kill_subgroups(pres, {})
-        assert sorted(killed.edge_relators) == sorted(pres.edge_relators)
-        assert all(dict(killed.vertex_groups)[v].order
-                   == dict(pres.vertex_groups)[v].order
-                   for v, _ in pres.vertex_groups)
-
-
 class TestRendering:
     def test_presentation_text_deterministic(self, amalg1):
         pres = gg.amalgam_presentation(amalg1)
@@ -264,7 +179,3 @@ class TestRendering:
         t2 = gg.presentation_text(gg.amalgam_presentation(amalg1))
         assert t1 == t2
         assert t1.startswith("< ") and t1.endswith(">")
-
-    def test_free_reduce(self):
-        rel = (("a", 1), ("b", 1), ("b", -1), ("a", -1), ("c", 1))
-        assert gg.free_reduce(rel) == (("c", 1),)

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+import oracles
 from amalgams import amalgam as am
 from amalgams import fingroup
 from amalgams import quotients as qt
@@ -61,7 +62,7 @@ def test_every_agreeing_pair_kills_the_closure(name, p):
     R = pair.R.elements if pair else (0,)
     S = pair.S.elements if pair else (0,)
     for X in sep.p_group_catalog(p, CATALOG_ORDER[p]):
-        for psi_H, psi_K in sep.agreeing_pairs(spec, X):
+        for psi_H, psi_K in oracles.agreeing_pairs(spec, X):
             assert all(psi_H(r) == 0 for r in R), X.order
             assert all(psi_K(s) == 0 for s in S), X.order
 

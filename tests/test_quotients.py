@@ -35,24 +35,19 @@ def brute_force_pairs(spec, p, max_index):
     return sorted(out)
 
 
-class TestIsCompatible:
+class TestQuotientAmalgam:
     def test_trivial_pair(self, amalg1):
         R = fg.make_subgroup(amalg1.H, [0])
         S = fg.make_subgroup(amalg1.K, [0])
-        assert qt.is_compatible(amalg1, R, S)
+        q = qt.quotient_amalgam(amalg1, R, S).quotient_spec
+        assert q.H.order == 4 and q.K.order == 4 and len(q.A) == 2
 
     def test_full_pair(self, amalg1):
         R = fg.make_subgroup(amalg1.H, [0, 1, 2, 3])
         S = fg.make_subgroup(amalg1.K, [0, 1, 2, 3])
-        assert qt.is_compatible(amalg1, R, S)
+        q = qt.quotient_amalgam(amalg1, R, S).quotient_spec
+        assert q.H.order == 1 and q.K.order == 1 and len(q.A) == 1
 
-    def test_asymmetric_incompatible(self, amalg1):
-        R = fg.make_subgroup(amalg1.H, [0, 2])
-        S = fg.make_subgroup(amalg1.K, [0])
-        assert not qt.is_compatible(amalg1, R, S)
-
-
-class TestQuotientAmalgam:
     def test_collapse_to_c2_star_c2(self, amalg1):
         R = fg.make_subgroup(amalg1.H, [0, 2])
         S = fg.make_subgroup(amalg1.K, [0, 2])
@@ -71,9 +66,8 @@ class TestQuotientAmalgam:
     def test_rejects_non_normal(self, s3_amalgam):
         R = next(X for X in fg.enumerate_subgroups(s3_amalgam.H) if len(X) == 2)
         S = fg.make_subgroup(s3_amalgam.K, [0])
-        for call in (qt.is_compatible, qt.quotient_amalgam):
-            with pytest.raises(NotNormal):
-                call(s3_amalgam, R, S)
+        with pytest.raises(NotNormal):
+            qt.quotient_amalgam(s3_amalgam, R, S)
 
     def test_quotient_spec_validates(self, amalg1):
         for pair in qt.enumerate_compatible_pairs(amalg1, 2, 4):

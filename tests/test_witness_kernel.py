@@ -10,6 +10,7 @@ import itertools
 
 import pytest
 
+import oracles
 from amalgams import fingroup as fg
 from amalgams import separability as sep
 from conftest import (
@@ -27,7 +28,7 @@ def ref_hom_pair_witness(spec, f, g, catalog):
         for cls in fg.conjugacy_classes(X):
             for e in cls:
                 cls_of[e] = cls
-        for psi_H, psi_K in sep.agreeing_pairs(spec, X):
+        for psi_H, psi_K in oracles.agreeing_pairs(spec, X):
             w = sep.Witness(X, psi_H, psi_K, "direct")
             if cls_of[sep.word_image(w, f)] != cls_of[sep.word_image(w, g)]:
                 return w
@@ -42,7 +43,7 @@ def ref_check_residually_p_bounded(spec, p, length_bound, budget):
             continue
         hit = None
         for X in catalog:
-            for psi_H, psi_K in sep.agreeing_pairs(spec, X):
+            for psi_H, psi_K in oracles.agreeing_pairs(spec, X):
                 cand = sep.Witness(X, psi_H, psi_K, "residual-p")
                 if sep.word_image(cand, w) != 0:
                     hit = cand
