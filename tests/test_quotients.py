@@ -35,6 +35,24 @@ def brute_force_pairs(spec, p, max_index):
     return sorted(out)
 
 
+class TestIsCompatible:
+    def test_asymmetric_incompatible(self, amalg1):
+        # (A cap R)phi = B cap S fails when only one side kills the
+        # amalgamated subgroup, in either order; such pairs are neither
+        # built nor enumerated.
+        small, big = [0], [0, 2]
+        for r, s in ((big, small), (small, big)):
+            R = fg.make_subgroup(amalg1.H, r)
+            S = fg.make_subgroup(amalg1.K, s)
+            with pytest.raises(NotCompatible):
+                qt.quotient_amalgam(amalg1, R, S)
+        pairs = {(p.R.elements, p.S.elements)
+                 for p in qt.enumerate_compatible_pairs(amalg1, 2, 4)}
+        assert ((0, 2), (0,)) not in pairs
+        assert ((0,), (0, 2)) not in pairs
+        assert ((0, 2), (0, 2)) in pairs
+
+
 class TestQuotientAmalgam:
     def test_trivial_pair(self, amalg1):
         R = fg.make_subgroup(amalg1.H, [0])
