@@ -55,7 +55,6 @@ from .graphgroups import (
 from .separability import (
     SearchBudget,
     Witness,
-    check_residually_p_bounded,
     is_cfp_separable_bounded,
     p_group_catalog,
     search_witness,

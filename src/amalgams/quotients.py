@@ -42,20 +42,15 @@ def quotient_amalgam(spec: AmalgamSpec, R: Subgroup, S: Subgroup) -> CompatibleP
     """Builds H/R, K/S (``fingroup.quotient`` checks normality, raising
     NotNormal), the images AR/R and BS/S, and the induced isomorphism,
     checked by make_amalgam.  Raises NotCompatible for an incompatible
-    pair."""
+    pair.  The induced map is well-defined on a compatible pair: a1 R =
+    a2 R puts a1^-1 a2 in A cap R, whose image under phi lies in S."""
     QH, pH = fingroup.quotient(spec.H, R)
     QK, pK = fingroup.quotient(spec.K, S)
     if not _intersections_agree(spec, R, S):
         raise NotCompatible(f"R={R.elements}, S={S.elements}")
-    a_img = sorted({pH(a) for a in spec.A.elements})
-    phi_q = {}
-    for a in spec.A.elements:
-        qa = pH(a)
-        qb = pK(spec.phi_map[a])
-        if qa in phi_q and phi_q[qa] != qb:
-            raise NotCompatible("induced map is not well-defined")
-        phi_q[qa] = qb
-    qspec = am.make_amalgam(QH, QK, a_img, sorted(phi_q.values()), phi_q)
+    phi_q = {pH(a): pK(spec.phi_map[a]) for a in spec.A.elements}
+    qspec = am.make_amalgam(QH, QK, sorted(phi_q), sorted(phi_q.values()),
+                            phi_q)
     return CompatiblePair(R, S, qspec, pH, pK)
 
 

@@ -1,4 +1,4 @@
-"""Conjugacy p-separation witnesses and bounded residual-p diagnostics.
+"""Conjugacy p-separation witnesses and bounded separability diagnostics.
 
 A witness for a non-conjugate pair (f, g) is a pair of factor homomorphisms
 into a finite p-group that agree on the amalgamated subgroup (so the pair
@@ -20,18 +20,22 @@ walk cheaper.  The independent re-check and the certificate use f and g.
 A pair's images of the words depend only on the images of their letters,
 so the search tests each distinct combination of letter images once (see
 ``_first_agreeing_pair``) and returns the pair the loop over all agreeing
-pairs would return.  The bounded residual-p check uses the same search
-with "the image is not the identity" as its test, on the element words
-themselves.
+pairs would return.
 
-Before the catalog walk, both searches consult the p-residual quotient
+Before the catalog walk, the search consults the p-residual quotient
 G* = H/R* * K/S* (``quotients.p_residual``), through which every
 homomorphism onto a finite p-group factors.  Inputs whose images are
 conjugate in G* raise NotSeparable, a proof that no finite p-group
-separates them, and an element trivial in G* dies in every finite
-p-quotient; neither needs the walk, whose answer there is always "none".
-The proof projects f and g themselves, so its conjugator carries the
-image of the first input to that of the second.
+separates them; the walk's answer there is always "none".  The proof
+projects f and g themselves, so its conjugator carries the image of the
+first input to that of the second.
+
+Residual p is separation from the identity: the class of 1 is {1}, so a
+finite p-group separates a from 1 exactly when a survives in it.  The
+bounded residual-p check is ``is_cfp_separable_bounded(spec, am.EMPTY,
+budget)``.  It tries the cyclically reduced elements only, and every
+element is conjugate to one of them that is no longer; an element trivial
+in G* gets a ``proved`` entry.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import amalgam as am
 from . import fingroup
@@ -65,8 +69,10 @@ class Witness:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Caps of the witness search.  ``max_quotient_index`` is validated but
-    no longer read by the search, which enumerates hom pairs directly."""
+    """Caps of the witness search.  ``max_target_order`` bounds the target
+    order from above and need not be a power of p.  ``max_quotient_index``
+    is validated but no longer read by the search, which enumerates hom
+    pairs directly."""
 
     p: int = 2
     max_target_order: int = 16
@@ -93,22 +99,17 @@ def agrees_on_amalgam(spec: AmalgamSpec, psi_H: GroupHom, psi_K: GroupHom) -> bo
     return all(psi_H(a) == psi_K(phi[a]) for a in spec.A.elements)
 
 
-def _is_agreeing_p_pair(spec: AmalgamSpec, w: Witness, p: int) -> bool:
-    """Both maps are homomorphisms (checked on every product), they agree
-    on A and the target is a p-group."""
-    return (w.psi_H.is_valid() and w.psi_K.is_valid()
-            and agrees_on_amalgam(spec, w.psi_H, w.psi_K)
-            and fingroup.is_p_group(w.target, p))
-
-
 def verify_witness(spec: AmalgamSpec, w: Witness, f: Word, g: Word,
                    p: int) -> bool:
-    """Independent re-check: agreement on A, p-group target, images in
-    distinct conjugacy classes."""
-    if not _is_agreeing_p_pair(spec, w, p):
-        return False
-    fi, gi = word_image(w, f), word_image(w, g)
-    return fingroup.class_of(w.target, fi) != fingroup.class_of(w.target, gi)
+    """Independent re-check: both maps are homomorphisms (checked on every
+    product), they agree on A, the target is a p-group and no element of
+    it conjugates the image of f to that of g.  The last test searches for
+    a conjugator directly, sharing no class table with the search."""
+    return (w.psi_H.is_valid() and w.psi_K.is_valid()
+            and agrees_on_amalgam(spec, w.psi_H, w.psi_K)
+            and fingroup.is_p_group(w.target, p)
+            and fingroup.are_conjugate_in(w.target, word_image(w, f),
+                                          word_image(w, g)) is None)
 
 
 def _partitions(n: int,
@@ -135,10 +136,15 @@ def p_group_catalog(p: int, max_order: int) -> tuple[FiniteGroup, ...]:
     """Search space of witness targets, smallest order first: all abelian
     p-groups of order <= max_order (one per partition) and, for p = 2, the
     dihedral and quaternion groups of order 8 and 16.  No two share a
-    table.  Built once per (p, max_order)."""
-    k = fingroup.p_exponent(max_order, p)
-    if not k:  # None, or 0 for max_order 1
-        raise NotPPower(f"{max_order} is not a power of {p} (>= p)")
+    table.  Built once per (p, max_order).  max_order is an upper bound and
+    need not be a power of p; one below p raises NotPPower."""
+    fingroup.check_prime(p)
+    k = 0
+    while p ** (k + 1) <= max_order:
+        k += 1
+    if not k:
+        raise NotPPower(f"no {p}-group of order at most {max_order} "
+                        f"is nontrivial")
     catalog: list[FiniteGroup] = []
     for exp in range(1, k + 1):
         for partition in _partitions(exp):
@@ -153,12 +159,11 @@ def p_group_catalog(p: int, max_order: int) -> tuple[FiniteGroup, ...]:
 
 
 def _first_agreeing_pair(spec: AmalgamSpec, catalog: Sequence[FiniteGroup],
-                         words: Sequence[Word],
-                         make_test: Callable[[FiniteGroup],
-                                             Callable[[list[int]], bool]]
+                         words: Sequence[Word]
                          ) -> Optional[tuple[FiniteGroup, GroupHom, GroupHom]]:
-    """First (X, psi_H, psi_K) over the catalog whose images of ``words``
-    pass ``make_test(X)``; None if there is none.  Within each X the order
+    """First (X, psi_H, psi_K) over the catalog that sends the two
+    ``words`` into distinct conjugacy classes of X, read from X's class
+    index (``_class_index``); None if there is none.  Within each X the order
     is that of all agreeing pairs (psi_K(a phi) = psi_H(a) on A) with
     psi_H outer, each factor's homs in ``enumerate_homs`` order.
 
@@ -178,7 +183,7 @@ def _first_agreeing_pair(spec: AmalgamSpec, catalog: Sequence[FiniteGroup],
     k_letters = [e for tag, e in letters if tag == TAG_K]
     n = len(spec.phi)
     for X in catalog:
-        test = make_test(X)
+        cls_index = _class_index(X)
         by_b: dict[tuple[int, ...], dict[tuple[int, ...], GroupHom]] = {}
         for psi_K in fingroup.enumerate_homs(spec.K, X):
             img = psi_K.images.__getitem__
@@ -200,7 +205,7 @@ def _first_agreeing_pair(spec: AmalgamSpec, catalog: Sequence[FiniteGroup],
                     for i in program:
                         x = table[x][values[i]]
                     images.append(x)
-                if test(images):
+                if cls_index[images[0]] != cls_index[images[1]]:
                     return X, psi_H, psi_K
     return None
 
@@ -214,17 +219,6 @@ def _class_index(X: FiniteGroup) -> tuple[int, ...]:
         for e in cls:
             index[e] = i
     return tuple(index)
-
-
-def _separates(X: FiniteGroup) -> Callable[[list[int]], bool]:
-    """Test that the two images lie in distinct conjugacy classes of X,
-    read from X's class index (``_class_index``, built once per X)."""
-    cls_index = _class_index(X)
-    return lambda images: cls_index[images[0]] != cls_index[images[1]]
-
-
-def _nontrivial(images: list[int]) -> bool:
-    return images[0] != 0
 
 
 def search_witness(spec: AmalgamSpec, f: Word, g: Word,
@@ -259,8 +253,7 @@ def search_witness(spec: AmalgamSpec, f: Word, g: Word,
         if star.conjugate:
             raise NotSeparable(pair.R, pair.S, star.conjugator, p)
     found = _first_agreeing_pair(
-        spec, p_group_catalog(p, budget.max_target_order), verdict.reduced,
-        _separates)
+        spec, p_group_catalog(p, budget.max_target_order), verdict.reduced)
     if found is None:
         raise BudgetExhausted(
             f"no agreeing homomorphism pair into a catalog {p}-group of "
@@ -301,33 +294,6 @@ def enumerate_cyclically_reduced(spec: AmalgamSpec,
     return tuple(first.values())
 
 
-def enumerate_elements(spec: AmalgamSpec, max_length: int) -> tuple[Word, ...]:
-    """One word per element of G of length <= max_length, via normal forms."""
-    reps_h = sorted({am._coset_decompose(spec, TAG_H, e)[1]
-                     for e in spec.H.elements()} - {0})
-    reps_k = sorted({am._coset_decompose(spec, TAG_K, e)[1]
-                     for e in spec.K.elements()} - {0})
-    out = []
-    for n in range(0, max_length + 1):
-        tails: list[tuple[tuple[str, int], ...]] = []
-        if n == 0:
-            tails.append(())
-        else:
-            for start in (TAG_H, TAG_K):
-                tags = [(TAG_H, TAG_K)[(i + (start == TAG_K)) % 2]
-                        for i in range(n)]
-                pools = [reps_h if t == TAG_H else reps_k for t in tags]
-                for combo in itertools.product(*pools):
-                    tails.append(tuple(zip(tags, combo)))
-        for a in spec.A.elements:
-            for tail in tails:
-                nf = am.NormalForm(a, tail)
-                out.append(am.render(spec, nf))
-    # distinct (a, tail) pairs are distinct elements: the reps avoid A, so
-    # no tail syllable is absorbed into the amalgamated part.
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class SeparationEntry:
     """One search of the report.  ``proved`` is set when the search raised
@@ -355,7 +321,9 @@ def is_cfp_separable_bounded(spec: AmalgamSpec, g: Word,
     """Bounded, one-sided diagnostic for C_fp-separability of g: runs the
     witness search against every non-conjugate cyclically reduced element of
     length <= budget.max_conjugator_length.  Claims the negative only
-    with a NotSeparable proof (``SeparationEntry.proved``)."""
+    with a NotSeparable proof (``SeparationEntry.proved``).  With g the
+    identity it is the bounded residual-p check: an entry is separated
+    exactly when its element survives in the witness's p-group."""
     entries = []
     for a in enumerate_cyclically_reduced(spec, budget.max_conjugator_length):
         try:
@@ -367,58 +335,3 @@ def is_cfp_separable_bounded(spec: AmalgamSpec, g: Word,
             entries.append(SeparationEntry(a, False, None, str(exc),
                                            isinstance(exc, NotSeparable)))
     return SeparabilityReport(g, tuple(entries))
-
-
-@dataclass(frozen=True)
-class ResidualEntry:
-    element: Word
-    survives: bool
-    witness: Optional[Witness]
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    length_bound: int
-    entries: tuple[ResidualEntry, ...]
-
-    @property
-    def residually_p_up_to_bound(self) -> bool:
-        return all(e.survives for e in self.entries)
-
-    @property
-    def failures(self) -> tuple[ResidualEntry, ...]:
-        return tuple(e for e in self.entries if not e.survives)
-
-
-def check_residually_p_bounded(spec: AmalgamSpec, length_bound: int,
-                               budget: SearchBudget) -> ResidualReport:
-    """For every nontrivial element of length <= length_bound, look for an
-    agreeing homomorphism pair into a catalog budget.p-group with nontrivial
-    image; success for all yields a bounded residual-p certificate.  An
-    element trivial in the p-residual quotient (``quotients.p_residual``)
-    dies in every finite p-quotient, so it gets a failing entry without the
-    catalog walk.
-
-    Each pair found is re-checked independently of the search (both maps
-    are homomorphisms, they agree on A, the target is a p-group and the
-    element's image is not the identity); a pair that fails raises
-    VerificationFailed."""
-    catalog = p_group_catalog(budget.p, budget.max_target_order)
-    pair = qt.p_residual(spec, budget.p)
-    entries = []
-    for w in enumerate_elements(spec, length_bound):
-        if not w.syllables:
-            continue
-        if pair is not None and am.equal_in_g(
-                pair.quotient_spec, qt.project_word(pair, w), am.EMPTY):
-            entries.append(ResidualEntry(w, False, None))
-            continue
-        found = _first_agreeing_pair(spec, catalog, (w,),
-                                     lambda X: _nontrivial)
-        hit = Witness(*found, "residual-p") if found else None
-        if hit and not (_is_agreeing_p_pair(spec, hit, budget.p)
-                        and word_image(hit, w) != 0):
-            raise VerificationFailed(
-                "residual witness failed the independent re-check")
-        entries.append(ResidualEntry(w, hit is not None, hit))
-    return ResidualReport(length_bound, tuple(entries))

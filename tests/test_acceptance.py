@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines alongside the pytest verdicts.
 """
 
+import dataclasses
 import random
 import time
 
@@ -211,9 +212,9 @@ def test_criterion_7_negative_control():
     catalog."""
     spec = make_c2c3()
     budget = sep.SearchBudget(p=2, max_target_order=16,
-                              max_quotient_index=16)
-    report = sep.check_residually_p_bounded(spec, 1, budget)
-    failed = {e.element.syllables for e in report.failures}
+                              max_quotient_index=16, max_conjugator_length=1)
+    report = sep.is_cfp_separable_bounded(spec, am.EMPTY, budget)
+    failed = {e.other.syllables for e in report.entries if not e.separated}
     obstruction_ok = (("K", 1),) in failed and (("K", 2),) in failed
 
     f, g = word([("K", 1)]), word([("K", 2)])
@@ -247,8 +248,9 @@ def test_criterion_8_residual_separability_consistency():
     budget = sep.SearchBudget(p=2, max_target_order=16,
                               max_quotient_index=16,
                               max_conjugator_length=2)
-    residual = sep.check_residually_p_bounded(spec, 4, budget)
-    residual_ok = residual.residually_p_up_to_bound
+    residual = sep.is_cfp_separable_bounded(
+        spec, am.EMPTY, dataclasses.replace(budget, max_conjugator_length=4))
+    residual_ok = residual.all_separated
 
     separated_ok = True
     for g in sep.enumerate_cyclically_reduced(spec, 2):

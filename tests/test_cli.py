@@ -250,6 +250,19 @@ class TestSeparate:
                      "-o", str(tmp_path / "w.cert")]) == 5
         assert "p-residual proof" in capsys.readouterr().err
 
+    def test_odd_p_with_the_default_budget(self, tmp_path, capsys):
+        """The default max_target_order, 16, is an upper bound: with -p 3 it
+        admits the 3-groups of order 3 and 9, and the certificate passes."""
+        c3 = fg.cyclic(3)
+        amalgam = tmp_path / "c3_c3.txt"
+        amalgam.write_text(fileio.serialize_amalgam(
+            am.make_amalgam(c3, c3, [0], [0], {0: 0})))
+        cert = tmp_path / "w.cert"
+        assert main(["separate", str(amalgam), "H:1", "K:1", "-p", "3",
+                     "-o", str(cert)]) == 0
+        assert main(["verify", str(amalgam), str(cert)]) == 0
+        assert "p = 3" in capsys.readouterr().out
+
     def test_config_file(self, amalg1_file, tmp_path, capsys):
         cfg = tmp_path / "cfg"
         cfg.write_text("max_target_order 8\n")

@@ -121,7 +121,7 @@ def test_proof_fires_exactly_where_the_walk_finds_nothing(make, counts):
             continue
         except NotSeparable:
             proved += 1
-        walk = sep._first_agreeing_pair(spec, catalog, (f, g), sep._separates)
+        walk = sep._first_agreeing_pair(spec, catalog, (f, g))
         assert walk is None, (f, g)
     assert (found, proved, conjugate) == counts
 
@@ -173,19 +173,21 @@ def test_twisted_d8_v_d8_is_not_residually_2():
 
 def test_twisted_residual_check_needs_no_walk(monkeypatch):
     """H:2, H:4 and H:6, the non-identity elements of V, die in every
-    finite 2-quotient; the bounded check records them without a walk."""
+    finite 2-quotient; the bounded check (the search against the identity)
+    records them as proved without a walk."""
     spec = make_d8_v_d8_twisted()
     walked = []
     walk = sep._first_agreeing_pair
     monkeypatch.setattr(
         sep, "_first_agreeing_pair",
-        lambda spec, catalog, words, test: walked.append(words[0])
-        or walk(spec, catalog, words, test))
-    report = sep.check_residually_p_bounded(spec, 1,
-                                            sep.SearchBudget(2, 16, 16))
+        lambda spec, catalog, words: walked.append(words[0])
+        or walk(spec, catalog, words))
+    report = sep.is_cfp_separable_bounded(spec, am.EMPTY,
+                                          sep.SearchBudget(2, 16, 16, 1))
     dead = [W(("H", e)) for e in (2, 4, 6)]
-    assert [e.element for e in report.failures] == dead
-    assert all(e.witness is None for e in report.failures)
+    failures = [e for e in report.entries if not e.separated]
+    assert [e.other for e in failures] == dead
+    assert all(e.witness is None and e.proved for e in failures)
     assert walked and not set(walked) & set(dead)
 
 
@@ -246,14 +248,19 @@ def test_non_p_group_quotient_raises(monkeypatch):
                                   make_d8_v_d8_twisted],
                          ids=["c2_c3", "s3_c3_c6", "d8_v_d8_twisted"])
 def test_residual_entries_match_the_catalog_walk(make, monkeypatch):
+    """The G* proof marks exactly the elements trivial in G*, and leaves
+    every entry's outcome and witness as the catalog walk alone has them."""
     spec = make()
-    budget = sep.SearchBudget(2, 16, 16)
+    budget = sep.SearchBudget(2, 16, 16, 2)
     pair = qt.p_residual(spec, 2)
-    proved = [w for w in sep.enumerate_elements(spec, 2) if w.syllables
-              and am.equal_in_g(pair.quotient_spec, qt.project_word(pair, w),
-                                am.EMPTY)]
+    proved = [w for w in sep.enumerate_cyclically_reduced(spec, 2)
+              if w.syllables and am.equal_in_g(
+                  pair.quotient_spec, qt.project_word(pair, w), am.EMPTY)]
     assert proved  # e.g. K:1 on C2 * C3
-    got = sep.check_residually_p_bounded(spec, 2, budget)
+    got = sep.is_cfp_separable_bounded(spec, am.EMPTY, budget)
+    assert [e.other for e in got.entries if e.proved] == proved
     monkeypatch.setattr(qt, "p_residual", lambda spec, p: None)
-    walked = sep.check_residually_p_bounded(spec, 2, budget)
-    assert got == walked
+    walked = sep.is_cfp_separable_bounded(spec, am.EMPTY, budget)
+    assert not any(e.proved for e in walked.entries)
+    assert [(e.other, e.separated, e.witness) for e in got.entries] == \
+        [(e.other, e.separated, e.witness) for e in walked.entries]

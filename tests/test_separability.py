@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import pickle
@@ -35,6 +36,7 @@ def W(*syllables):
 
 BUDGET = sep.SearchBudget(p=2, max_target_order=16,
                           max_quotient_index=16, max_conjugator_length=4)
+RESIDUAL_BUDGET = dataclasses.replace(BUDGET, max_conjugator_length=1)
 
 
 class TestBudget:
@@ -60,8 +62,13 @@ class TestCatalog:
             assert fg.is_p_group(X, 3)
 
     def test_rejects_non_p_power_bound(self):
+        """A cap that is not a power of p bounds the order from above, so
+        cap 12 gives the catalog of cap 8; only a cap below p is rejected."""
+        assert [X.table for X in sep.p_group_catalog(2, 12)] == \
+            [X.table for X in sep.p_group_catalog(2, 8)]
+        assert max(X.order for X in sep.p_group_catalog(3, 16)) == 9
         with pytest.raises(NotPPower):
-            sep.p_group_catalog(2, 12)
+            sep.p_group_catalog(3, 2)
 
     def test_rejects_order_bound_zero(self):
         """In a subprocess with a timeout: this call used to loop forever."""
@@ -218,6 +225,21 @@ class TestVerificationIndependence:
             sep.search_witness(make_d8_q8(), W(("H", 1), ("K", 1)),
                                W(("H", 1), ("K", 3)), BUDGET)
 
+    def test_class_tables_not_shared_with_the_search(self, monkeypatch):
+        """With every class of every target a singleton, the search takes
+        distinct images for non-conjugate ones.  No catalog group of order
+        <= 16 separates this pair, so any witness it returns is false; the
+        re-check searches for a conjugator itself and must reject it."""
+        monkeypatch.setattr(fg, "conjugacy_classes",
+                            lambda G: tuple((e,) for e in G.elements()))
+        sep._class_index.cache_clear()
+        try:
+            with pytest.raises(VerificationFailed):
+                sep.search_witness(make_d8_q8(), W(("H", 1), ("K", 1)),
+                                   W(("K", 1), ("H", 3)), BUDGET)
+        finally:
+            sep._class_index.cache_clear()
+
 
 def test_value_classes_are_slotted_and_pickle(amalg1):
     f, g = W(("H", 1), ("K", 1)), W(("K", 1), ("H", 3))
@@ -245,20 +267,6 @@ class TestEnumeration:
         nfs = {(am.normal_form(amalg1, w).amalgam_part,
                 am.normal_form(amalg1, w).tail) for w in ws}
         assert len(nfs) == len(ws)
-
-    def test_elements_count_matches_components(self, amalg1, s3_amalgam):
-        for spec in (amalg1, s3_amalgam):
-            comp = oracles.rewriting_components(spec, 2)
-            n_elements = len(set(comp.values()))
-            ws = sep.enumerate_elements(spec, 2)
-            assert len(ws) == n_elements
-
-    def test_elements_distinct(self, amalg1, s3_amalgam):
-        for spec in (amalg1, s3_amalgam):
-            ws = sep.enumerate_elements(spec, 3)
-            nfs = {(am.normal_form(spec, w).amalgam_part,
-                    am.normal_form(spec, w).tail) for w in ws}
-            assert len(nfs) == len(ws)
 
 
 class TestReports:
@@ -303,23 +311,28 @@ class TestReports:
         assert not any(e.proved for e in report.entries)
 
     def test_residual_p_amalg1(self, amalg1):
-        report = sep.check_residually_p_bounded(amalg1, 2, BUDGET)
-        assert report.residually_p_up_to_bound
+        """Residual p is separation from the identity: every nontrivial
+        cyclically reduced element of length <= 2 survives in the
+        witness's 2-group."""
+        budget = dataclasses.replace(BUDGET, max_conjugator_length=2)
+        report = sep.is_cfp_separable_bounded(amalg1, am.EMPTY, budget)
+        assert report.all_separated and report.entries
         for entry in report.entries:
-            assert sep.word_image(entry.witness, entry.element) != 0
+            assert sep.word_image(entry.witness, entry.other) != 0
 
     def test_residual_p_negative_c2_c3(self, c2c3):
         budget = sep.SearchBudget(p=2, max_target_order=8,
-                                  max_quotient_index=8)
-        report = sep.check_residually_p_bounded(c2c3, 1, budget)
-        assert not report.residually_p_up_to_bound
-        failed = {e.element.syllables for e in report.failures}
-        assert (("K", 1),) in failed and (("K", 2),) in failed
+                                  max_quotient_index=8, max_conjugator_length=1)
+        report = sep.is_cfp_separable_bounded(c2c3, am.EMPTY, budget)
+        assert not report.all_separated
+        failed = {e.other.syllables for e in report.entries if not e.separated}
+        assert failed == {(("K", 1),), (("K", 2),)}
 
 
 class TestResidualReverification:
-    """A pair the residual search returns is re-checked by code it does
-    not share: a wrong pair raises instead of becoming an entry."""
+    """A pair the residual check (the search against the identity)
+    returns is re-checked by code it does not share: a wrong pair raises
+    instead of becoming an entry."""
 
     def test_pair_with_trivial_image_raises(self, amalg1, monkeypatch):
         X = fg.cyclic(2)
@@ -328,7 +341,7 @@ class TestResidualReverification:
         monkeypatch.setattr(sep, "_first_agreeing_pair",
                             lambda *args: (X, trivial_H, trivial_K))
         with pytest.raises(VerificationFailed):
-            sep.check_residually_p_bounded(amalg1, 1, BUDGET)
+            sep.is_cfp_separable_bounded(amalg1, am.EMPTY, RESIDUAL_BUDGET)
 
     def test_pair_disagreeing_on_amalgam_raises(self, amalg1, monkeypatch):
         X = fg.cyclic(4)
@@ -339,7 +352,7 @@ class TestResidualReverification:
         monkeypatch.setattr(sep, "_first_agreeing_pair",
                             lambda *args: (X, identity_H, trivial_K))
         with pytest.raises(VerificationFailed):
-            sep.check_residually_p_bounded(amalg1, 1, BUDGET)
+            sep.is_cfp_separable_bounded(amalg1, am.EMPTY, RESIDUAL_BUDGET)
 
 
 class TestClassIndex:
@@ -394,9 +407,9 @@ class TestWalkOnCyclicReductions:
         walked = []
         walk = sep._first_agreeing_pair
 
-        def spy(spec, catalog, words, make_test):
+        def spy(spec, catalog, words):
             walked.append(tuple(words))
-            return walk(spec, catalog, words, make_test)
+            return walk(spec, catalog, words)
 
         monkeypatch.setattr(sep, "_first_agreeing_pair", spy)
         rng = random.Random(5)

@@ -11,6 +11,7 @@ import itertools
 import pytest
 
 import oracles
+from amalgams import amalgam as am
 from amalgams import fingroup as fg
 from amalgams import separability as sep
 from conftest import (
@@ -35,23 +36,25 @@ def ref_hom_pair_witness(spec, f, g, catalog):
     return None
 
 
-def ref_check_residually_p_bounded(spec, p, length_bound, budget):
-    catalog = sep.p_group_catalog(p, budget.max_target_order)
+def ref_residual_entries(spec, p, length_bound, order):
+    """(element, survives, witness) per nontrivial cyclically reduced
+    element: the first agreeing pair with a nontrivial image."""
+    catalog = sep.p_group_catalog(p, order)
     entries = []
-    for w in sep.enumerate_elements(spec, length_bound):
+    for w in sep.enumerate_cyclically_reduced(spec, length_bound):
         if not w.syllables:
             continue
         hit = None
         for X in catalog:
             for psi_H, psi_K in oracles.agreeing_pairs(spec, X):
-                cand = sep.Witness(X, psi_H, psi_K, "residual-p")
+                cand = sep.Witness(X, psi_H, psi_K, "direct")
                 if sep.word_image(cand, w) != 0:
                     hit = cand
                     break
             if hit:
                 break
-        entries.append(sep.ResidualEntry(w, hit is not None, hit))
-    return sep.ResidualReport(length_bound, tuple(entries))
+        entries.append((w, hit is not None, key(hit)))
+    return entries
 
 
 def key(w):
@@ -71,7 +74,7 @@ def test_same_witness_as_pair_loop(make, length, p, order):
     reps = sep.enumerate_cyclically_reduced(spec, length)
     found = 0
     for f, g in itertools.combinations(reps, 2):
-        hit = sep._first_agreeing_pair(spec, catalog, (f, g), sep._separates)
+        hit = sep._first_agreeing_pair(spec, catalog, (f, g))
         got = sep.Witness(*hit, "direct") if hit else None
         assert key(got) == key(ref_hom_pair_witness(spec, f, g, catalog)), \
             (f, g)
@@ -83,10 +86,11 @@ def test_same_witness_as_pair_loop(make, length, p, order):
     (make_amalg1, 16), (make_c2c3, 8), (make_d8_q8, 16),
 ], ids=["c4_c2_c4", "c2_c3", "d8_z_q8"])
 def test_same_residual_entries_as_pair_loop(make, order):
+    """The residual check is the search against the identity: its entries
+    are those of a loop over all agreeing pairs testing for a nontrivial
+    image."""
     spec = make()
-    budget = sep.SearchBudget(2, order, order)
-    got = sep.check_residually_p_bounded(spec, 2, budget)
-    ref = ref_check_residually_p_bounded(spec, 2, 2, budget)
-    assert got.length_bound == ref.length_bound
-    assert [(e.element, e.survives, key(e.witness)) for e in got.entries] == \
-        [(e.element, e.survives, key(e.witness)) for e in ref.entries]
+    budget = sep.SearchBudget(2, order, order, 2)
+    got = sep.is_cfp_separable_bounded(spec, am.EMPTY, budget)
+    assert [(e.other, e.separated, key(e.witness)) for e in got.entries] == \
+        ref_residual_entries(spec, 2, 2, order)
