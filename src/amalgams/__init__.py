@@ -44,7 +44,7 @@ from .quotients import (
     quotient_amalgam,
 )
 from .graphgroups import (
-    Graph,
+    Edge,
     GroupGraph,
     Presentation,
     amalgam_as_group_graph,

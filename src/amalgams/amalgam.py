@@ -85,7 +85,7 @@ class AmalgamSpec:
     A and B are central (``central``), phi and its inverse as dicts
     (``phi_map`` and ``phi_inv_map`` expose them read-only), and per factor
     the membership set of the amalgamated subgroup and the coset table
-    behind ``_coset_decompose``.  ``p_residuals`` holds, per prime p, the
+    ``_cosets``.  ``p_residuals`` holds, per prime p, the
     p-residual pair that ``quotients.p_residual`` builds on first request.
     They are not fields, so equality and hashing see only the defining
     data.
@@ -262,12 +262,6 @@ class NormalForm:
     tags alternate."""
     amalgam_part: int
     tail: tuple[tuple[str, int], ...]
-
-
-def _coset_decompose(spec: AmalgamSpec, tag: str, e: int) -> tuple[int, int]:
-    """e = a * rep with a in the amalgamated subgroup of this factor and rep
-    the minimal element of its right coset."""
-    return spec._cosets[tag][e]
 
 
 def normal_form(spec: AmalgamSpec, w: Word) -> NormalForm:

@@ -63,10 +63,6 @@ class NotConnected(AmalgamsError):
     pass
 
 
-class InvalidTree(AmalgamsError):
-    pass
-
-
 class WrongShape(AmalgamsError):
     """The library no longer raises it: the presentation collapse that did
     is gone.  ``perfbench/spans.py`` still names it."""

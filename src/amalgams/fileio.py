@@ -50,7 +50,9 @@ def parse_group(text: str) -> FiniteGroup:
     while i < len(lines):
         ln = lines[i]
         if ln.startswith("order "):
-            order = _ints(ln.split()[1:2], "order")[0]
+            order, *extra = _ints(ln.split()[1:], "order")
+            if extra:
+                raise ParseError(f"order line {ln!r} gives more than one value")
         elif ln == "table":
             if order is None:
                 raise ParseError("order must precede table")
@@ -140,9 +142,10 @@ def parse_amalgam(text: str) -> AmalgamSpec:
 
     def elements(name: str) -> list[int]:
         lines = sections[name]
-        if len(lines) != 1 or not lines[0].startswith("elements"):
+        words = lines[0].split() if len(lines) == 1 else []
+        if words[:1] != ["elements"]:
             raise ParseError("subgroup section must be a single 'elements' line")
-        elts = _ints(lines[0].split()[1:], "elements")
+        elts = _ints(words[1:], "elements")
         for i, e in enumerate(elts):
             if e in elts[:i]:
                 raise ParseError(f"[{name}] lists element {e} twice")
@@ -186,7 +189,7 @@ def render_word(spec: AmalgamSpec, w: Word) -> str:
 
 def parse_group_graph(text: str, base_dir: str | Path = ".") -> gg.GroupGraph:
     """Vertex lines reference group files; each edge line gives one geometric
-    edge (the inverse edge is added automatically).
+    edge.
 
     Sections: ``[vertex NAME]`` with a ``group PATH`` line, and
     ``[edge NAME ORIG TERM]`` with ``group PATH``, ``rho i0 i1 ...`` and
@@ -203,13 +206,13 @@ def parse_group_graph(text: str, base_dir: str | Path = ".") -> gg.GroupGraph:
             if name in vertex_group:
                 raise ParseError(f"[{header}]: vertex {name} declared twice")
             values = _keyed(lines, f"[{header}]", ("group",))
-            vertex_group[name] = load_group(base / values["group"].split()[0])
+            vertex_group[name] = load_group(base / _path(values, header))
         elif words[:1] == ["edge"] and len(words) == 4:
             name, orig, term = words[1:]
             if name in edges:
                 raise ParseError(f"[{header}]: edge {name} declared twice")
             values = _keyed(lines, f"[{header}]", ("group", "rho", "tau"))
-            egrp = load_group(base / values["group"].split()[0])
+            egrp = load_group(base / _path(values, header))
             rho = _ints(values["rho"].split(), "rho")
             tau = _ints(values["tau"].split(), "tau")
             edges[name] = (orig, term, egrp, rho, tau)
@@ -218,30 +221,26 @@ def parse_group_graph(text: str, base_dir: str | Path = ".") -> gg.GroupGraph:
                              f"[vertex NAME] or [edge NAME ORIG TERM]")
     if not vertex_group:
         raise ParseError("no [vertex] section")
-    edge_names = []
-    inv, orig, term = {}, {}, {}
-    edge_group, rho_map, tau_map = {}, {}, {}
+    edge_list = []
     for name, (o, t, egrp, rho, tau) in sorted(edges.items()):
         for v in (o, t):
             if v not in vertex_group:
                 raise ParseError(f"edge {name}: unknown vertex {v!r}")
-        bar = name + "bar"
-        if bar in edges:
-            raise ParseError(f"edge {bar} collides with the inverse edge "
-                             f"generated for {name}")
-        edge_names += [name, bar]
-        inv[name], inv[bar] = bar, name
-        orig[name], term[name] = o, t
-        orig[bar], term[bar] = t, o
-        edge_group[name] = edge_group[bar] = egrp
         rho_hom = GroupHom(egrp, vertex_group[o], tuple(rho))
         tau_hom = GroupHom(egrp, vertex_group[t], tuple(tau))
         if not (rho_hom.is_valid() and tau_hom.is_valid()):
             raise ParseError(f"edge {name}: rho/tau are not homomorphisms")
-        rho_map[name], tau_map[name] = rho_hom, tau_hom
-        rho_map[bar], tau_map[bar] = tau_hom, rho_hom
-    graph = gg.make_graph(vertex_group.keys(), edge_names, inv, orig, term)
-    return gg.make_group_graph(graph, vertex_group, edge_group, rho_map, tau_map)
+        edge_list.append(gg.Edge(name, o, t, egrp, rho_hom, tau_hom))
+    return gg.make_group_graph(vertex_group, edge_list)
+
+
+def _path(values: dict[str, str], header: str) -> str:
+    """The one path of a section's ``group`` line."""
+    path, *extra = values["group"].split()
+    if extra:
+        raise ParseError(f"[{header}]: group line names more than one "
+                         f"path: {values['group']!r}")
+    return path
 
 
 def load_group_graph(path: str | Path) -> gg.GroupGraph:

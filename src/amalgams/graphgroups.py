@@ -1,147 +1,93 @@
 """Graphs of groups and fundamental group presentations.
 
-Edges come in inverse pairs (e, inv(e)); a graph of groups attaches a group
-to every vertex and edge together with injections of each edge group into
-the endpoint vertex groups.  The fundamental group presentation uses the
-full multiplication table of each vertex group as relators, identification
-relations along a maximal tree, and one stable letter per geometric
-non-tree edge.
+A graph of groups attaches a group to every vertex and to every geometric
+edge, together with injections rho and tau of each edge group into the
+groups at the edge's origin and terminal vertex.  Each edge is stored once,
+in one orientation; its inverse is implicit.  The fundamental group
+presentation uses the full multiplication table of each vertex group as
+relators, identification relations along a maximal tree, and one stable
+letter per non-tree edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .amalgam import AmalgamSpec
-from .errors import InvalidTree, NotConnected, NotSubgroup
+from .errors import NotConnected, NotSubgroup
 from .fingroup import FiniteGroup, GroupHom
 
 
 @dataclass(frozen=True)
-class Graph:
-    vertices: tuple[str, ...]
-    edges: tuple[str, ...]
-    inv: tuple[tuple[str, str], ...]   # edge -> inverse edge
-    orig: tuple[tuple[str, str], ...]  # edge -> origin vertex
-    term: tuple[tuple[str, str], ...]  # edge -> terminal vertex
-
-    @cached_property
-    def _maps(self) -> dict[str, dict[str, str]]:
-        """inv, orig and term as dicts, built once on first use; not a
-        field, so equality, hashing and pickling see only the tuples."""
-        return {"inv": dict(self.inv), "orig": dict(self.orig),
-                "term": dict(self.term)}
-
-    def inv_of(self, e: str) -> str:
-        return self._maps["inv"][e]
-
-    def orig_of(self, e: str) -> str:
-        return self._maps["orig"][e]
-
-    def term_of(self, e: str) -> str:
-        return self._maps["term"][e]
-
-
-def make_graph(vertices, edges, inv: Mapping[str, str],
-               orig: Mapping[str, str], term: Mapping[str, str]) -> Graph:
-    """Validate the involution axioms and connectivity (NotConnected also
-    for a graph with no vertex)."""
-    vs = tuple(sorted(vertices))
-    es = tuple(sorted(edges))
-    if not vs:
-        raise NotConnected("graph has no vertex")
-    for e in es:
-        if inv[e] == e:
-            raise InvalidTree(f"edge {e} is its own inverse")
-        if inv[inv[e]] != e:
-            raise InvalidTree(f"involution not involutive at {e}")
-        if orig[inv[e]] != term[e] or term[inv[e]] != orig[e]:
-            raise InvalidTree(f"inverse edge endpoints wrong at {e}")
-    _walk(vs, es, orig, term)  # raises unless connected
-    return Graph(vs, es, tuple(sorted(inv.items())),
-                 tuple(sorted(orig.items())), tuple(sorted(term.items())))
-
-
-def _walk(vertices: tuple[str, ...], edges: tuple[str, ...],
-          orig: Mapping[str, str], term: Mapping[str, str]) -> list[str]:
-    """Breadth-first walk from the first vertex, trying edges in the given
-    order: the edges that reach a new vertex.  Raises NotConnected when a
-    vertex is left unreached."""
-    reached = [vertices[0]]
-    seen = set(reached)
-    used = []
-    for v in reached:  # grows while iterated: breadth-first order
-        for e in edges:
-            if orig[e] == v and term[e] not in seen:
-                seen.add(term[e])
-                reached.append(term[e])
-                used.append(e)
-    if seen != set(vertices):
-        raise NotConnected(f"unreached vertices {sorted(set(vertices) - seen)}")
-    return used
-
-
-def maximal_tree(g: Graph) -> frozenset[str]:
-    """Spanning tree edge set, closed under inversion: the edges by which a
-    breadth-first walk from the minimal vertex, trying lexicographically
-    smaller edges first, reaches each vertex, and their inverses.  Raises
-    NotConnected for a disconnected graph."""
-    used = _walk(g.vertices, g.edges, g._maps["orig"], g._maps["term"])
-    return frozenset(used + [g.inv_of(e) for e in used])
+class Edge:
+    """A geometric edge orig -> term carrying ``group``, with rho: group ->
+    the origin's vertex group and tau: group -> the terminal's."""
+    name: str
+    orig: str
+    term: str
+    group: FiniteGroup
+    rho: GroupHom
+    tau: GroupHom
 
 
 @dataclass(frozen=True)
 class GroupGraph:
-    graph: Graph
-    vertex_group: tuple[tuple[str, FiniteGroup], ...]
-    edge_group: tuple[tuple[str, FiniteGroup], ...]
-    rho: tuple[tuple[str, GroupHom], ...]  # edge group -> origin vertex group
-    tau: tuple[tuple[str, GroupHom], ...]  # edge group -> terminal vertex group
-
-    @cached_property
-    def _maps(self) -> dict[str, dict]:
-        """The four tuples as dicts, built once on first use; not a field,
-        so equality, hashing and pickling see only the tuples."""
-        return {"vertex_group": dict(self.vertex_group),
-                "edge_group": dict(self.edge_group),
-                "rho": dict(self.rho), "tau": dict(self.tau)}
-
-    def group_at(self, v: str) -> FiniteGroup:
-        return self._maps["vertex_group"][v]
-
-    def edge_group_of(self, e: str) -> FiniteGroup:
-        return self._maps["edge_group"][e]
-
-    def rho_of(self, e: str) -> GroupHom:
-        return self._maps["rho"][e]
-
-    def tau_of(self, e: str) -> GroupHom:
-        return self._maps["tau"][e]
+    vertex_group: tuple[tuple[str, FiniteGroup], ...]  # sorted by vertex
+    edges: tuple[Edge, ...]                            # sorted by name
 
 
-def make_group_graph(graph: Graph, vertex_group: Mapping[str, FiniteGroup],
-                     edge_group: Mapping[str, FiniteGroup],
-                     rho: Mapping[str, GroupHom],
-                     tau: Mapping[str, GroupHom]) -> GroupGraph:
-    for e in graph.edges:
-        ebar = graph.inv_of(e)
-        if edge_group[e] != edge_group[ebar]:
-            raise NotSubgroup(f"edge groups differ across inversion at {e}")
-        if rho[e] != tau[ebar] or tau[e] != rho[ebar]:
-            raise NotSubgroup(f"rho/tau not swapped across inversion at {e}")
-        if not rho[e].is_injective() or not tau[e].is_injective():
-            raise NotSubgroup(f"edge embeddings must be injective at {e}")
-        if rho[e].source != edge_group[e] or tau[e].source != edge_group[e]:
-            raise NotSubgroup(f"embedding source mismatch at {e}")
-        if rho[e].target != vertex_group[graph.orig_of(e)]:
-            raise NotSubgroup(f"rho target mismatch at {e}")
-        if tau[e].target != vertex_group[graph.term_of(e)]:
-            raise NotSubgroup(f"tau target mismatch at {e}")
-    return GroupGraph(graph, tuple(sorted(vertex_group.items())),
-                      tuple(sorted(edge_group.items())),
-                      tuple(sorted(rho.items())), tuple(sorted(tau.items())))
+def make_group_graph(vertex_group: Mapping[str, FiniteGroup],
+                     edges: Iterable[Edge]) -> GroupGraph:
+    """Check the embeddings and connectivity (NotConnected also for a graph
+    with no vertex or an edge whose endpoint is not a vertex)."""
+    edges = tuple(sorted(edges, key=lambda e: e.name))
+    for e in edges:
+        for v in (e.orig, e.term):
+            if v not in vertex_group:
+                raise NotConnected(f"edge {e.name}: endpoint {v!r} is not "
+                                   f"a vertex")
+    gg = GroupGraph(tuple(sorted(vertex_group.items())), edges)
+    maximal_tree(gg)  # raises unless connected
+    for e in edges:
+        if not e.rho.is_injective() or not e.tau.is_injective():
+            raise NotSubgroup(f"edge embeddings must be injective at {e.name}")
+        if e.rho.source != e.group or e.tau.source != e.group:
+            raise NotSubgroup(f"embedding source mismatch at {e.name}")
+        if e.rho.target != vertex_group[e.orig]:
+            raise NotSubgroup(f"rho target mismatch at {e.name}")
+        if e.tau.target != vertex_group[e.term]:
+            raise NotSubgroup(f"tau target mismatch at {e.name}")
+    return gg
+
+
+def maximal_tree(gg: GroupGraph) -> frozenset[str]:
+    """Names of the spanning tree edges: those by which a breadth-first walk
+    from the minimal vertex first reaches each vertex.  Raises NotConnected
+    for an empty or disconnected graph."""
+    if not gg.vertex_group:
+        raise NotConnected("graph has no vertex")
+    # At each vertex the walk tries the edge ends sorted by key: e for the
+    # origin end of edge e, e + "bar" for its terminal end.  Those are the
+    # names the graph-file format has always given the two orientations,
+    # so every graph file keeps its tree, and its pi1 output, byte for
+    # byte; plain name order would change the tree of some files.
+    ends = sorted([(e.name, e.orig, e.term, e.name) for e in gg.edges]
+                  + [(e.name + "bar", e.term, e.orig, e.name)
+                     for e in gg.edges])
+    reached = [gg.vertex_group[0][0]]
+    seen = set(reached)
+    tree = set()
+    for v in reached:  # grows while iterated: breadth-first order
+        for _, start, end, name in ends:
+            if start == v and end not in seen:
+                seen.add(end)
+                reached.append(end)
+                tree.add(name)
+    unreached = {v for v, _ in gg.vertex_group} - seen
+    if unreached:
+        raise NotConnected(f"unreached vertices {sorted(unreached)}")
+    return frozenset(tree)
 
 
 Relator = tuple[tuple[str, int], ...]  # (symbol, exponent +-1)
@@ -189,56 +135,36 @@ def symbol(vertex: str, element: int) -> str:
 def fundamental_presentation(gg: GroupGraph) -> Presentation:
     """Presentation of the fundamental group w.r.t. ``maximal_tree``.
 
-    Tree edges give identification relations rho(g) = tau(g); each geometric
-    non-tree edge gives one stable letter t with t^-1 rho(g) t = tau(g)
-    (the relation for the inverse edge is folded into t^-1).
+    Tree edges give identification relations rho(g) = tau(g); each non-tree
+    edge gives one stable letter t with t^-1 rho(g) t = tau(g).
     """
-    g = gg.graph
-    tree = maximal_tree(g)
-
-    geometric = []
-    used = set()
-    for e in g.edges:  # sorted; canonical orientation = smaller edge id
-        if e not in used:
-            geometric.append(e)
-            used.add(e)
-            used.add(g.inv_of(e))
-
+    tree = maximal_tree(gg)
     edge_relators: list[Relator] = []
     stable_letters: list[str] = []
-    for e in geometric:
-        ge = gg.edge_group_of(e)
-        rho, tau = gg.rho_of(e), gg.tau_of(e)
-        u, v = g.orig_of(e), g.term_of(e)
-        if e in tree:
-            for x in range(1, ge.order):
-                edge_relators.append(((symbol(u, rho(x)), 1),
-                                      (symbol(v, tau(x)), -1)))
+    for e in gg.edges:
+        u, v = e.orig, e.term
+        if e.name in tree:
+            for x in range(1, e.group.order):
+                edge_relators.append(((symbol(u, e.rho(x)), 1),
+                                      (symbol(v, e.tau(x)), -1)))
         else:
-            t = f"t_{e}"
+            t = f"t_{e.name}"
             stable_letters.append(t)
-            for x in range(1, ge.order):
-                edge_relators.append(((t, -1), (symbol(u, rho(x)), 1), (t, 1),
-                                      (symbol(v, tau(x)), -1)))
+            for x in range(1, e.group.order):
+                edge_relators.append(((t, -1), (symbol(u, e.rho(x)), 1),
+                                      (t, 1), (symbol(v, e.tau(x)), -1)))
     return Presentation(gg.vertex_group, tuple(edge_relators),
                         tuple(stable_letters))
 
 
 def amalgam_as_group_graph(spec: AmalgamSpec) -> GroupGraph:
-    """Two vertices carrying H and K joined by one geometric edge carrying A,
-    with rho the inclusion and tau = phi followed by inclusion."""
-    graph = make_graph(("u", "v"), ("e0", "e0bar"),
-                       {"e0": "e0bar", "e0bar": "e0"},
-                       {"e0": "u", "e0bar": "v"},
-                       {"e0": "v", "e0bar": "u"})
+    """Two vertices carrying H and K joined by one edge carrying A, with rho
+    the inclusion and tau = phi followed by inclusion."""
     ga, emb = spec.A.as_group()
-    rho_e = GroupHom(ga, spec.H, emb)
     phi = spec.phi_map
-    tau_e = GroupHom(ga, spec.K, tuple(phi[a] for a in emb))
-    return make_group_graph(graph, {"u": spec.H, "v": spec.K},
-                            {"e0": ga, "e0bar": ga},
-                            {"e0": rho_e, "e0bar": tau_e},
-                            {"e0": tau_e, "e0bar": rho_e})
+    edge = Edge("e0", "u", "v", ga, GroupHom(ga, spec.H, emb),
+                GroupHom(ga, spec.K, tuple(phi[a] for a in emb)))
+    return make_group_graph({"u": spec.H, "v": spec.K}, [edge])
 
 
 def amalgam_presentation(spec: AmalgamSpec) -> Presentation:

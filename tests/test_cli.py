@@ -383,6 +383,16 @@ class TestPi1:
         payload = json.loads(capsys.readouterr().out)
         assert "t_e0" in payload["generators"]
 
+    def test_edges_named_like_inverses_are_loops(self, tmp_path, capsys):
+        """No inverse edge is generated, so e0bar is a name like any other."""
+        (tmp_path / "c2.grp").write_text(fileio.serialize_group(fg.cyclic(2)))
+        (tmp_path / "loops.txt").write_text(
+            "[vertex u]\ngroup c2.grp\n"
+            "[edge e0 u u]\ngroup c2.grp\nrho 0 1\ntau 0 1\n"
+            "[edge e0bar u u]\ngroup c2.grp\nrho 0 1\ntau 0 1\n")
+        assert main(["pi1", str(tmp_path / "loops.txt")]) == 0
+        assert capsys.readouterr().out.startswith("< u_g1 t_e0 t_e0bar |\n")
+
     def test_bad_graph_is_input_error(self, tmp_path, capsys):
         (tmp_path / "bad.txt").write_text("[vertex u]\ngroup missing.grp\n")
         assert main(["pi1", str(tmp_path / "bad.txt")]) == 2
@@ -405,15 +415,13 @@ class TestPi1:
         "[]\ngroup c2.grp\n",
         "[vertex u]\ngroup c2.grp\n[edge e0 u]\ngroup c2.grp\n"
         "rho 0 1\ntau 0 1\n",
-        # an edge named like the inverse generated for another
-        "[vertex u]\ngroup c2.grp\n"
-        "[edge e0 u u]\ngroup c2.grp\nrho 0 1\ntau 0 1\n"
-        "[edge e0bar u u]\ngroup c2.grp\nrho 0 1\ntau 0 1\n",
         # one vertex under two spellings of its header
         "[vertex u]\ngroup c2.grp\n[vertex  u]\ngroup c2.grp\n",
+        # tokens after the group file's path
+        "[vertex u]\ngroup c2.grp extra junk\n",
     ], ids=["vertex-no-group", "edge-no-tau", "unknown-vertex", "bad-image",
             "empty", "vertex-no-name", "empty-header", "edge-no-term",
-            "inverse-collision", "vertex-twice"])
+            "vertex-twice", "group-extra-tokens"])
     def test_malformed_graph_exits_2(self, tmp_path, text):
         (tmp_path / "c2.grp").write_text(fileio.serialize_group(fg.cyclic(2)))
         (tmp_path / "graph.txt").write_text(text)
@@ -512,7 +520,8 @@ class TestMalformedFiles:
                      ("3 0 1 2\n", "3 0 1 2\nnames e a a2 a3 a4\n"),
                      ("1 2 3 0", "1 2 x 0"), ("1 2 3 0", "1 2 7 0"),
                      ("order 4", "order x"), ("order 4", "order 0"),
-                     ("order 4", "order -4"), ("table", "tabel")]
+                     ("order 4", "order -4"), ("order 4", "order 4 9"),
+                     ("table", "tabel")]
         for label, bad in _damaged(text, mutations):
             (tmp_path / "c4.grp").write_text(bad)
             self._assert_input_error(capsys, ["pi1", str(graph)], label)
@@ -528,6 +537,7 @@ class TestMalformedFiles:
                      ("elements 0 2\n[B]", "elements 0 9\n[B]"),
                      ("elements 0 2\n[B]", "elements 0 1\n[B]"),
                      ("elements 0 2\n[B]", "elements 0 x\n[B]"),
+                     ("elements 0 2\n[B]", "elementsfoo 0 2\n[B]"),
                      ("[phi]\n0 0", "[phi]\n0 0 0"), ("[phi]\n0 0", "[phi]\n0"),
                      ("2 2\n", "2 x\n"), ("2 2\n", "2 1\n"),
                      ("2 2\n", "2 0\n2 2\n"),

@@ -1,117 +1,80 @@
-import pickle
-
 import pytest
 
 from amalgams import fingroup as fg
 from amalgams import graphgroups as gg
-from amalgams.errors import InvalidTree, NotConnected, NotSubgroup
+from amalgams.errors import NotConnected, NotSubgroup
+
+
+def trivial_edge(name, orig, term, vertex_group):
+    t = fg.cyclic(1)
+    return gg.Edge(name, orig, term, t,
+                   fg.GroupHom(t, vertex_group[orig], (0,)),
+                   fg.GroupHom(t, vertex_group[term], (0,)))
+
+
+def graph_of(vertices, ends):
+    """Vertices carrying C2 and one trivial edge ``e{i}`` per (orig, term)
+    in ``ends``."""
+    vgs = {v: fg.cyclic(2) for v in vertices}
+    return gg.make_group_graph(
+        vgs, [trivial_edge(f"e{i}", x, y, vgs) for i, (x, y) in enumerate(ends)])
 
 
 def segment_graph():
-    return gg.make_graph(
-        ("u", "v"), ("e0", "e0bar"),
-        {"e0": "e0bar", "e0bar": "e0"},
-        {"e0": "u", "e0bar": "v"},
-        {"e0": "v", "e0bar": "u"})
+    return graph_of(("u", "v"), [("u", "v")])
 
 
 def loop_graph():
-    return gg.make_graph(
-        ("u",), ("e0", "e0bar"),
-        {"e0": "e0bar", "e0bar": "e0"},
-        {"e0": "u", "e0bar": "u"},
-        {"e0": "u", "e0bar": "u"})
+    return graph_of(("u",), [("u", "u")])
 
 
 def triangle_graph():
-    verts = ("a", "b", "c")
-    edges, inv, orig, term = [], {}, {}, {}
-    for i, (x, y) in enumerate([("a", "b"), ("b", "c"), ("c", "a")]):
-        e, ebar = f"e{i}", f"e{i}bar"
-        edges += [e, ebar]
-        inv[e], inv[ebar] = ebar, e
-        orig[e], term[e] = x, y
-        orig[ebar], term[ebar] = y, x
-    return gg.make_graph(verts, edges, inv, orig, term)
-
-
-def trivial_edge_data(graph, vertex_group):
-    t = fg.cyclic(1)
-    eg, rho, tau = {}, {}, {}
-    for e in graph.edges:
-        eg[e] = t
-        rho[e] = fg.GroupHom(t, vertex_group[graph.orig_of(e)], (0,))
-        tau[e] = fg.GroupHom(t, vertex_group[graph.term_of(e)], (0,))
-    return eg, rho, tau
+    return graph_of(("a", "b", "c"), [("a", "b"), ("b", "c"), ("c", "a")])
 
 
 class TestGraph:
-    def test_rejects_self_inverse_edge(self):
-        with pytest.raises(InvalidTree):
-            gg.make_graph(("u",), ("e",), {"e": "e"}, {"e": "u"}, {"e": "u"})
-
     def test_rejects_disconnected(self):
         with pytest.raises(NotConnected):
-            gg.make_graph(("u", "v"), (), {}, {}, {})
+            graph_of(("u", "v"), [])
 
     def test_rejects_empty(self):
         with pytest.raises(NotConnected):
-            gg.make_graph((), (), {}, {}, {})
+            graph_of((), [])
 
-    def test_rejects_mismatched_inverse_endpoints(self):
-        with pytest.raises(InvalidTree):
-            gg.make_graph(
-                ("u", "v"), ("e", "ebar"),
-                {"e": "ebar", "ebar": "e"},
-                {"e": "u", "ebar": "u"},
-                {"e": "v", "ebar": "v"})
-
-
-class TestStoredMaps:
-    """The lookups read dicts built once per instance; the stored dicts
-    leave equality, hashing and pickling as they were."""
-
-    def test_graph_maps(self):
-        built, fresh = triangle_graph(), triangle_graph()
-        for e in built.edges:
-            assert built.inv_of(e) == dict(built.inv)[e]
-            assert built.orig_of(e) == dict(built.orig)[e]
-            assert built.term_of(e) == dict(built.term)[e]
-        assert "_maps" in vars(built) and "_maps" not in vars(fresh)
-        assert built == fresh and hash(built) == hash(fresh)
-        assert pickle.loads(pickle.dumps(built)) == fresh
-        assert pickle.loads(pickle.dumps(fresh)) == built
-
-    def test_group_graph_maps(self, amalg1):
-        built = gg.amalgam_as_group_graph(amalg1)
-        fresh = gg.amalgam_as_group_graph(amalg1)
-        for v in built.graph.vertices:
-            assert built.group_at(v) == dict(built.vertex_group)[v]
-        for e in built.graph.edges:
-            assert built.edge_group_of(e) == dict(built.edge_group)[e]
-            assert built.rho_of(e) == dict(built.rho)[e]
-            assert built.tau_of(e) == dict(built.tau)[e]
-        assert "_maps" in vars(built) and "_maps" not in vars(fresh)
-        assert built == fresh and hash(built) == hash(fresh)
-        assert pickle.loads(pickle.dumps(built)) == fresh
-        assert pickle.loads(pickle.dumps(fresh)) == built
+    def test_rejects_unknown_endpoint(self):
+        """A library error, not the KeyError of a vertex lookup."""
+        c2 = fg.cyclic(2)
+        edge = trivial_edge("e0", "u", "w", {"u": c2, "w": c2})
+        with pytest.raises(NotConnected, match="'w' is not a vertex"):
+            gg.make_group_graph({"u": c2}, [edge])
 
 
 class TestMaximalTree:
     def test_segment(self):
-        assert gg.maximal_tree(segment_graph()) == frozenset({"e0", "e0bar"})
+        assert gg.maximal_tree(segment_graph()) == frozenset({"e0"})
 
     def test_loop(self):
         assert gg.maximal_tree(loop_graph()) == frozenset()
 
     def test_triangle(self):
         tree = gg.maximal_tree(triangle_graph())
-        assert len(tree) == 4
-        assert all(triangle_graph().inv_of(e) in tree for e in tree)
+        assert tree == frozenset({"e0", "e2"})
 
     def test_deterministic(self):
         assert gg.maximal_tree(triangle_graph()) == \
             gg.maximal_tree(triangle_graph())
+
+    def test_ends_tried_in_inverse_name_order(self):
+        """At u the origin end of e0 (ordered as "e0") comes before the
+        terminal end of e (ordered as "ebar"), so e0 is the tree edge and e
+        gets the stable letter; plain name order would keep e instead."""
+        c2 = fg.cyclic(2)
+        vgs = {"u": c2, "v": c2}
+        graph = gg.make_group_graph(vgs, [trivial_edge("e", "v", "u", vgs),
+                                          trivial_edge("e0", "u", "v", vgs)])
+        assert gg.maximal_tree(graph) == frozenset({"e0"})
+        text = gg.presentation_text(gg.fundamental_presentation(graph))
+        assert text.splitlines()[0] == "< u_g1 v_g1 t_e |"
 
 
 class TestFundamentalPresentation:
@@ -133,11 +96,9 @@ class TestFundamentalPresentation:
 
     def test_hnn_loop_gets_stable_letter(self):
         c2 = fg.cyclic(2)
-        graph = loop_graph()
         emb = fg.GroupHom(c2, c2, (0, 1))
         ggraph = gg.make_group_graph(
-            graph, {"u": c2}, {"e0": c2, "e0bar": c2},
-            {"e0": emb, "e0bar": emb}, {"e0": emb, "e0bar": emb})
+            {"u": c2}, [gg.Edge("e0", "u", "u", c2, emb, emb)])
         pres = gg.fundamental_presentation(ggraph)
         assert pres.stable_letters == ("t_e0",)
         assert pres.edge_relators == (
@@ -145,31 +106,26 @@ class TestFundamentalPresentation:
              (gg.symbol("u", 1), -1)),)
 
     def test_free_product_trivial_edge_group(self):
-        graph = segment_graph()
         vgs = {"u": fg.cyclic(2), "v": fg.cyclic(3)}
-        eg, rho, tau = trivial_edge_data(graph, vgs)
         pres = gg.fundamental_presentation(gg.make_group_graph(
-            graph, vgs, eg, rho, tau))
+            vgs, [trivial_edge("e0", "u", "v", vgs)]))
         assert pres.edge_relators == () and pres.stable_letters == ()
 
     def test_triangle_tree_leaves_one_stable_letter(self):
-        graph = triangle_graph()
-        vgs = {v: fg.cyclic(2) for v in graph.vertices}
-        eg, rho, tau = trivial_edge_data(graph, vgs)
-        pres = gg.fundamental_presentation(gg.make_group_graph(
-            graph, vgs, eg, rho, tau))
-        assert len(pres.stable_letters) == 1
+        pres = gg.fundamental_presentation(triangle_graph())
+        assert pres.stable_letters == ("t_e1",)
 
     def test_group_graph_axioms_enforced(self):
         c2, c3 = fg.cyclic(2), fg.cyclic(3)
-        graph = segment_graph()
+        vgs = {"u": c2, "v": c3}
         e_c2 = fg.GroupHom(c2, c2, (0, 1))
         bad_tau = fg.GroupHom(c2, c3, (0, 0))
-        with pytest.raises(NotSubgroup):
-            gg.make_group_graph(graph, {"u": c2, "v": c3},
-                                {"e0": c2, "e0bar": c2},
-                                {"e0": e_c2, "e0bar": bad_tau},
-                                {"e0": bad_tau, "e0bar": e_c2})
+        with pytest.raises(NotSubgroup, match="injective"):
+            gg.make_group_graph(vgs, [gg.Edge("e0", "u", "v", c2, e_c2,
+                                              bad_tau)])
+        with pytest.raises(NotSubgroup, match="tau target"):
+            gg.make_group_graph(vgs, [gg.Edge("e0", "u", "v", c2, e_c2,
+                                              e_c2)])
 
 
 class TestRendering:

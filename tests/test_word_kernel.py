@@ -82,7 +82,7 @@ def ref_normal_form(spec, w):
     for tag, e in reversed(syl):
         G = spec.factor(tag)
         c = carry if tag == TAG_H else spec.phi_map[carry]
-        a, rep = am._coset_decompose(spec, tag, G.mul(e, c))
+        a, rep = spec._cosets[tag][G.mul(e, c)]
         tail.append((tag, rep))
         carry = a if tag == TAG_H else spec.phi_inv_map[a]
     tail.reverse()
