@@ -64,8 +64,7 @@ class NotConnected(AmalgamsError):
 
 
 class WrongShape(AmalgamsError):
-    """The library no longer raises it: the presentation collapse that did
-    is gone.  ``perfbench/spans.py`` still names it."""
+    """A graph of groups lists two edges under one name."""
 
 
 class ElementsConjugate(AmalgamsError):

@@ -1,10 +1,15 @@
 """Text file formats: groups, amalgams, group graphs, witness certificates,
 and the search budget config (its keys are the SearchBudget fields).
 
-All serializations are canonical: serializing a parsed value reproduces the
-input byte-for-byte, so files round-trip exactly.  Hence a group file's
-identity must be element 0, no element name may read as another index, and
-a key given twice in ``key value`` lines is rejected.
+Section headers ``[name]`` are read by ``_split_sections`` and ``key value``
+lines by ``_keyed``; those two alone decide which sections and keys a format
+accepts, and they reject a section or key that is given twice or that the
+format does not define.  Every text that a ``serialize_*`` function writes
+parses back and re-serializes byte for byte.  Other accepted texts, such as
+ones with blank lines, a ``presentation`` line or ``names`` before
+``table``, parse to the same value as their canonical text.  A group file's
+identity must be element 0 and no element name may read as another index,
+so the indices in a file name the elements as written.
 """
 
 from __future__ import annotations
@@ -41,35 +46,26 @@ def _ints(tokens: list[str], what: str) -> list[int]:
                          f"{' '.join(tokens)!r}") from None
 
 
+GROUP_KEYS = ("order", "names", "presentation")
+
+
 def parse_group(text: str) -> FiniteGroup:
+    """``order N`` before a ``table`` line and its N rows; an optional
+    ``names`` line and an optional ``presentation`` line (documentation,
+    not read) before or after the table."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    order = None
-    table = []
-    names = None
-    i = 0
-    while i < len(lines):
-        ln = lines[i]
-        if ln.startswith("order "):
-            order, *extra = _ints(ln.split()[1:], "order")
-            if extra:
-                raise ParseError(f"order line {ln!r} gives more than one value")
-        elif ln == "table":
-            if order is None:
-                raise ParseError("order must precede table")
-            for j in range(order):
-                i += 1
-                if i >= len(lines):
-                    raise ParseError("truncated table")
-                table.append(_ints(lines[i].split(), "table row"))
-        elif ln.startswith("names "):
-            names = ln.split()[1:]
-        elif ln.startswith("presentation "):
-            pass  # documentation only
-        else:
-            raise ParseError(f"unrecognized line: {ln!r}")
-        i += 1
-    if order is None or len(table) != order:
+    if "table" not in lines:
+        raise ParseError("missing table line")
+    t = lines.index("table")
+    head = _keyed(lines[:t], "group", GROUP_KEYS, ("order",))
+    order, *extra = _ints(head["order"].split(), "order")
+    if extra:
+        raise ParseError(f"order line {head['order']!r} gives more than one value")
+    table = [_ints(row.split(), "table row") for row in lines[t + 1:t + 1 + order]]
+    if len(table) != order:
         raise ParseError("missing or incomplete table")
+    values = _keyed(lines[:t] + lines[t + 1 + order:], "group", GROUP_KEYS)
+    names = values["names"].split() if "names" in values else None
     if names is not None and len(names) != order:
         raise ParseError(f"names line has {len(names)} names for order {order}")
     if names is not None and len(set(names)) != order:
@@ -82,14 +78,17 @@ def parse_group(text: str) -> FiniteGroup:
     return G
 
 
-def _keyed(lines: list[str], where: str,
+def _keyed(lines: list[str], where: str, keys: tuple[str, ...],
            required: tuple[str, ...] = ()) -> dict[str, str]:
     """``key value`` lines as key -> value, the rest of the line.  Raises
-    ParseError naming a key given twice or a required key that is missing
-    or has no value."""
+    ParseError naming a key outside ``keys``, a key given twice, or a
+    required key that is missing or has no value."""
     values: dict[str, str] = {}
     for ln in lines:
         key, *rest = ln.split()
+        if key not in keys:
+            raise ParseError(f"unknown {where} key {key!r}; accepted keys: "
+                             f"{', '.join(keys)}")
         if key in values:
             raise ParseError(f"{where} key {key!r} given twice")
         values[key] = " ".join(rest)
@@ -115,7 +114,13 @@ def serialize_amalgam(spec: AmalgamSpec) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _split_sections(text: str) -> dict[str, list[str]]:
+def _split_sections(text: str,
+                    names: tuple[str, ...] = ()) -> dict[str, list[str]]:
+    """``[header]`` sections as header -> non-blank lines, with the runs of
+    whitespace inside a header read as one space.  Raises ParseError for
+    content before the first header or a header given twice; when ``names``
+    is given, also for a header outside it or a name whose section is
+    missing or empty."""
     sections: dict[str, list[str]] = {}
     current = None
     for ln in text.splitlines():
@@ -123,29 +128,32 @@ def _split_sections(text: str) -> dict[str, list[str]]:
         if not ln:
             continue
         if ln.startswith("[") and ln.endswith("]"):
-            current = ln[1:-1]
-            sections.setdefault(current, [])
+            current = " ".join(ln[1:-1].split())
+            if current in sections:
+                raise ParseError(f"section [{current}] given twice")
+            if names and current not in names:
+                raise ParseError(f"unknown section [{current}]; accepted "
+                                 f"sections: {' '.join(f'[{n}]' for n in names)}")
+            sections[current] = []
         elif current is None:
             raise ParseError(f"content before first section: {ln!r}")
         else:
             sections[current].append(ln)
+    for name in names:
+        if not sections.get(name):
+            raise ParseError(f"missing or empty section [{name}]")
     return sections
 
 
 def parse_amalgam(text: str) -> AmalgamSpec:
-    sections = _split_sections(text)
-    for name in ("H", "K", "A", "B", "phi"):
-        if name not in sections:
-            raise ParseError(f"missing section [{name}]")
+    sections = _split_sections(text, ("H", "K", "A", "B", "phi"))
     H = parse_group("\n".join(sections["H"]))
     K = parse_group("\n".join(sections["K"]))
 
     def elements(name: str) -> list[int]:
-        lines = sections[name]
-        words = lines[0].split() if len(lines) == 1 else []
-        if words[:1] != ["elements"]:
-            raise ParseError("subgroup section must be a single 'elements' line")
-        elts = _ints(words[1:], "elements")
+        values = _keyed(sections[name], f"[{name}]", ("elements",),
+                        ("elements",))
+        elts = _ints(values["elements"].split(), "elements")
         for i, e in enumerate(elts):
             if e in elts[:i]:
                 raise ParseError(f"[{name}] lists element {e} twice")
@@ -196,41 +204,33 @@ def parse_group_graph(text: str, base_dir: str | Path = ".") -> gg.GroupGraph:
     ``tau i0 i1 ...`` lines (images of edge-group elements in order).
     """
     base = Path(base_dir)
-    sections = _split_sections(text)
     vertex_group: dict[str, FiniteGroup] = {}
-    edges: dict[str, tuple[str, str, FiniteGroup, list[int], list[int]]] = {}
-    for header, lines in sections.items():
+    edges = []
+    for header, lines in _split_sections(text).items():
         words = header.split()
         if words[:1] == ["vertex"] and len(words) == 2:
-            name = words[1]
-            if name in vertex_group:
-                raise ParseError(f"[{header}]: vertex {name} declared twice")
-            values = _keyed(lines, f"[{header}]", ("group",))
-            vertex_group[name] = load_group(base / _path(values, header))
+            values = _keyed(lines, f"[{header}]", ("group",), ("group",))
+            vertex_group[words[1]] = load_group(base / _path(values, header))
         elif words[:1] == ["edge"] and len(words) == 4:
-            name, orig, term = words[1:]
-            if name in edges:
-                raise ParseError(f"[{header}]: edge {name} declared twice")
-            values = _keyed(lines, f"[{header}]", ("group", "rho", "tau"))
+            keys = ("group", "rho", "tau")
+            values = _keyed(lines, f"[{header}]", keys, keys)
             egrp = load_group(base / _path(values, header))
             rho = _ints(values["rho"].split(), "rho")
             tau = _ints(values["tau"].split(), "tau")
-            edges[name] = (orig, term, egrp, rho, tau)
+            edges.append((*words[1:], egrp, rho, tau))
         else:
             raise ParseError(f"bad section header [{header}], expected "
                              f"[vertex NAME] or [edge NAME ORIG TERM]")
     if not vertex_group:
         raise ParseError("no [vertex] section")
     edge_list = []
-    for name, (o, t, egrp, rho, tau) in sorted(edges.items()):
+    for name, o, t, egrp, rho, tau in edges:
         for v in (o, t):
             if v not in vertex_group:
                 raise ParseError(f"edge {name}: unknown vertex {v!r}")
-        rho_hom = GroupHom(egrp, vertex_group[o], tuple(rho))
-        tau_hom = GroupHom(egrp, vertex_group[t], tuple(tau))
-        if not (rho_hom.is_valid() and tau_hom.is_valid()):
-            raise ParseError(f"edge {name}: rho/tau are not homomorphisms")
-        edge_list.append(gg.Edge(name, o, t, egrp, rho_hom, tau_hom))
+        edge_list.append(gg.Edge(name, o, t, egrp,
+                                 GroupHom(egrp, vertex_group[o], tuple(rho)),
+                                 GroupHom(egrp, vertex_group[t], tuple(tau))))
     return gg.make_group_graph(vertex_group, edge_list)
 
 
@@ -278,29 +278,26 @@ def serialize_certificate(spec: AmalgamSpec, w: sep.Witness,
 
 
 def parse_certificate(text: str) -> dict:
-    """Inverse of serialize_certificate; ParseError on a missing section,
-    key or value, a key given twice, or a [psi_H] or [psi_K] section that
-    is not exactly one line."""
-    sections = _split_sections(text)
-
-    def section(name: str) -> list[str]:
-        if not sections.get(name):
-            raise ParseError(f"missing or empty section [{name}]")
-        return sections[name]
+    """Inverse of serialize_certificate; ParseError on a missing, empty,
+    repeated or unknown section or key, a key without a value, or a
+    [psi_H] or [psi_K] section that is not exactly one line."""
+    sections = _split_sections(
+        text, ("witness", "target", "psi_H", "psi_K", "images"))
 
     def images_line(name: str) -> list[int]:
-        lines = section(name)
+        lines = sections[name]
         if len(lines) != 1:
             raise ParseError(f"section [{name}] must be a single line, "
                              f"has {len(lines)}")
         return _ints(lines[0].split(), name)
 
-    meta = _keyed(section("witness"), "[witness]", ("strategy", "f", "g"))
-    target = parse_group("\n".join(section("target")))
+    meta_keys = ("strategy", "f", "g")
+    meta = _keyed(sections["witness"], "[witness]", meta_keys, meta_keys)
+    target = parse_group("\n".join(sections["target"]))
     psi_h = images_line("psi_H")
     psi_k = images_line("psi_K")
     image_keys = ("f_image", "g_image", "f_class_rep", "g_class_rep")
-    found = _keyed(section("images"), "[images]", image_keys)
+    found = _keyed(sections["images"], "[images]", image_keys, image_keys)
     images = {key: _ints([found[key]], key)[0] for key in image_keys}
     return {"strategy": meta["strategy"],
             "f": "" if meta["f"] == "-" else meta["f"],
@@ -325,16 +322,12 @@ def load_config(path: Optional[str | Path] = None,
     a value (from the file or the environment) that is not an integer,
     raises ParseError naming the key; SearchBudget raises for a p that is
     not prime or a cap below 1."""
-    keys = [fld.name for fld in fields(sep.SearchBudget)]
+    keys = tuple(fld.name for fld in fields(sep.SearchBudget))
     values: dict[str, str] = {}
     if path is not None:
         lines = [ln for ln in Path(path).read_text().splitlines()
                  if ln.strip() and not ln.strip().startswith("#")]
-        values = _keyed(lines, "config")
-        for key in values:
-            if key not in keys:
-                raise ParseError(f"unknown config key {key!r}; accepted "
-                                 f"keys: {', '.join(keys)}")
+        values = _keyed(lines, "config", keys)
     env = os.environ if env is None else env
     for key in keys:
         ev = env.get(ENV_PREFIX + key.upper())

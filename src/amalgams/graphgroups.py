@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .amalgam import AmalgamSpec
-from .errors import NotConnected, NotSubgroup
+from .errors import NotConnected, NotSubgroup, WrongShape
 from .fingroup import FiniteGroup, GroupHom
 
 
@@ -39,25 +39,32 @@ class GroupGraph:
 
 def make_group_graph(vertex_group: Mapping[str, FiniteGroup],
                      edges: Iterable[Edge]) -> GroupGraph:
-    """Check the embeddings and connectivity (NotConnected also for a graph
-    with no vertex or an edge whose endpoint is not a vertex)."""
+    """Check the edges and connectivity: NotConnected for a graph with no
+    vertex, an unreached vertex or an edge whose endpoint is not a vertex;
+    WrongShape for two edges with one name; NotSubgroup unless rho and tau
+    are injective homomorphisms from the edge group into the vertex groups
+    at its ends."""
     edges = tuple(sorted(edges, key=lambda e: e.name))
     for e in edges:
         for v in (e.orig, e.term):
             if v not in vertex_group:
                 raise NotConnected(f"edge {e.name}: endpoint {v!r} is not "
                                    f"a vertex")
+    for e, nxt in zip(edges, edges[1:]):
+        if e.name == nxt.name:
+            raise WrongShape(f"two edges are named {e.name}")
     gg = GroupGraph(tuple(sorted(vertex_group.items())), edges)
     maximal_tree(gg)  # raises unless connected
     for e in edges:
-        if not e.rho.is_injective() or not e.tau.is_injective():
-            raise NotSubgroup(f"edge embeddings must be injective at {e.name}")
-        if e.rho.source != e.group or e.tau.source != e.group:
-            raise NotSubgroup(f"embedding source mismatch at {e.name}")
-        if e.rho.target != vertex_group[e.orig]:
-            raise NotSubgroup(f"rho target mismatch at {e.name}")
-        if e.tau.target != vertex_group[e.term]:
-            raise NotSubgroup(f"tau target mismatch at {e.name}")
+        for label, hom, v in (("rho", e.rho, e.orig), ("tau", e.tau, e.term)):
+            if hom.source != e.group:
+                raise NotSubgroup(f"{label} source mismatch at {e.name}")
+            if hom.target != vertex_group[v]:
+                raise NotSubgroup(f"{label} target mismatch at {e.name}")
+            if not hom.is_valid():
+                raise NotSubgroup(f"{label} is not a homomorphism at {e.name}")
+            if not hom.is_injective():
+                raise NotSubgroup(f"{label} must be injective at {e.name}")
     return gg
 
 

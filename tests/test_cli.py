@@ -12,7 +12,7 @@ from amalgams import fileio
 from amalgams import fingroup as fg
 from amalgams import separability as sep
 from amalgams.cli import main
-from amalgams.errors import AmalgamsError, NotAGroup, ParseError
+from amalgams.errors import AmalgamsError, NotAGroup, NotSubgroup, ParseError
 from conftest import make_amalg1, make_c2c3, make_d8_q8, make_s3_amalgam
 
 
@@ -397,35 +397,44 @@ class TestPi1:
         (tmp_path / "bad.txt").write_text("[vertex u]\ngroup missing.grp\n")
         assert main(["pi1", str(tmp_path / "bad.txt")]) == 2
 
-    @pytest.mark.parametrize("text", [
+    @pytest.mark.parametrize("text,error", [
         # vertex section without a group line
-        "[vertex u]\ngroup c2.grp\n[vertex v]\n",
+        ("[vertex u]\ngroup c2.grp\n[vertex v]\n", ParseError),
         # edge section without a tau line
-        "[vertex u]\ngroup c2.grp\n[edge e0 u u]\ngroup c2.grp\nrho 0 1\n",
+        ("[vertex u]\ngroup c2.grp\n[edge e0 u u]\ngroup c2.grp\nrho 0 1\n",
+         ParseError),
         # edge naming an unknown vertex
-        "[vertex u]\ngroup c2.grp\n"
-        "[edge e0 u w]\ngroup c2.grp\nrho 0 1\ntau 0 1\n",
-        # edge image outside the vertex group
-        "[vertex u]\ngroup c2.grp\n"
-        "[edge e0 u u]\ngroup c2.grp\nrho 0 7\ntau 0 1\n",
+        ("[vertex u]\ngroup c2.grp\n"
+         "[edge e0 u w]\ngroup c2.grp\nrho 0 1\ntau 0 1\n", ParseError),
+        # edge image outside the vertex group: rho is not a homomorphism,
+        # which make_group_graph checks for files and library callers alike
+        ("[vertex u]\ngroup c2.grp\n"
+         "[edge e0 u u]\ngroup c2.grp\nrho 0 7\ntau 0 1\n", NotSubgroup),
         # no vertex at all
-        "",
+        ("", ParseError),
         # headers with too few words
-        "[vertex]\ngroup c2.grp\n",
-        "[]\ngroup c2.grp\n",
-        "[vertex u]\ngroup c2.grp\n[edge e0 u]\ngroup c2.grp\n"
-        "rho 0 1\ntau 0 1\n",
+        ("[vertex]\ngroup c2.grp\n", ParseError),
+        ("[]\ngroup c2.grp\n", ParseError),
+        ("[vertex u]\ngroup c2.grp\n[edge e0 u]\ngroup c2.grp\n"
+         "rho 0 1\ntau 0 1\n", ParseError),
         # one vertex under two spellings of its header
-        "[vertex u]\ngroup c2.grp\n[vertex  u]\ngroup c2.grp\n",
+        ("[vertex u]\ngroup c2.grp\n[vertex  u]\ngroup c2.grp\n", ParseError),
+        # one header twice, the second section empty
+        ("[vertex u]\ngroup c2.grp\n[vertex u]\n", ParseError),
         # tokens after the group file's path
-        "[vertex u]\ngroup c2.grp extra junk\n",
+        ("[vertex u]\ngroup c2.grp extra junk\n", ParseError),
+        # a key the section does not define
+        ("[vertex u]\ngroup c2.grp\nweight 3\n", ParseError),
+        ("[vertex u]\ngroup c2.grp\n[edge e0 u u]\ngroup c2.grp\n"
+         "rho 0 1\ntau 0 1\ncolour red\n", ParseError),
     ], ids=["vertex-no-group", "edge-no-tau", "unknown-vertex", "bad-image",
             "empty", "vertex-no-name", "empty-header", "edge-no-term",
-            "vertex-twice", "group-extra-tokens"])
-    def test_malformed_graph_exits_2(self, tmp_path, text):
+            "vertex-twice", "vertex-header-repeated", "group-extra-tokens",
+            "vertex-unknown-key", "edge-unknown-key"])
+    def test_malformed_graph_exits_2(self, tmp_path, text, error):
         (tmp_path / "c2.grp").write_text(fileio.serialize_group(fg.cyclic(2)))
         (tmp_path / "graph.txt").write_text(text)
-        with pytest.raises(ParseError):
+        with pytest.raises(error):
             fileio.load_group_graph(tmp_path / "graph.txt")
         src = str(Path(fileio.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -521,7 +530,8 @@ class TestMalformedFiles:
                      ("1 2 3 0", "1 2 x 0"), ("1 2 3 0", "1 2 7 0"),
                      ("order 4", "order x"), ("order 4", "order 0"),
                      ("order 4", "order -4"), ("order 4", "order 4 9"),
-                     ("table", "tabel")]
+                     ("table", "tabel"), ("order 4", "order 4\norder 4"),
+                     ("3 0 1 2\n", "3 0 1 2\nnames e a a2 a3\nnames x y z w\n")]
         for label, bad in _damaged(text, mutations):
             (tmp_path / "c4.grp").write_text(bad)
             self._assert_input_error(capsys, ["pi1", str(graph)], label)
@@ -543,7 +553,8 @@ class TestMalformedFiles:
                      ("2 2\n", "2 0\n2 2\n"),
                      ("elements 0 2\n[B]", "elements 0 2 2\n[B]"),
                      ("elements 0 2\n[phi]", "elements 0 2 0\n[phi]"),
-                     ("[H]", "order 4\n[H]"), ("1 2 3 0", "1 2 3 3")]
+                     ("[H]", "order 4\n[H]"), ("1 2 3 0", "1 2 3 3"),
+                     ("2 2\n", "[phi]\n2 2\n"), ("[phi]", "[junk]\nfoo\n[phi]")]
         for label, bad in _damaged(text, mutations):
             path.write_text(bad)
             self._assert_input_error(
@@ -552,7 +563,9 @@ class TestMalformedFiles:
     CERTIFICATE_MUTATIONS = [
         ("strategy direct", "strategy"), ("[psi_H]\n0", "[psi_H]\nx"),
         ("g_image 1", "g_image x"), ("g_image 1", "g_image 1 2"),
-        ("[images]", "[imagez]"), ("order 2", "order 3")]
+        ("[images]", "[imagez]"), ("order 2", "order 3"),
+        ("[images]", "[images]\nfoo 3"),
+        ("[images]", "[notes]\nhand made\n[images]")]
 
     def _certificate_text(self):
         spec = fileio.parse_amalgam(self._named_amalgam_text())

@@ -2,7 +2,7 @@ import pytest
 
 from amalgams import fingroup as fg
 from amalgams import graphgroups as gg
-from amalgams.errors import NotConnected, NotSubgroup
+from amalgams.errors import NotConnected, NotSubgroup, WrongShape
 
 
 def trivial_edge(name, orig, term, vertex_group):
@@ -47,6 +47,13 @@ class TestGraph:
         edge = trivial_edge("e0", "u", "w", {"u": c2, "w": c2})
         with pytest.raises(NotConnected, match="'w' is not a vertex"):
             gg.make_group_graph({"u": c2}, [edge])
+
+    def test_rejects_repeated_edge_name(self):
+        """The presentation would list the stable letter t_e0 twice."""
+        vgs = {"u": fg.cyclic(2)}
+        loop = trivial_edge("e0", "u", "u", vgs)
+        with pytest.raises(WrongShape, match="two edges are named e0"):
+            gg.make_group_graph(vgs, [loop, loop])
 
 
 class TestMaximalTree:
@@ -126,6 +133,11 @@ class TestFundamentalPresentation:
         with pytest.raises(NotSubgroup, match="tau target"):
             gg.make_group_graph(vgs, [gg.Edge("e0", "u", "v", c2, e_c2,
                                               e_c2)])
+        c4 = fg.cyclic(4)
+        not_hom = fg.GroupHom(c2, c4, (0, 1))  # injective, but 1 + 1 = 2 != 0
+        with pytest.raises(NotSubgroup, match="rho is not a homomorphism"):
+            gg.make_group_graph({"u": c4}, [gg.Edge(
+                "e0", "u", "u", c2, not_hom, fg.GroupHom(c2, c4, (0, 2)))])
 
 
 class TestRendering:
