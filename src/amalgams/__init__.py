@@ -11,11 +11,9 @@ from .amalgam import (
     ConjugacyVerdict,
     NormalForm,
     Word,
-    cyclic_permutations,
     cyclically_reduce,
     is_conjugate_central,
     is_conjugate_general,
-    length,
     make_amalgam,
     normal_form,
     reduce,

@@ -36,7 +36,6 @@ from . import fingroup
 from .errors import (
     IndexOutOfRange,
     NotCentral,
-    NotCyclicallyReduced,
     PhiNotIso,
     VerificationFailed,
 )
@@ -83,10 +82,11 @@ class AmalgamSpec:
 
     What the tables fix is built once per instance, on first use: whether
     A and B are central (``central``), phi and its inverse as dicts
-    (``phi_map`` and ``phi_inv_map`` expose them read-only), and per factor
-    the membership set of the amalgamated subgroup and the coset table
-    ``_cosets``.  ``p_residuals`` holds, per prime p, the
-    p-residual pair that ``quotients.p_residual`` builds on first request.
+    (``phi_map`` and ``phi_inv_map`` expose them read-only; their keys are
+    the membership sets of A and B), and per factor the one coset table,
+    ``_left_action``, with the double-coset labels read from it.
+    ``p_residuals`` holds, per prime p, the p-residual pair that
+    ``quotients.p_residual`` builds on first request.
     They are not fields, so equality and hashing see only the defining
     data.
     """
@@ -126,42 +126,34 @@ class AmalgamSpec:
         return {TAG_H: self.H.table, TAG_K: self.K.table}
 
     @cached_property
-    def _cosets(self) -> dict[str, tuple[tuple[int, int], ...]]:
-        """Per tag, the table e -> (a, rep) with e = a * rep, a in the
-        amalgamated subgroup of that factor and rep the minimal element of
-        the right coset of e."""
+    def _left_action(self) -> dict[str, tuple]:
+        """Per tag, what ``normal_form`` reads: the factor's table, the map
+        carrying an element of A (H-side index) into the factor, and the
+        coset table e -> (a, rep) with e = a * rep, rep the minimal element
+        of the right coset of e and a in the amalgamated subgroup, given by
+        its H-side index."""
+        fwd, back = self._across[TAG_H], self._across[TAG_K]
+        ident = range(self.H.order)
         out = {}
-        for tag in (TAG_H, TAG_K):
+        for tag, into, to_h in ((TAG_H, ident, ident),
+                                (TAG_K, [fwd.get(a, 0) for a in ident], back)):
             G, sub = self.factor(tag), self.amalg(tag).elements
             rows = []
             for e in G.elements():
                 rep = min(G.mul(a, e) for a in sub)
-                rows.append((G.mul(e, G.inv(rep)), rep))
-            out[tag] = tuple(rows)
+                rows.append((to_h[G.mul(e, G.inv(rep))], rep))
+            out[tag] = (G.table, tuple(into), tuple(rows))
         return out
-
-    @cached_property
-    def _left_action(self) -> dict[str, tuple]:
-        """Per tag, what ``normal_form`` reads: the factor's table, the map
-        carrying an element of A (H-side index) into the factor, and the
-        coset table with its amalgamated part on the H side."""
-        fwd, back = self._across[TAG_H], self._across[TAG_K]
-        into_k = [0] * self.H.order
-        for a, b in fwd.items():
-            into_k[a] = b
-        return {TAG_H: (self.H.table, tuple(range(self.H.order)),
-                        self._cosets[TAG_H]),
-                TAG_K: (self.K.table, tuple(into_k),
-                        tuple((back[a], rep) for a, rep in self._cosets[TAG_K]))}
 
     @cached_property
     def _double_cosets(self) -> dict[str, tuple[int, ...]]:
         """Per tag, the table e -> min(S*e*S), S the amalgamated subgroup of
-        that factor: the label of e's double coset."""
-        return {tag: tuple(min(self._cosets[tag][row[b]][1]
+        that factor: the label of e's double coset, the least coset
+        representative over e*S."""
+        return {tag: tuple(min(cosets[row[b]][1]
                                for b in self.amalg(tag).elements)
-                           for row in self._tables[tag])
-                for tag in (TAG_H, TAG_K)}
+                           for row in tab)
+                for tag, (tab, _, cosets) in self._left_action.items()}
 
     @property
     def phi_map(self) -> Mapping[int, int]:
@@ -245,11 +237,6 @@ def reduce(spec: AmalgamSpec, w: Word) -> Word:
     return Word(tuple(out))
 
 
-def length(spec: AmalgamSpec, w: Word) -> int:
-    """Syllable count of the reduced form; the identity has length 0."""
-    return len(reduce(spec, w))
-
-
 def inverse(spec: AmalgamSpec, w: Word) -> Word:
     return Word(tuple((tag, spec.factor(tag).inv(e))
                       for tag, e in reversed(w.syllables)))
@@ -294,12 +281,6 @@ def normal_form(spec: AmalgamSpec, w: Word) -> NormalForm:
     return NormalForm(carry, tuple(tail))
 
 
-def render(spec: AmalgamSpec, nf: NormalForm) -> Word:
-    """A word spelling the normal form."""
-    head = [(TAG_H, nf.amalgam_part)] if nf.amalgam_part != 0 else []
-    return word(head + list(nf.tail))
-
-
 def equal_in_g(spec: AmalgamSpec, u: Word, v: Word) -> bool:
     return normal_form(spec, u) == normal_form(spec, v)
 
@@ -322,23 +303,6 @@ def cyclically_reduce(spec: AmalgamSpec, w: Word) -> tuple[Word, Word]:
     if not equal_in_g(spec, inverse(spec, z).concat(w).concat(z), c):
         raise VerificationFailed("cyclic conjugator failed verification")
     return c, z
-
-
-def is_cyclically_reduced(spec: AmalgamSpec, w: Word) -> bool:
-    r = reduce(spec, w)
-    if r.syllables != w.syllables:
-        return False
-    return len(w) <= 1 or w.syllables[0][0] != w.syllables[-1][0]
-
-
-def cyclic_permutations(spec: AmalgamSpec, w: Word) -> tuple[Word, ...]:
-    """The rotations x_i...x_n x_1...x_{i-1}; a length-<=1 word is its own
-    unique cyclic permutation."""
-    if not is_cyclically_reduced(spec, w):
-        raise NotCyclicallyReduced(str(w))
-    if len(w) <= 1:
-        return (w,)
-    return tuple(_rotation(w, i) for i in range(len(w)))
 
 
 def _rotation(w: Word, i: int) -> Word:

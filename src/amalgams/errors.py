@@ -41,10 +41,6 @@ class PhiNotIso(AmalgamsError):
     pass
 
 
-class NotCyclicallyReduced(AmalgamsError):
-    pass
-
-
 class NotCentral(AmalgamsError):
     """Amalgamated subgroups are not central in their factors."""
 

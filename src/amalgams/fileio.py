@@ -252,11 +252,12 @@ def load_group_graph(path: str | Path) -> gg.GroupGraph:
 
 def certificate_images(w: sep.Witness, f: Word, g: Word) -> dict[str, int]:
     """The [images] section: the images of f and g in the target and the
-    first element of each image's conjugacy class."""
+    least element of each image's conjugacy class."""
+    X = w.target
     fi, gi = sep.word_image(w, f), sep.word_image(w, g)
     return {"f_image": fi, "g_image": gi,
-            "f_class_rep": fingroup.class_of(w.target, fi)[0],
-            "g_class_rep": fingroup.class_of(w.target, gi)[0]}
+            "f_class_rep": min(X.conj(fi, z) for z in X.elements()),
+            "g_class_rep": min(X.conj(gi, z) for z in X.elements())}
 
 
 def serialize_certificate(spec: AmalgamSpec, w: sep.Witness,

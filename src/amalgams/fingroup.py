@@ -299,13 +299,6 @@ def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(classes, key=lambda c: c[0]))
 
 
-def class_of(G: FiniteGroup, g: int) -> tuple[int, ...]:
-    for cls in conjugacy_classes(G):
-        if g in cls:
-            return cls
-    raise IndexOutOfRange(str(g))
-
-
 def are_conjugate_in(G: FiniteGroup, a: int, b: int) -> Optional[int]:
     """A conjugating element z with z^-1 a z = b, or None."""
     for z in G.elements():

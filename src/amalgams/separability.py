@@ -43,7 +43,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import amalgam as am
 from . import fingroup
@@ -123,7 +123,6 @@ def _partitions(n: int,
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
 def _abelian_p_group(p: int, partition: tuple[int, ...]) -> FiniteGroup:
     G = fingroup.cyclic(1)
     for part in partition:
@@ -132,12 +131,21 @@ def _abelian_p_group(p: int, partition: tuple[int, ...]) -> FiniteGroup:
 
 
 @lru_cache(maxsize=None)
-def p_group_catalog(p: int, max_order: int) -> tuple[FiniteGroup, ...]:
-    """Search space of witness targets, smallest order first: all abelian
-    p-groups of order <= max_order (one per partition) and, for p = 2, the
-    dihedral and quaternion groups of order 8 and 16.  No two share a
-    table.  Built once per (p, max_order).  max_order is an upper bound and
-    need not be a power of p; one below p raises NotPPower."""
+def _groups_of_order(p: int, exp: int) -> tuple[FiniteGroup, ...]:
+    """The catalog groups of order p**exp: the abelian ones, one per
+    partition, then for p = 2 the dihedral and quaternion groups of order
+    8 and 16.  Built once per (p, exp)."""
+    groups = [_abelian_p_group(p, partition) for partition in _partitions(exp)]
+    if p == 2 and exp in (3, 4):
+        groups += [fingroup.dihedral(2 ** (exp - 1)), fingroup.quaternion(2 ** exp)]
+    return tuple(groups)
+
+
+@lru_cache(maxsize=None)
+def _exponents(p: int, max_order: int) -> range:
+    """The exponents e with p**e <= max_order, from 1.  max_order is an
+    upper bound and need not be a power of p; one below p raises
+    NotPPower."""
     fingroup.check_prime(p)
     k = 0
     while p ** (k + 1) <= max_order:
@@ -145,20 +153,26 @@ def p_group_catalog(p: int, max_order: int) -> tuple[FiniteGroup, ...]:
     if not k:
         raise NotPPower(f"no {p}-group of order at most {max_order} "
                         f"is nontrivial")
-    catalog: list[FiniteGroup] = []
-    for exp in range(1, k + 1):
-        for partition in _partitions(exp):
-            catalog.append(_abelian_p_group(p, partition))
-        if p == 2 and exp == 3:
-            catalog.append(fingroup.dihedral(4))
-            catalog.append(fingroup.quaternion(8))
-        if p == 2 and exp == 4:
-            catalog.append(fingroup.dihedral(8))
-            catalog.append(fingroup.quaternion(16))
-    return tuple(catalog)
+    return range(1, k + 1)
 
 
-def _first_agreeing_pair(spec: AmalgamSpec, catalog: Sequence[FiniteGroup],
+def _catalog_walk(p: int, max_order: int) -> Iterator[FiniteGroup]:
+    """The witness targets of order <= max_order, smallest order first.
+    Each order's groups are built when the walk first reaches them, so a
+    large bound costs nothing until a search gets that far."""
+    return itertools.chain.from_iterable(
+        map(_groups_of_order, itertools.repeat(p), _exponents(p, max_order)))
+
+
+@lru_cache(maxsize=None)
+def p_group_catalog(p: int, max_order: int) -> tuple[FiniteGroup, ...]:
+    """The whole search space of witness targets of order <= max_order,
+    in the order ``search_witness`` walks it (``_catalog_walk``).  No two
+    share a table.  Built once per (p, max_order)."""
+    return tuple(_catalog_walk(p, max_order))
+
+
+def _first_agreeing_pair(spec: AmalgamSpec, catalog: Iterable[FiniteGroup],
                          words: Sequence[Word]
                          ) -> Optional[tuple[FiniteGroup, GroupHom, GroupHom]]:
     """First (X, psi_H, psi_K) over the catalog that sends the two
@@ -253,7 +267,7 @@ def search_witness(spec: AmalgamSpec, f: Word, g: Word,
         if star.conjugate:
             raise NotSeparable(pair.R, pair.S, star.conjugator, p)
     found = _first_agreeing_pair(
-        spec, p_group_catalog(p, budget.max_target_order), verdict.reduced)
+        spec, _catalog_walk(p, budget.max_target_order), verdict.reduced)
     if found is None:
         raise BudgetExhausted(
             f"no agreeing homomorphism pair into a catalog {p}-group of "

@@ -5,6 +5,18 @@ decided by reachability in the merge/absorb/transport rewriting graph, and
 conjugacy by exhaustive conjugator search.  The agreeing homomorphism
 pairs are listed by a plain loop over Hom(H, X) and Hom(K, X), with none of
 the witness search's deduplication.
+
+The reference word layer (``ref_*``) is the word layer as it was before
+the one-pass reduction and the lookup tables: ``ref_reduce`` runs a whole
+merge pass again after every flip of an amalgamated syllable,
+``ref_cyclically_reduce`` reduces the whole word again for every rotation,
+``ref_normal_form`` reduces before its coset pass, and
+``ref_is_conjugate_general`` tries every rotation with every a in A and
+expands the whole factor class of every element its length-1 closure
+reaches.  It reads only ``spec.phi``, the element lists of the
+amalgamated subgroups and the factor tables, never the spec's derived
+lookups (``_left_action``, ``_double_cosets``, ``_across``, ``in_amalg``,
+``transport``, ``central``) that the library's word layer reads.
 """
 
 from __future__ import annotations
@@ -12,9 +24,187 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from amalgams.amalgam import TAG_H, TAG_K, AmalgamSpec, Word
+from amalgams.amalgam import (
+    EMPTY, TAG_H, TAG_K, AmalgamSpec, ConjugacyVerdict, NormalForm, Word, word)
 from amalgams import amalgam as am
 from amalgams import fingroup
+from amalgams.errors import VerificationFailed
+
+
+def other_tag(tag: str) -> str:
+    return TAG_K if tag == TAG_H else TAG_H
+
+
+def ref_in_amalg(spec: AmalgamSpec, tag: str, e: int) -> bool:
+    return e in frozenset(spec.amalg(tag).elements)
+
+
+def ref_transport(spec: AmalgamSpec, tag: str, e: int) -> int:
+    """phi(e) for tag H, phi^-1(e) for tag K."""
+    return dict(spec.phi)[e] if tag == TAG_H else {b: a for a, b in spec.phi}[e]
+
+
+def ref_coset_decompose(spec: AmalgamSpec, tag: str, e: int) -> tuple[int, int]:
+    """(a, rep) with e = a * rep, a in the amalgamated subgroup of the
+    factor and rep the least element of the right coset of e."""
+    G = spec.factor(tag)
+    rep = min(G.mul(a, e) for a in spec.amalg(tag).elements)
+    return G.mul(e, G.inv(rep)), rep
+
+
+def ref_central(spec: AmalgamSpec) -> bool:
+    """Whether A and B commute with every element of H and K."""
+    return all(G.mul(s, g) == G.mul(g, s)
+               for tag in (TAG_H, TAG_K) for G in (spec.factor(tag),)
+               for s in spec.amalg(tag).elements for g in G.elements())
+
+
+def ref_merge_pass(spec: AmalgamSpec, syl) -> list[tuple[str, int]]:
+    out = []
+    for tag, e in syl:
+        if out and out[-1][0] == tag:
+            merged = spec.factor(tag).mul(out[-1][1], e)
+            out.pop()
+            if merged != 0:
+                out.append((tag, merged))
+        elif e != 0:
+            out.append((tag, e))
+    return out
+
+
+def ref_reduce(spec: AmalgamSpec, w: Word) -> Word:
+    syl = list(w.syllables)
+    while True:
+        syl = ref_merge_pass(spec, syl)
+        if len(syl) <= 1:
+            break
+        for i, (tag, e) in enumerate(syl):
+            if ref_in_amalg(spec, tag, e):
+                syl[i] = (other_tag(tag), ref_transport(spec, tag, e))
+                break
+        else:
+            break
+    if len(syl) == 1 and syl[0][0] == TAG_K and ref_in_amalg(spec, TAG_K, syl[0][1]):
+        syl = [(TAG_H, ref_transport(spec, TAG_K, syl[0][1]))]
+    return Word(tuple(syl))
+
+
+def ref_normal_form(spec: AmalgamSpec, w: Word) -> NormalForm:
+    syl = ref_reduce(spec, w).syllables
+    if len(syl) == 1 and ref_in_amalg(spec, *syl[0]):
+        tag, e = syl[0]
+        return NormalForm(e if tag == TAG_H else ref_transport(spec, TAG_K, e), ())
+    carry = 0
+    tail = []
+    for tag, e in reversed(syl):
+        G = spec.factor(tag)
+        c = carry if tag == TAG_H else ref_transport(spec, TAG_H, carry)
+        a, rep = ref_coset_decompose(spec, tag, G.mul(e, c))
+        tail.append((tag, rep))
+        carry = a if tag == TAG_H else ref_transport(spec, TAG_K, a)
+    tail.reverse()
+    return NormalForm(carry, tuple(tail))
+
+
+def ref_equal_in_g(spec: AmalgamSpec, u: Word, v: Word) -> bool:
+    return ref_normal_form(spec, u) == ref_normal_form(spec, v)
+
+
+def render(nf: NormalForm) -> Word:
+    """A word spelling the normal form."""
+    head = [(TAG_H, nf.amalgam_part)] if nf.amalgam_part != 0 else []
+    return word(head + list(nf.tail))
+
+
+def is_cyclically_reduced(spec: AmalgamSpec, w: Word) -> bool:
+    """Reduced, and of length <= 1 or with first and last syllables from
+    different factors."""
+    return ref_reduce(spec, w) == w and (
+        len(w) <= 1 or w.syllables[0][0] != w.syllables[-1][0])
+
+
+def ref_cyclically_reduce(spec: AmalgamSpec, w: Word) -> tuple[Word, Word]:
+    c = ref_reduce(spec, w)
+    z = EMPTY
+    while len(c) > 1 and c.syllables[0][0] == c.syllables[-1][0]:
+        first = Word(c.syllables[:1])
+        c = ref_reduce(spec, Word(c.syllables[1:]).concat(first))
+        z = z.concat(first)
+    z = ref_reduce(spec, z)
+    if not ref_equal_in_g(spec, am.inverse(spec, z).concat(w).concat(z), c):
+        raise VerificationFailed("cyclic conjugator failed verification")
+    return c, z
+
+
+def ref_length1_closure(spec: AmalgamSpec, tag: str, e: int) -> dict:
+    """Breadth-first closure of a length-<=1 element under factor
+    conjugation and transport, expanding the whole factor class of every
+    element reached."""
+    start = (tag, e)
+    reached = {start: EMPTY}
+    frontier = [start]
+    while frontier:
+        (t, v) = frontier.pop(0)
+        zv = reached[(t, v)]
+        G = spec.factor(t)
+        for c in G.elements():
+            nxt = (t, G.conj(v, c))
+            if nxt not in reached:
+                reached[nxt] = zv.concat(word([(t, c)]))
+                frontier.append(nxt)
+        if ref_in_amalg(spec, t, v):
+            nxt = (other_tag(t), ref_transport(spec, t, v))
+            if nxt not in reached:
+                reached[nxt] = zv
+                frontier.append(nxt)
+    return reached
+
+
+def _ref_verified(spec: AmalgamSpec, x: Word, y: Word,
+                  z: Word) -> ConjugacyVerdict:
+    z = ref_reduce(spec, z)
+    if not ref_equal_in_g(spec, am.inverse(spec, z).concat(x).concat(z), y):
+        raise VerificationFailed("conjugator failed verification")
+    return ConjugacyVerdict(True, z, ("conjugator", z.syllables))
+
+
+def _ref_not(reason: tuple, cx: Word, cy: Word) -> ConjugacyVerdict:
+    return ConjugacyVerdict(False, None, reason, (cx, cy))
+
+
+def ref_is_conjugate_general(spec: AmalgamSpec, x: Word,
+                             y: Word) -> ConjugacyVerdict:
+    """Every rotation of x against every a in A; the certificate of a
+    negative names the elements a that the library needs to try: a = 1
+    alone when A is central in G."""
+    cx, zx = ref_cyclically_reduce(spec, x)
+    cy, zy = ref_cyclically_reduce(spec, y)
+    zy_inv = am.inverse(spec, zy)
+    if len(cx) != len(cy):
+        return _ref_not(("length-mismatch", len(cx), len(cy)), cx, cy)
+    if len(cx) == 0:
+        return _ref_verified(spec, x, y, zx.concat(zy_inv))
+    if len(cx) == 1:
+        closure = ref_length1_closure(spec, *cx.syllables[0])
+        ty, ey = cy.syllables[0]
+        if (ty, ey) in closure:
+            return _ref_verified(spec, x, y,
+                                 zx.concat(closure[(ty, ey)]).concat(zy_inv))
+        return _ref_not(("closure-exhausted", tuple(sorted(closure))), cx, cy)
+    A = spec.amalg(TAG_H).elements
+    nfy = ref_normal_form(spec, cy)
+    for i in range(len(cx)):
+        prefix, rest = cx.syllables[:i], cx.syllables[i:]
+        u = Word(rest + prefix)
+        for a in A:
+            a_word = word([(TAG_H, a)])
+            cand = ref_reduce(spec, am.inverse(spec, a_word).concat(u)
+                              .concat(a_word))
+            if ref_normal_form(spec, cand) == nfy:
+                return _ref_verified(spec, x, y, zx.concat(Word(prefix))
+                                     .concat(a_word).concat(zy_inv))
+    a_tried = (0,) if ref_central(spec) else A
+    return _ref_not(("exhausted", cx.syllables, a_tried), cx, cy)
 
 
 def agreeing_pairs(spec: AmalgamSpec, X: fingroup.FiniteGroup
@@ -59,13 +249,13 @@ def rewrite_moves(spec: AmalgamSpec, w: tuple) -> list[tuple]:
             out.append(w[:i] + mid + w[i + 2:])
     for i in range(n):
         t, e = w[i]
-        if spec.in_amalg(t, e):
-            other = TAG_K if t == TAG_H else TAG_H
-            out.append(w[:i] + ((other, spec.transport(t, e)),) + w[i + 1:])
-    phi = spec.phi_map
+        if ref_in_amalg(spec, t, e):
+            flipped = (other_tag(t), ref_transport(spec, t, e))
+            out.append(w[:i] + (flipped,) + w[i + 1:])
+    phi = dict(spec.phi)
     for i in range(n - 1):
         (t1, e1), (t2, e2) = w[i], w[i + 1]
-        for a in spec.A.elements:
+        for a in spec.amalg(TAG_H).elements:
             if a == 0:
                 continue
             a1 = a if t1 == TAG_H else phi[a]

@@ -231,7 +231,7 @@ def test_criterion_7_negative_control():
         for psi_H, psi_K in oracles.agreeing_pairs(spec, X):
             w = sep.Witness(X, psi_H, psi_K, "exhaustive-check")
             fi, gi = sep.word_image(w, f), sep.word_image(w, g)
-            if fg.class_of(X, fi) != fg.class_of(X, gi):
+            if fg.are_conjugate_in(X, fi, gi) is None:
                 identified = False
     _report("criterion 7: negative control",
             obstruction_ok and budget_ok and identified,

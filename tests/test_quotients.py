@@ -158,8 +158,8 @@ class TestProjectWord:
             for _ in range(120):
                 w = Word(tuple(rng.choice(alpha)
                                for _ in range(rng.randrange(6))))
-                assert am.length(q, qt.project_word(pair, w)) \
-                    <= am.length(amalg1, w)
+                assert len(am.reduce(q, qt.project_word(pair, w))) \
+                    <= len(am.reduce(amalg1, w))
 
     def test_syllable_avoidance_preserves_length(self, amalg1):
         # If every H-syllable avoids A.R and every K-syllable avoids B.S,
@@ -174,4 +174,5 @@ class TestProjectWord:
             if not ok_h or not ok_k:
                 continue
             w = W(("H", ok_h[0]), ("K", ok_k[0]), ("H", ok_h[-1]))
-            assert am.length(pair.quotient_spec, qt.project_word(pair, w)) == 3
+            assert len(am.reduce(pair.quotient_spec,
+                                 qt.project_word(pair, w))) == 3

@@ -22,6 +22,7 @@ from amalgams.errors import (
     VerificationFailed,
 )
 from conftest import (
+    make_amalg1,
     make_c9_amalgam,
     make_d8_q8,
     make_d16_q16,
@@ -98,6 +99,27 @@ class TestCatalog:
     def test_tables_distinct(self, p, order):
         cat = sep.p_group_catalog(p, order)
         assert len({X.table for X in cat}) == len(cat)
+
+    def test_walk_builds_only_the_orders_it_reaches(self, monkeypatch):
+        """From cold caches, a search whose witness has order 2 builds no
+        catalog group of larger order, however large the bound: each
+        order's groups are built when the walk first reaches them."""
+        spec = make_amalg1()
+        for cache in (sep._exponents, sep._groups_of_order,
+                      sep.p_group_catalog):
+            cache.cache_clear()
+        orders = []
+        from_table = fg.from_table
+
+        def spy(order, *args):
+            orders.append(order)
+            return from_table(order, *args)
+
+        monkeypatch.setattr(fg, "from_table", spy)
+        w = sep.search_witness(spec, W(("H", 1)), W(("K", 1)),
+                               sep.SearchBudget(2, 64))
+        assert w.target.order == 2
+        assert orders and max(orders) == 2
 
 
 class TestWordImage:
@@ -257,7 +279,7 @@ def test_value_classes_are_slotted_and_pickle(amalg1):
 class TestEnumeration:
     def test_cyclically_reduced_all_are(self, amalg1):
         for w in sep.enumerate_cyclically_reduced(amalg1, 3):
-            assert am.is_cyclically_reduced(amalg1, w)
+            assert oracles.is_cyclically_reduced(amalg1, w)
 
     def test_cyclically_reduced_length_0_is_the_identity(self, amalg1):
         assert sep.enumerate_cyclically_reduced(amalg1, 0) == (am.EMPTY,)
@@ -418,7 +440,7 @@ class TestWalkOnCyclicReductions:
         w = sep.search_witness(amalg1, f, g, BUDGET)
         assert walked == [am.is_conjugate_general(amalg1, f, g).reduced]
         for u, c in zip((f, g), walked[0]):
-            assert am.is_cyclically_reduced(amalg1, c) and len(c) < len(u)
+            assert oracles.is_cyclically_reduced(amalg1, c) and len(c) < len(u)
         assert sep.verify_witness(amalg1, w, f, g, 2)
 
 
@@ -429,7 +451,7 @@ class TestVerdictPinning:
 
     @pytest.fixture(autouse=True)
     def cold_catalog(self):
-        sep.p_group_catalog.cache_clear()
+        sep._groups_of_order.cache_clear()
 
     @pytest.mark.parametrize("make,length,p,order,expected", [
         (make_s3_amalgam, 2, 2, 16, (81, 5, 19)),

@@ -1,15 +1,9 @@
 """Differential tests of the one-pass word layer.
 
-The references below are the word layer and the conjugacy decider as
-they were before the stack reduction: ``ref_reduce`` runs a whole merge
-pass again after every flip of an amalgamated syllable,
-``ref_cyclically_reduce`` reduces the whole word again for every rotation,
-``ref_normal_form`` reduces before its coset pass, and
-``ref_is_conjugate_general`` tries every rotation with every a in A and
-expands the whole factor class of every element its length-1 closure
-reaches.  The library must give exactly their outputs: reduced words,
-cyclic reductions with their conjugators, normal forms, closures and
-verdicts (conjugator and certificate included), from both deciders.
+The reference is the table-free word layer of ``oracles`` (``ref_*``).
+The library must give exactly its outputs: reduced words, cyclic
+reductions with their conjugators, normal forms, closures and verdicts
+(conjugator and certificate included), from both deciders.
 ``normal_form`` must not depend on ``reduce``, so that the conjugator
 checks do not share the code whose output they check.
 """
@@ -20,11 +14,7 @@ import pytest
 
 from amalgams import amalgam as am
 from amalgams.amalgam import TAG_H, TAG_K, EMPTY, NormalForm, Word, word
-from amalgams.errors import (
-    IndexOutOfRange,
-    NotCyclicallyReduced,
-    VerificationFailed,
-)
+from amalgams.errors import IndexOutOfRange, VerificationFailed
 from conftest import (
     make_amalg1,
     make_c2c3,
@@ -34,153 +24,19 @@ from conftest import (
     make_s3_amalgam,
     make_s3_s3,
 )
+from oracles import (
+    ref_cyclically_reduce,
+    ref_equal_in_g,
+    ref_is_conjugate_general,
+    ref_length1_closure,
+    ref_normal_form,
+    ref_reduce,
+)
 
 MAKERS = [make_amalg1, make_s3_amalgam, make_c9_amalgam, make_d8_q8, make_c2c3,
           make_s3_s3, make_d8_d8]
 IDS = ["c4_c2_c4", "s3_c3_c6", "c9_c3_c3xc3", "d8_z_q8", "c2_c3",
        "s3_c2_s3", "d8_c2_d8"]
-
-
-def ref_merge_pass(spec, syl):
-    out = []
-    for tag, e in syl:
-        if out and out[-1][0] == tag:
-            merged = spec.factor(tag).mul(out[-1][1], e)
-            out.pop()
-            if merged != 0:
-                out.append((tag, merged))
-        elif e != 0:
-            out.append((tag, e))
-    return out
-
-
-def ref_reduce(spec, w):
-    syl = list(w.syllables)
-    while True:
-        syl = ref_merge_pass(spec, syl)
-        if len(syl) <= 1:
-            break
-        for i, (tag, e) in enumerate(syl):
-            if spec.in_amalg(tag, e):
-                syl[i] = (TAG_K if tag == TAG_H else TAG_H, spec.transport(tag, e))
-                break
-        else:
-            break
-    if len(syl) == 1 and syl[0][0] == TAG_K and spec.in_amalg(TAG_K, syl[0][1]):
-        syl = [(TAG_H, spec.transport(TAG_K, syl[0][1]))]
-    return Word(tuple(syl))
-
-
-def ref_normal_form(spec, w):
-    syl = ref_reduce(spec, w).syllables
-    if len(syl) == 1 and spec.in_amalg(syl[0][0], syl[0][1]):
-        tag, e = syl[0]
-        a = e if tag == TAG_H else spec.transport(TAG_K, e)
-        return NormalForm(a, ())
-    carry = 0
-    tail = []
-    for tag, e in reversed(syl):
-        G = spec.factor(tag)
-        c = carry if tag == TAG_H else spec.phi_map[carry]
-        a, rep = spec._cosets[tag][G.mul(e, c)]
-        tail.append((tag, rep))
-        carry = a if tag == TAG_H else spec.phi_inv_map[a]
-    tail.reverse()
-    return NormalForm(carry, tuple(tail))
-
-
-def ref_equal_in_g(spec, u, v):
-    return ref_normal_form(spec, u) == ref_normal_form(spec, v)
-
-
-def ref_cyclically_reduce(spec, w):
-    c = ref_reduce(spec, w)
-    z = EMPTY
-    while len(c) > 1 and c.syllables[0][0] == c.syllables[-1][0]:
-        first = Word(c.syllables[:1])
-        c = ref_reduce(spec, Word(c.syllables[1:]).concat(first))
-        z = z.concat(first)
-    z = ref_reduce(spec, z)
-    if not ref_equal_in_g(spec, am.inverse(spec, z).concat(w).concat(z), c):
-        raise VerificationFailed("cyclic conjugator failed verification")
-    return c, z
-
-
-def ref_cyclic_permutations(spec, w):
-    r = ref_reduce(spec, w)
-    if r.syllables != w.syllables or (
-            len(w) > 1 and w.syllables[0][0] == w.syllables[-1][0]):
-        raise NotCyclicallyReduced(str(w))
-    if len(w) <= 1:
-        return (w,)
-    return tuple(Word(w.syllables[i:] + w.syllables[:i]) for i in range(len(w)))
-
-
-def ref_verified(spec, x, y, z):
-    z = ref_reduce(spec, z)
-    if not ref_equal_in_g(spec, am.inverse(spec, z).concat(x).concat(z), y):
-        raise VerificationFailed("conjugator failed verification")
-    return am.ConjugacyVerdict(True, z, ("conjugator", z.syllables))
-
-
-def ref_length1_closure(spec, tag, e):
-    """Breadth-first closure of a length-<=1 element under factor
-    conjugation and transport, expanding the whole factor class of every
-    element reached."""
-    start = (tag, e)
-    reached = {start: EMPTY}
-    frontier = [start]
-    while frontier:
-        (t, v) = frontier.pop(0)
-        zv = reached[(t, v)]
-        G = spec.factor(t)
-        for c in G.elements():
-            nxt = (t, G.conj(v, c))
-            if nxt not in reached:
-                reached[nxt] = zv.concat(word([(t, c)]))
-                frontier.append(nxt)
-        if spec.in_amalg(t, v):
-            other = TAG_K if t == TAG_H else TAG_H
-            nxt = (other, spec.transport(t, v))
-            if nxt not in reached:
-                reached[nxt] = zv
-                frontier.append(nxt)
-    return reached
-
-
-def ref_not(reason, cx, cy):
-    return am.ConjugacyVerdict(False, None, reason, (cx, cy))
-
-
-def ref_is_conjugate_general(spec, x, y):
-    """Every rotation of x against every a in A; the certificate of a
-    negative names the elements a that the library needs to try: a = 1
-    alone when A is central in G."""
-    cx, zx = ref_cyclically_reduce(spec, x)
-    cy, zy = ref_cyclically_reduce(spec, y)
-    zy_inv = am.inverse(spec, zy)
-    if len(cx) != len(cy):
-        return ref_not(("length-mismatch", len(cx), len(cy)), cx, cy)
-    if len(cx) == 0:
-        return ref_verified(spec, x, y, zx.concat(zy_inv))
-    if len(cx) == 1:
-        closure = ref_length1_closure(spec, *cx.syllables[0])
-        ty, ey = cy.syllables[0]
-        if (ty, ey) in closure:
-            return ref_verified(spec, x, y,
-                                zx.concat(closure[(ty, ey)]).concat(zy_inv))
-        return ref_not(("closure-exhausted", tuple(sorted(closure))), cx, cy)
-    nfy = ref_normal_form(spec, cy)
-    for i, u in enumerate(ref_cyclic_permutations(spec, cx)):
-        prefix = Word(cx.syllables[:i])
-        for a in spec.A.elements:
-            a_word = word([(TAG_H, a)])
-            cand = ref_reduce(spec, am.inverse(spec, a_word).concat(u).concat(a_word))
-            if ref_normal_form(spec, cand) == nfy:
-                return ref_verified(spec, x, y,
-                                    zx.concat(prefix).concat(a_word).concat(zy_inv))
-    a_tried = (0,) if spec.central else spec.A.elements
-    return ref_not(("exhausted", cx.syllables, a_tried), cx, cy)
 
 
 def biased_words(spec, seed, count, max_len):
