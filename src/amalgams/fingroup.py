@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     IndexOutOfRange,
@@ -323,7 +323,7 @@ def generating_sequence(G: FiniteGroup) -> tuple[int, ...]:
 def _hom_plan(G: FiniteGroup) -> tuple[tuple[int, ...],
                                        tuple[tuple[int, int, int], ...],
                                        tuple[tuple[int, int, int], ...]]:
-    """How ``enumerate_homs`` extends and checks generator images on G:
+    """How ``keyed_homs`` extends and checks generator images on G:
     (orders, steps, checks).
 
     ``orders`` are the orders of the greedy generating sequence.  ``steps``
@@ -358,33 +358,52 @@ def elements_of_order_dividing(X: FiniteGroup, n: int) -> tuple[int, ...]:
     return tuple(x for x in X.elements() if n % X.element_order(x) == 0)
 
 
-def enumerate_homs(G: FiniteGroup, X: FiniteGroup) -> tuple[GroupHom, ...]:
-    """All homomorphisms G -> X, in deterministic order.
+def keyed_homs(G: FiniteGroup, X: FiniteGroup,
+               key: Sequence[int]) -> Iterator[tuple[tuple[int, ...],
+                                                   tuple[int, ...]]]:
+    """The first homomorphism G -> X of each distinct key, as (key, images):
+    the key is the tuple of images of the elements ``key``, the images
+    those of every element of G.
 
     Tries the images of a fixed greedy generating sequence whose orders
     divide the generators' orders, as one ``itertools.product`` over the
     per-generator candidates, read from ``elements_of_order_dividing``
-    (built once per target and order): the homs come in lexicographic order
-    of their generator images.  Each candidate is extended along the spanning
-    tree of G's plan (``_hom_plan``, built once per G) by rows of
-    ``X.table`` and kept when it passes the plan's relation checks: every
-    img(a*s) = img(a)*img(s) that the tree does not already imply, which
-    gives the full homomorphism law since the generators span G.
+    (built once per target and order): candidates come in lexicographic
+    order of their generator images.  Each candidate is extended along the
+    spanning tree of G's plan (``_hom_plan``, read at call time) by rows of
+    ``X.table`` and its key is read.  A candidate whose key was already
+    yielded is skipped before any relation check: the first homomorphism of
+    that key came earlier.  Any other is yielded when it passes the plan's
+    relation checks, every img(a*s) = img(a)*img(s) that the tree does not
+    already imply, which gives the full homomorphism law since the
+    generators span G.
     """
     orders, steps, checks = _hom_plan(G)
     candidates = [elements_of_order_dividing(X, order) for order in orders]
     table = X.table
     images = [0] * G.order
-    results = []
+    read = images.__getitem__
+    seen = set()
     for chosen in itertools.product(*candidates):
         for e, prev, gi in steps:
             images[e] = table[images[prev]][chosen[gi]]
+        k = tuple(map(read, key))
+        if k in seen:
+            continue
         for a, gi, b in checks:
             if images[b] != table[images[a]][chosen[gi]]:
                 break
         else:
-            results.append(GroupHom(G, X, tuple(images)))
-    return tuple(results)
+            seen.add(k)
+            yield k, tuple(images)
+
+
+def enumerate_homs(G: FiniteGroup, X: FiniteGroup) -> tuple[GroupHom, ...]:
+    """All homomorphisms G -> X, in lexicographic order of the images of
+    G's greedy generating sequence: ``keyed_homs`` keyed by every element,
+    so that no two homomorphisms share a key."""
+    return tuple(GroupHom(G, X, images)
+                 for _, images in keyed_homs(G, X, G.elements()))
 
 
 def check_prime(p: int) -> None:

@@ -20,7 +20,10 @@ walk cheaper.  The independent re-check and the certificate use f and g.
 A pair's images of the words depend only on the images of their letters,
 so the search tests each distinct combination of letter images once (see
 ``_first_agreeing_pair``) and returns the pair the loop over all agreeing
-pairs would return.
+pairs would return.  The hom kernel (``fingroup.keyed_homs``) yields only
+the first homomorphism of each combination, keyed by the images on the
+amalgamated subgroup and on the letters, and skips every later candidate
+with a key already yielded before its relation checks.
 
 Before the catalog walk, the search consults the p-residual quotient
 G* = H/R* * K/S* (``quotients.p_residual``), through which every
@@ -182,37 +185,31 @@ def _first_agreeing_pair(spec: AmalgamSpec, catalog: Iterable[FiniteGroup],
     psi_H outer, each factor's homs in ``enumerate_homs`` order.
 
     A pair's images of the words depend only on the images of their
-    letters.  So, per X, Hom(K, X) is first tabled by its images on B and
-    then by its K-letter images, keeping the first psi_K of each (dicts
-    keep insertion order, so enumeration order survives).  A psi_H whose
-    images on A and on the H-letters were already seen is skipped: every
-    pair it forms was tested through the earlier one.  The pair returned
-    is therefore the first passing one in that order."""
+    letters.  So each factor's homs are walked by ``fingroup.keyed_homs``,
+    which yields only the first hom of each key and skips the others before
+    their relation checks: for K the key is the images on B, then on the
+    K-letters, and for H the images on A, then on the H-letters.  Every
+    pair a skipped hom would form was tested through the earlier one with
+    its key, so the pair returned is the first passing one in that order.
+    Hom(K, X) is tabled by its images on B (dicts keep insertion order, so
+    enumeration order survives); Hom(H, X) is walked lazily, and the two
+    ``GroupHom``s are built only for the pair returned."""
     letters = sorted({s for u in words for s in u})  # "H" sorts before "K"
     slot = {s: i for i, s in enumerate(letters)}
     programs = [[slot[s] for s in u] for u in words]
-    h_keys = [a for a, _ in spec.phi]  # images on A, then on the letters
-    h_keys += [e for tag, e in letters if tag == TAG_H]
-    b_elems = [b for _, b in spec.phi]
-    k_letters = [e for tag, e in letters if tag == TAG_K]
+    h_key = [a for a, _ in spec.phi] + [e for tag, e in letters if tag == TAG_H]
+    k_key = [b for _, b in spec.phi] + [e for tag, e in letters if tag == TAG_K]
     n = len(spec.phi)
     for X in catalog:
         cls_index = _class_index(X)
-        by_b: dict[tuple[int, ...], dict[tuple[int, ...], GroupHom]] = {}
-        for psi_K in fingroup.enumerate_homs(spec.K, X):
-            img = psi_K.images.__getitem__
-            by_b.setdefault(tuple(map(img, b_elems)), {}).setdefault(
-                tuple(map(img, k_letters)), psi_K)
+        by_b: dict[tuple[int, ...], dict[tuple[int, ...], tuple[int, ...]]] = {}
+        for key, images in fingroup.keyed_homs(spec.K, X, k_key):
+            by_b.setdefault(key[:n], {})[key[n:]] = images
         table = X.table
-        seen = set()
-        for psi_H in fingroup.enumerate_homs(spec.H, X):
-            key = tuple(map(psi_H.images.__getitem__, h_keys))
-            if key in seen:
-                continue
-            seen.add(key)
-            h_images = key[n:]
-            for k_images, psi_K in by_b.get(key[:n], {}).items():
-                values = h_images + k_images  # images of the letters
+        for key, h_images in fingroup.keyed_homs(spec.H, X, h_key):
+            h_values = key[n:]
+            for k_values, k_images in by_b.get(key[:n], {}).items():
+                values = h_values + k_values  # images of the letters
                 images = []
                 for program in programs:
                     x = 0
@@ -220,7 +217,8 @@ def _first_agreeing_pair(spec: AmalgamSpec, catalog: Iterable[FiniteGroup],
                         x = table[x][values[i]]
                     images.append(x)
                 if cls_index[images[0]] != cls_index[images[1]]:
-                    return X, psi_H, psi_K
+                    return (X, GroupHom(spec.H, X, h_images),
+                            GroupHom(spec.K, X, k_images))
     return None
 
 

@@ -4,7 +4,9 @@ These deliberately avoid the library's normal-form pushdown: equality is
 decided by reachability in the merge/absorb/transport rewriting graph, and
 conjugacy by exhaustive conjugator search.  The agreeing homomorphism
 pairs are listed by a plain loop over Hom(H, X) and Hom(K, X), with none of
-the witness search's deduplication.
+the witness search's deduplication, and the homomorphisms themselves by
+trying every assignment of generator images against the full n^2 law
+(``brute_force_homs``), not by the library's hom kernel.
 
 The reference word layer (``ref_*``) is the word layer as it was before
 the one-pass reduction and the lookup tables: ``ref_reduce`` runs a whole
@@ -22,6 +24,7 @@ lookups (``_left_action``, ``_double_cosets``, ``_across``, ``in_amalg``,
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Iterator
 
 from amalgams.amalgam import (
@@ -207,18 +210,44 @@ def ref_is_conjugate_general(spec: AmalgamSpec, x: Word,
     return _ref_not(("exhausted", cx.syllables, a_tried), cx, cy)
 
 
+@lru_cache(maxsize=None)
+def brute_force_homs(G: fingroup.FiniteGroup,
+                     X: fingroup.FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """The image tuples of every homomorphism G -> X: every assignment of
+    images to G's greedy generating sequence, in lexicographic order,
+    extended along a search from the identity and kept when it passes the
+    full n^2 homomorphism law.  Built once per (G, X)."""
+    gens = fingroup.generating_sequence(G)
+    out = []
+    for assignment in itertools.product(X.elements(), repeat=len(gens)):
+        images = {0: 0}
+        frontier = [0]
+        while frontier:
+            a = frontier.pop()
+            for s, x in zip(gens, assignment):
+                b = G.mul(a, s)
+                if b not in images:
+                    images[b] = X.mul(images[a], x)
+                    frontier.append(b)
+        h = fingroup.GroupHom(G, X, tuple(images[e] for e in G.elements()))
+        if h.is_valid():
+            out.append(h.images)
+    return tuple(out)
+
+
 def agreeing_pairs(spec: AmalgamSpec, X: fingroup.FiniteGroup
                    ) -> Iterator[tuple[fingroup.GroupHom, fingroup.GroupHom]]:
     """All (psi_H, psi_K) into X with psi_K(a phi) = psi_H(a) on A, in
-    canonical enumeration order (psi_H outer).  Hom(K, X) is enumerated
-    once and bucketed by its images on B, listed in phi order.  The
-    reference for the witness search's deduplicated pair walk."""
-    by_b: dict[tuple[int, ...], list[fingroup.GroupHom]] = {}
-    for psi_K in fingroup.enumerate_homs(spec.K, X):
-        by_b.setdefault(tuple(psi_K(b) for _, b in spec.phi), []).append(psi_K)
-    for psi_H in fingroup.enumerate_homs(spec.H, X):
-        for psi_K in by_b.get(tuple(psi_H(a) for a, _ in spec.phi), ()):
-            yield psi_H, psi_K
+    canonical enumeration order (psi_H outer), each factor's homs in
+    ``brute_force_homs`` order.  Hom(K, X) is bucketed by its images on B,
+    listed in phi order.  The reference for the witness search's
+    deduplicated pair walk."""
+    by_b: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for k in brute_force_homs(spec.K, X):
+        by_b.setdefault(tuple(k[b] for _, b in spec.phi), []).append(k)
+    for h in brute_force_homs(spec.H, X):
+        for k in by_b.get(tuple(h[a] for a, _ in spec.phi), ()):
+            yield fingroup.GroupHom(spec.H, X, h), fingroup.GroupHom(spec.K, X, k)
 
 
 def syllable_alphabet(spec: AmalgamSpec) -> list[tuple[str, int]]:

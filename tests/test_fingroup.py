@@ -12,6 +12,15 @@ from amalgams.errors import (
     NotPrime,
 )
 from amalgams.separability import p_group_catalog
+from conftest import (
+    make_amalg1,
+    make_c2c3,
+    make_c9_amalgam,
+    make_d8_q8,
+    make_d16_q16,
+    make_s3_amalgam,
+)
+from oracles import brute_force_homs
 
 
 def brute_force_subgroups(G):
@@ -25,28 +34,6 @@ def brute_force_subgroups(G):
                     and all(G.inv(a) in s for a in s):
                 out.append(tuple(sorted(s)))
     return sorted(out, key=lambda t: (len(t), t))
-
-
-def brute_force_homs(G, X):
-    """Every assignment of generator images, in lexicographic order,
-    extended along a search from the identity and kept when it passes the
-    full n^2 homomorphism law."""
-    gens = fg.generating_sequence(G)
-    out = []
-    for assignment in itertools.product(X.elements(), repeat=len(gens)):
-        images = {0: 0}
-        frontier = [0]
-        while frontier:
-            a = frontier.pop()
-            for s, x in zip(gens, assignment):
-                b = G.mul(a, s)
-                if b not in images:
-                    images[b] = X.mul(images[a], x)
-                    frontier.append(b)
-        h = fg.GroupHom(G, X, tuple(images[e] for e in G.elements()))
-        if h.is_valid():
-            out.append(h.images)
-    return out
 
 
 # The factors of the benchmark corpus's amalgams.
@@ -271,7 +258,7 @@ class TestHoms:
     def test_homs_match_brute_force(self, G, X):
         """Same homs in the same order: the witness search returns the
         first passing pair in this order."""
-        homs = [h.images for h in fg.enumerate_homs(G, X)]
+        homs = tuple(h.images for h in fg.enumerate_homs(G, X))
         assert homs == brute_force_homs(G, X)
 
     def test_plan_checks_only_non_tree_relations(self):
@@ -289,8 +276,31 @@ class TestHoms:
         catalogs it meets: the same homs in the same order."""
         G = BENCHMARK_FACTORS[name]
         for X in p_group_catalog(2, 16) + p_group_catalog(3, 27):
-            homs = [h.images for h in fg.enumerate_homs(G, X)]
+            homs = tuple(h.images for h in fg.enumerate_homs(G, X))
             assert homs == brute_force_homs(G, X), (name, X.order)
+
+    @pytest.mark.parametrize("make", [
+        make_amalg1, make_s3_amalgam, make_c9_amalgam, make_c2c3,
+        make_d8_q8, make_d16_q16,
+    ], ids=["c4_c2_c4", "s3_c3_c6", "c9_c3_c3xc3", "c2_c3", "d8_z_q8",
+            "d16_z_q16"])
+    def test_keyed_kernel_is_first_brute_force_hom_per_key(self, make):
+        """Each factor of a benchmark amalgam into every group of both
+        catalogs: ``keyed_homs`` yields, in order, the first brute-force
+        hom of each key, for keys of the amalgamated subgroup plus one
+        letter and for the key of every element."""
+        spec = make()
+        for G, amalg in ((spec.H, spec.A), (spec.K, spec.B)):
+            keys = [amalg.elements + (letter,)
+                    for letter in {1, G.order - 1}]
+            keys.append(tuple(G.elements()))
+            for X in p_group_catalog(2, 16) + p_group_catalog(3, 27):
+                for key in keys:
+                    first = {}
+                    for images in brute_force_homs(G, X):
+                        first.setdefault(tuple(images[e] for e in key), images)
+                    assert list(fg.keyed_homs(G, X, key)) == \
+                        list(first.items()), (G.order, X.order, key)
 
     def test_order_table_matches_repeated_products(self):
         """Every catalog group and every divisor n of its order: the

@@ -238,9 +238,10 @@ class TestSearchWitness:
 
 class TestVerificationIndependence:
     def test_kernel_without_relation_checks_is_caught(self, monkeypatch):
-        """With every relation check dropped, enumerate_homs returns maps
-        that are not homomorphisms; the re-check must reject the witness
-        the search builds from them, not pass it on."""
+        """With every relation check dropped, the hom kernel
+        (``keyed_homs``) yields maps that are not homomorphisms; the
+        re-check must reject the witness the search builds from them, not
+        pass it on."""
         plan = fg._hom_plan
         monkeypatch.setattr(fg, "_hom_plan", lambda G: plan(G)[:2] + ((),))
         with pytest.raises(VerificationFailed):
