@@ -18,7 +18,7 @@ from typing import Optional
 from . import amalgam as am
 from . import fingroup
 from .amalgam import AmalgamSpec, Word
-from .errors import NotCompatible, VerificationFailed
+from .errors import NotCompatible, NotPPower, VerificationFailed
 from .fingroup import FiniteGroup, GroupHom, Subgroup
 
 
@@ -72,7 +72,10 @@ def enumerate_compatible_pairs(spec: AmalgamSpec, p: int,
     Sorted by (index of R, elements of R, index of S, elements of S).  The
     candidates are normal by construction, so only their intersections
     with A and B are compared; each quotient checks its normality once.
+    A max_index below 1 admits no subgroup and raises NotPPower.
     """
+    if max_index < 1:
+        raise NotPPower(f"max index {max_index} must be positive")
     rs = _p_power_index_normals(spec.H, p, max_index)
     ss = _p_power_index_normals(spec.K, p, max_index)
     pairs = []

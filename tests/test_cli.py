@@ -220,6 +220,12 @@ class TestPairs:
     def test_non_prime_p_is_input_error(self, amalg1_file, capsys):
         assert main(["pairs", amalg1_file, "-p", "4"]) == 2
 
+    @pytest.mark.parametrize("max_index", ["0", "-3"])
+    def test_max_index_below_one_is_input_error(self, amalg1_file, capsys,
+                                                max_index):
+        assert main(["pairs", amalg1_file, "--max-index", max_index]) == 2
+        assert "must be positive" in capsys.readouterr().err
+
 
 class TestSeparate:
     def test_success_writes_certificate(self, amalg1_file, tmp_path, capsys):

@@ -288,7 +288,9 @@ class TestHoms:
         """Each factor of a benchmark amalgam into every group of both
         catalogs: ``keyed_homs`` yields, in order, the first brute-force
         hom of each key, for keys of the amalgamated subgroup plus one
-        letter and for the key of every element."""
+        letter and for the key of every element.  Each key is read once
+        from an emptied Hom table and once from the table that read filled,
+        with the same output."""
         spec = make()
         for G, amalg in ((spec.H, spec.A), (spec.K, spec.B)):
             keys = [amalg.elements + (letter,)
@@ -299,8 +301,25 @@ class TestHoms:
                     first = {}
                     for images in brute_force_homs(G, X):
                         first.setdefault(tuple(images[e] for e in key), images)
-                    assert list(fg.keyed_homs(G, X, key)) == \
-                        list(first.items()), (G.order, X.order, key)
+                    fg._homs.cache_clear()
+                    cold = list(fg.keyed_homs(G, X, key))
+                    warm = list(fg.keyed_homs(G, X, key))
+                    assert cold == warm == list(first.items()), \
+                        (G.order, X.order, key)
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_FACTORS))
+    def test_hom_table_gives_equal_homs_cold_and_warm(self, name):
+        """Every benchmark factor into every group of both catalogs:
+        ``enumerate_homs`` from an emptied Hom table equals it from the
+        table that call filled."""
+        G = BENCHMARK_FACTORS[name]
+        for X in p_group_catalog(2, 16) + p_group_catalog(3, 27):
+            fg._homs.cache_clear()
+            cold = fg.enumerate_homs(G, X)
+            assert fg.enumerate_homs(G, X) == cold, (name, X.order)
+
+    def test_hom_table_is_a_clearable_cache(self):
+        assert callable(fg._homs.cache_clear)
 
     def test_order_table_matches_repeated_products(self):
         """Every catalog group and every divisor n of its order: the

@@ -7,7 +7,7 @@ from amalgams import amalgam as am
 from amalgams import fingroup as fg
 from amalgams import quotients as qt
 from amalgams.amalgam import Word, word
-from amalgams.errors import NotCompatible, NotNormal
+from amalgams.errors import NotCompatible, NotNormal, NotPPower
 
 
 def W(*syllables):
@@ -116,6 +116,11 @@ class TestEnumerate:
         again = qt.enumerate_compatible_pairs(amalg1, 2, 4)
         assert [(p.R.elements, p.S.elements) for p in again] == \
             [(p.R.elements, p.S.elements) for p in pairs]
+
+    @pytest.mark.parametrize("max_index", [0, -1])
+    def test_max_index_below_one_raises(self, amalg1, max_index):
+        with pytest.raises(NotPPower):
+            qt.enumerate_compatible_pairs(amalg1, 2, max_index)
 
     def test_normality_checked_once_per_factor(self, amalg1, monkeypatch):
         """The candidates are normal by construction: each returned pair

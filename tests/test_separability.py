@@ -238,15 +238,20 @@ class TestSearchWitness:
 
 class TestVerificationIndependence:
     def test_kernel_without_relation_checks_is_caught(self, monkeypatch):
-        """With every relation check dropped, the hom kernel
-        (``keyed_homs``) yields maps that are not homomorphisms; the
-        re-check must reject the witness the search builds from them, not
-        pass it on."""
+        """With every relation check dropped, the Hom table (``_homs``)
+        holds maps that are not homomorphisms; the re-check must reject the
+        witness the search builds from them, not pass it on.  The table is
+        emptied first, so that it is filled under the patched plan, and
+        after, so that no later test reads those maps."""
         plan = fg._hom_plan
+        fg._homs.cache_clear()
         monkeypatch.setattr(fg, "_hom_plan", lambda G: plan(G)[:2] + ((),))
-        with pytest.raises(VerificationFailed):
-            sep.search_witness(make_d8_q8(), W(("H", 1), ("K", 1)),
-                               W(("H", 1), ("K", 3)), BUDGET)
+        try:
+            with pytest.raises(VerificationFailed):
+                sep.search_witness(make_d8_q8(), W(("H", 1), ("K", 1)),
+                                   W(("H", 1), ("K", 3)), BUDGET)
+        finally:
+            fg._homs.cache_clear()
 
     def test_class_tables_not_shared_with_the_search(self, monkeypatch):
         """With every class of every target a singleton, the search takes
@@ -453,6 +458,7 @@ class TestVerdictPinning:
     @pytest.fixture(autouse=True)
     def cold_catalog(self):
         sep._groups_of_order.cache_clear()
+        fg._homs.cache_clear()
 
     @pytest.mark.parametrize("make,length,p,order,expected", [
         (make_s3_amalgam, 2, 2, 16, (81, 5, 19)),
