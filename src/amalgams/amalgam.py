@@ -22,6 +22,14 @@ form theorem puts each v_i in A*u'_i*A, so a rotation it drops never passes
 the normal form test.  When A is central in both factors it is central in
 G, so a = 1 alone is tried.  ``is_conjugate_central`` is the same decider
 behind a check that the amalgam is central.
+
+Each answer is checked by normal forms on the path that returns it.  A
+positive verdict checks z^-1*x*z = y for its whole conjugator z, which
+backs it whatever the cyclic reductions were, so the reductions it went
+through are not checked on their own.  A negative verdict rests on the
+cyclic reductions c of x and y, so it first checks each: z^-1*w*z = c
+when syllables moved to z, otherwise w = c unless c is w syllable for
+syllable.  ``cyclically_reduce`` makes the same check.
 """
 
 from __future__ import annotations
@@ -83,8 +91,9 @@ class AmalgamSpec:
     What the tables fix is built once per instance, on first use: whether
     A and B are central (``central``), phi and its inverse as dicts
     (``phi_map`` and ``phi_inv_map`` expose them read-only; their keys are
-    the membership sets of A and B), and per factor the one coset table,
-    ``_left_action``, with the double-coset labels read from it.
+    the membership sets of A and B), and per factor the inverse table
+    (``_inverses``) and the one coset table, ``_left_action``, with the
+    double-coset labels read from it.
     ``p_residuals`` holds, per prime p, the p-residual pair that
     ``quotients.p_residual`` builds on first request.
     They are not fields, so equality and hashing see only the defining
@@ -124,6 +133,11 @@ class AmalgamSpec:
     def _tables(self) -> dict[str, tuple[tuple[int, ...], ...]]:
         """Per tag, the multiplication table of that factor."""
         return {TAG_H: self.H.table, TAG_K: self.K.table}
+
+    @cached_property
+    def _inverses(self) -> dict[str, tuple[int, ...]]:
+        """Per tag, the inverse table of that factor."""
+        return {TAG_H: self.H._inv, TAG_K: self.K._inv}
 
     @cached_property
     def _left_action(self) -> dict[str, tuple]:
@@ -238,8 +252,8 @@ def reduce(spec: AmalgamSpec, w: Word) -> Word:
 
 
 def inverse(spec: AmalgamSpec, w: Word) -> Word:
-    return Word(tuple((tag, spec.factor(tag).inv(e))
-                      for tag, e in reversed(w.syllables)))
+    inv = spec._inverses
+    return Word(tuple((tag, inv[tag][e]) for tag, e in reversed(w.syllables)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -285,10 +299,10 @@ def equal_in_g(spec: AmalgamSpec, u: Word, v: Word) -> bool:
     return normal_form(spec, u) == normal_form(spec, v)
 
 
-def cyclically_reduce(spec: AmalgamSpec, w: Word) -> tuple[Word, Word]:
-    """A cyclically reduced c and conjugator z with z^-1 * w * z = c in G;
-    a first syllable of the last one's factor moves to z and to the end.
-    z is checked unless nothing moved: then z is empty and c = reduce(w)."""
+def _cyclic(spec: AmalgamSpec, w: Word) -> tuple[Word, Word]:
+    """A cyclically reduced c and the syllables z moved to reach it, with
+    z^-1 * w * z = c in G, unchecked.  A first syllable of the last one's
+    factor moves to z and to the end; z is left unreduced."""
     tab, across = spec._tables, spec._across
     syl = deque(reduce(spec, w).syllables)
     moved = []
@@ -296,18 +310,34 @@ def cyclically_reduce(spec: AmalgamSpec, w: Word) -> tuple[Word, Word]:
         moved.append(syl.popleft())
         _push(tab, across, syl, moved[-1:])
         _close(tab, across, syl)
-    c = Word(tuple(syl))
-    if not moved:
-        return c, EMPTY
-    z = reduce(spec, Word(tuple(moved)))
-    if not equal_in_g(spec, inverse(spec, z).concat(w).concat(z), c):
-        raise VerificationFailed("cyclic conjugator failed verification")
+    return Word(tuple(syl)), Word(tuple(moved))
+
+
+def _check_cyclic(spec: AmalgamSpec, w: Word, c: Word, z: Word) -> None:
+    """Raise VerificationFailed unless z^-1 * w * z = c in G, by normal
+    forms.  With z empty that is w = c, which needs no check when c is w
+    syllable for syllable."""
+    if z.syllables:
+        if not equal_in_g(spec, inverse(spec, z).concat(w).concat(z), c):
+            raise VerificationFailed("cyclic conjugator failed verification")
+    elif c.syllables != w.syllables and not equal_in_g(spec, w, c):
+        raise VerificationFailed("cyclic reduction failed verification")
+
+
+def cyclically_reduce(spec: AmalgamSpec, w: Word) -> tuple[Word, Word]:
+    """A cyclically reduced c and reduced conjugator z with z^-1 * w * z = c
+    in G; a first syllable of the last one's factor moves to z and to the
+    end.  Checked by normal forms: z^-1 * w * z = c when something moved,
+    otherwise w = c unless c is w syllable for syllable."""
+    c, moved = _cyclic(spec, w)
+    z = reduce(spec, moved)
+    _check_cyclic(spec, w, c, z)
     return c, z
 
 
 def _rotation(w: Word, i: int) -> Word:
-    """The rotation x_i...x_n x_1...x_{i-1}, unchecked: the deciders rotate
-    only words ``cyclically_reduce`` returned."""
+    """The rotation x_i...x_n x_1...x_{i-1}, unchecked: the decider rotates
+    only cyclically reduced words from ``_cyclic``."""
     return Word(w.syllables[i:] + w.syllables[:i])
 
 
@@ -333,8 +363,9 @@ class ConjugacyVerdict:
     <the elements a of A tried with each of its rotations>)."""
     reduced: Optional[tuple[Word, Word]] = field(default=None, compare=False)
     """For NOT-CONJUGATE: the cyclically reduced conjugates (cx, cy) of x
-    and y that the decision compared; None for CONJUGATE.  Not compared,
-    so it leaves verdict equality alone."""
+    and y that the decision compared, each checked against its input by
+    normal forms before the verdict is returned; None for CONJUGATE.  Not
+    compared, so it leaves verdict equality alone."""
 
 
 def _verified(spec: AmalgamSpec, x: Word, y: Word, z: Word) -> ConjugacyVerdict:
@@ -344,7 +375,12 @@ def _verified(spec: AmalgamSpec, x: Word, y: Word, z: Word) -> ConjugacyVerdict:
     return ConjugacyVerdict(True, z, ("conjugator", z.syllables))
 
 
-def _not(reason: tuple, cx: Word, cy: Word) -> ConjugacyVerdict:
+def _not(spec: AmalgamSpec, reason: tuple, x: Word, y: Word,
+         cx: Word, zx: Word, cy: Word, zy: Word) -> ConjugacyVerdict:
+    """A negative verdict, once the cyclic reductions it rests on pass
+    their checks."""
+    _check_cyclic(spec, x, cx, zx)
+    _check_cyclic(spec, y, cy, zy)
     return ConjugacyVerdict(False, None, reason, (cx, cy))
 
 
@@ -387,20 +423,27 @@ def is_conjugate_general(spec: AmalgamSpec, x: Word, y: Word) -> ConjugacyVerdic
     Length <= 1: membership in the transport-closure of the factor class.
     A negative verdict carries the cyclically reduced conjugates (cx, cy)
     of x and y that it compared (``ConjugacyVerdict.reduced``).
+
+    Each check backs the answer it is made for.  A positive verdict checks
+    only its whole conjugator, z^-1 * x * z = y.  A negative one checks
+    both cyclic reductions as ``cyclically_reduce`` does, since its
+    certificate and ``reduced`` pair are read from them.
     """
-    cx, zx = cyclically_reduce(spec, x)
-    cy, zy = cyclically_reduce(spec, y)
-    zy_inv = inverse(spec, zy)
+    cx, zx = _cyclic(spec, x)
+    cy, zy = _cyclic(spec, y)
     if len(cx) != len(cy):
-        return _not(("length-mismatch", len(cx), len(cy)), cx, cy)
+        return _not(spec, ("length-mismatch", len(cx), len(cy)),
+                    x, y, cx, zx, cy, zy)
     if len(cx) == 0:
-        return _verified(spec, x, y, zx.concat(zy_inv))
+        return _verified(spec, x, y, zx.concat(inverse(spec, zy)))
     if len(cx) == 1:
         closure = _length1_closure(spec, *cx.syllables[0])
         ty, ey = cy.syllables[0]
         if (ty, ey) in closure:
-            return _verified(spec, x, y, zx.concat(closure[(ty, ey)]).concat(zy_inv))
-        return _not(("closure-exhausted", tuple(sorted(closure))), cx, cy)
+            return _verified(spec, x, y, zx.concat(closure[(ty, ey)])
+                             .concat(inverse(spec, zy)))
+        return _not(spec, ("closure-exhausted", tuple(sorted(closure))),
+                    x, y, cx, zx, cy, zy)
     a_tried = (0,) if spec.central else spec.A.elements
     nfy = normal_form(spec, cy)
     for i in _label_matches(spec, cx, cy):
@@ -409,9 +452,10 @@ def is_conjugate_general(spec: AmalgamSpec, x: Word, y: Word) -> ConjugacyVerdic
             a_word = word([(TAG_H, a)])
             cand = inverse(spec, a_word).concat(u).concat(a_word)
             if normal_form(spec, cand) == nfy:
-                return _verified(spec, x, y,
-                                 zx.concat(prefix).concat(a_word).concat(zy_inv))
-    return _not(("exhausted", cx.syllables, a_tried), cx, cy)
+                return _verified(spec, x, y, zx.concat(prefix).concat(a_word)
+                                 .concat(inverse(spec, zy)))
+    return _not(spec, ("exhausted", cx.syllables, a_tried),
+                x, y, cx, zx, cy, zy)
 
 
 def is_conjugate_central(spec: AmalgamSpec, x: Word, y: Word) -> ConjugacyVerdict:

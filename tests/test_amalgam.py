@@ -326,10 +326,69 @@ class TestVerificationChecks:
             am.cyclically_reduce(amalg1, W(("H", 1), ("K", 1), ("H", 1)))
 
     def test_cyclically_reduce_without_rotation(self, amalg1, monkeypatch):
-        """Nothing rotates, so the conjugator is empty and the check, which
-        could not fail, is not run."""
+        """H:1 is returned syllable for syllable with an empty conjugator:
+        c = w holds by construction, so no check runs."""
         monkeypatch.setattr(am, "equal_in_g", lambda spec, u, v: False)
         assert am.cyclically_reduce(amalg1, W(("H", 1))) == (W(("H", 1)), am.EMPTY)
+
+    def test_cyclically_reduce_checks_an_unrotated_reduction(self, amalg1,
+                                                             monkeypatch):
+        """H:1 H:1 reduces to H:2 and does not rotate; w = c is checked."""
+        assert am.cyclically_reduce(amalg1, W(("H", 1), ("H", 1))) == \
+            (W(("H", 2)), am.EMPTY)
+        monkeypatch.setattr(am, "equal_in_g", lambda spec, u, v: False)
+        with pytest.raises(VerificationFailed):
+            am.cyclically_reduce(amalg1, W(("H", 1), ("H", 1)))
+
+    @staticmethod
+    def _count_checks(monkeypatch):
+        calls = []
+        real = am.equal_in_g
+
+        def counted(spec, u, v):
+            calls.append((u, v))
+            return real(spec, u, v)
+
+        monkeypatch.setattr(am, "equal_in_g", counted)
+        return calls
+
+    @pytest.mark.parametrize("make, x, y", [
+        (make_amalg1, W(("H", 1), ("K", 1), ("H", 1)),
+         W(("H", 3), ("K", 1), ("H", 3))),
+        (make_c9_amalgam, W(("H", 1), ("K", 1), ("H", 1)),
+         W(("H", 7), ("K", 1), ("H", 4))),
+    ], ids=["length-1", "length-2"])
+    def test_positive_verdict_checks_once(self, make, x, y, monkeypatch):
+        """Both inputs rotate; the one check is that of the whole
+        conjugator, which backs the answer."""
+        spec = make()
+        assert all(am.cyclically_reduce(spec, w)[1].syllables for w in (x, y))
+        calls = self._count_checks(monkeypatch)
+        verdict = am.is_conjugate_general(spec, x, y)
+        assert verdict.conjugate and len(calls) == 1
+        z = verdict.conjugator
+        assert calls[0][0] == am.inverse(spec, z).concat(x).concat(z)
+
+    @pytest.mark.parametrize("make, x, y, kind", [
+        (make_amalg1, W(("H", 1), ("K", 1), ("H", 1)),
+         W(("K", 1), ("H", 1), ("K", 1)), "closure-exhausted"),
+        (make_c9_amalgam, W(("H", 1), ("K", 1), ("H", 1)),
+         W(("H", 1), ("K", 2), ("H", 1)), "exhausted"),
+    ])
+    def test_negative_verdict_checks_both_rotations(self, make, x, y, kind,
+                                                    monkeypatch):
+        """Both inputs rotate; a negative verdict checks both cyclic
+        conjugators, and fails when either check does."""
+        spec = make()
+        reductions = [am.cyclically_reduce(spec, w) for w in (x, y)]
+        calls = self._count_checks(monkeypatch)
+        verdict = am.is_conjugate_general(spec, x, y)
+        assert verdict.certificate[0] == kind and len(calls) == 2
+        for (u, c), w, (cw, zw) in zip(calls, (x, y), reductions):
+            assert u == am.inverse(spec, zw).concat(w).concat(zw) and c == cw
+        monkeypatch.setattr(am, "equal_in_g", lambda spec, u, v: False)
+        with pytest.raises(VerificationFailed):
+            am.is_conjugate_general(spec, x, y)
 
     def test_conjugator_rejects(self, amalg1, monkeypatch):
         monkeypatch.setattr(am, "equal_in_g", lambda spec, u, v: False)
@@ -343,13 +402,17 @@ class TestVerificationChecks:
             from amalgams.errors import VerificationFailed
             c4 = fg.cyclic(4)
             spec = am.make_amalgam(c4, c4, [0, 2], [0, 2], {0: 0, 2: 2})
-            h1 = am.word([("H", 1)])
+            h1, k1 = am.word([("H", 1)]), am.word([("K", 1)])
             hkh = am.word([("H", 1), ("K", 1), ("H", 1)])
             if am.cyclically_reduce(spec, h1) != (h1, am.EMPTY):
                 sys.exit("H:1 has nothing to rotate")
+            if am.is_conjugate_general(spec, hkh, k1).conjugate:
+                sys.exit("H:1 K:1 H:1 and K:1 are not conjugate")
             am.equal_in_g = lambda spec, u, v: False
             for call in (lambda: am.cyclically_reduce(spec, hkh),
-                         lambda: am._verified(spec, h1, h1, am.EMPTY)):
+                         lambda: am.cyclically_reduce(spec, h1.concat(h1)),
+                         lambda: am._verified(spec, h1, h1, am.EMPTY),
+                         lambda: am.is_conjugate_general(spec, hkh, k1)):
                 try:
                     call()
                 except VerificationFailed:

@@ -122,6 +122,39 @@ def test_deciders_at_equal_cyclic_length(make):
                 assert am.is_conjugate_central(spec, x, v) == expected, (x, v)
 
 
+def alternating_word(spec, rng, n):
+    """n alternating syllables of random non-identity elements, amalgamated
+    ones included, as the words of the benchmark's words workload."""
+    tag, syl = rng.choice((TAG_H, TAG_K)), []
+    for _ in range(n):
+        syl.append((tag, rng.randrange(1, spec.factor(tag).order)))
+        tag = TAG_K if tag == TAG_H else TAG_H
+    return Word(tuple(syl))
+
+
+@pytest.mark.parametrize("make", MAKERS, ids=IDS)
+def test_deciders_match_reference_at_workload_lengths(make):
+    """Words of 16 to 32 syllables and conjugators of up to 32, so that
+    both inputs rotate through long prefixes: every verdict, conjugator
+    bytes included, is the reference's.  The pair (u, v) is conjugate; the
+    pair (u, w) mostly is not."""
+    spec = make()
+    rng = random.Random(17)
+    for n in (16, 24, 32) * 4:
+        x, y = alternating_word(spec, rng, n), alternating_word(spec, rng, n)
+        u, v, w = (am.inverse(spec, z).concat(t).concat(z) for t, z in (
+            (x, alternating_word(spec, rng, rng.randint(1, 32))),
+            (x, alternating_word(spec, rng, rng.randint(1, 32))),
+            (y, alternating_word(spec, rng, rng.randint(1, 32)))))
+        for a, b in ((u, v), (u, w)):
+            expected = ref_is_conjugate_general(spec, a, b)
+            got = am.is_conjugate_general(spec, a, b)
+            assert got == expected, (a, b)
+            assert got.reduced == expected.reduced  # not compared by ==
+            if spec.central:
+                assert am.is_conjugate_central(spec, a, b) == expected
+
+
 @pytest.mark.parametrize("make", MAKERS, ids=IDS)
 def test_length1_closure_matches_reference(make):
     spec = make()
@@ -237,3 +270,17 @@ def test_conjugator_checks_catch_a_corrupted_reduce(monkeypatch):
         am.cyclically_reduce(spec, w)
     with pytest.raises(VerificationFailed):
         am.is_conjugate_central(spec, x, y)
+
+
+def test_unrotated_reduction_is_checked_before_a_negative(monkeypatch):
+    """Without its last syllable the reduction of H:1 K:1 H:1 is H:1 K:1,
+    which does not rotate, and that of K:1 is empty: a length mismatch
+    that the check of w = c by normal forms rejects."""
+    spec = make_amalg1()
+    x, y = Word(((TAG_H, 1), (TAG_K, 1), (TAG_H, 1))), Word(((TAG_K, 1),))
+    assert not am.is_conjugate_general(spec, x, y).conjugate
+    real_reduce = am.reduce
+    monkeypatch.setattr(am, "reduce", lambda spec, w:
+                        Word(real_reduce(spec, w).syllables[:-1]))
+    with pytest.raises(VerificationFailed):
+        am.is_conjugate_general(spec, x, y)
