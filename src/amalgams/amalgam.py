@@ -177,15 +177,6 @@ class AmalgamSpec:
     def phi_inv_map(self) -> Mapping[int, int]:
         return MappingProxyType(self._across[TAG_K])
 
-    def transport(self, tag: str, e: int) -> int:
-        """Carry an amalgamated element to the other factor's indexing."""
-        return self._across[tag][e]
-
-    def in_amalg(self, tag: str, e: int) -> bool:
-        """Membership in A (tag H) or B (tag K), the domain and range of
-        the bijection phi."""
-        return e in self._across[tag]
-
 
 def make_amalgam(H: FiniteGroup, K: FiniteGroup,
                  A: Iterable[int], B: Iterable[int],
@@ -403,9 +394,10 @@ def _length1_closure(spec: AmalgamSpec, tag: str, e: int) -> dict[tuple[str, int
                 if nxt not in reached:
                     reached[nxt] = Word(zv.syllables + ((t, c),))
                     frontier.append((*nxt, False))
-        if spec.in_amalg(t, v):
+        across = spec._across[t]
+        if v in across:
             other = TAG_K if t == TAG_H else TAG_H
-            nxt = (other, spec.transport(t, v))
+            nxt = (other, across[v])
             if nxt not in reached:
                 reached[nxt] = zv
                 frontier.append((*nxt, True))

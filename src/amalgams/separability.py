@@ -23,12 +23,25 @@ so the search tests each distinct combination of letter images once (see
 pairs would return.  ``fingroup.keyed_homs`` yields only the first
 homomorphism of each combination, keyed by the images on the amalgamated
 subgroup and on the letters.  It filters the table of Hom(G, X)
-(``fingroup._homs``), which is enumerated and relation-checked once per
-(factor, target) and kept for the life of the process: one image tuple per
-homomorphism, under 0.4 MB over every pair the sep-order16 benchmark
-reaches.  The first search to reach a target pays for the whole table,
-where an early return could have stopped sooner; every later search only
-reads it.
+(``fingroup._homs``).  The first search to reach a target pays for the
+whole table, where an early return could have stopped sooner; every later
+search only reads it.
+
+Module-level ``lru_cache``s hold the five tables that searches read again
+and again, for the life of the process (``cache_clear`` empties each);
+per-amalgam tables live on the ``AmalgamSpec``:
+
+- ``_groups_of_order``: the catalog groups of each order, built when the
+  walk first reaches it (``p_group_catalog`` is a view of them);
+- ``fingroup._homs``: each Hom(factor, target), unbounded: 0.19 MB after
+  one sep-order16 benchmark pass, but Hom(C2^4, C2^4) alone is 11.5 MB,
+  within the default budget;
+- ``fingroup._hom_plan``: what each fill of a table from a factor reads;
+  uncached, sep-order16 queries took 1.3% longer;
+- ``fingroup.class_index``: each target's classes, read for every pair
+  tested (``fingroup.conjugacy_classes`` is a view of it);
+- ``fingroup.enumerate_normal_subgroups``: read per factor by every
+  ``quotients.enumerate_compatible_pairs`` call.
 
 Before the catalog walk, the search consults the p-residual quotient
 G* = H/R* * K/S* (``quotients.p_residual``), through which every
@@ -142,41 +155,34 @@ def _abelian_p_group(p: int, partition: tuple[int, ...]) -> FiniteGroup:
 def _groups_of_order(p: int, exp: int) -> tuple[FiniteGroup, ...]:
     """The catalog groups of order p**exp: the abelian ones, one per
     partition, then for p = 2 the dihedral and quaternion groups of order
-    8 and 16.  Built once per (p, exp)."""
+    8 and 16."""
     groups = [_abelian_p_group(p, partition) for partition in _partitions(exp)]
     if p == 2 and exp in (3, 4):
         groups += [fingroup.dihedral(2 ** (exp - 1)), fingroup.quaternion(2 ** exp)]
     return tuple(groups)
 
 
-@lru_cache(maxsize=None)
-def _exponents(p: int, max_order: int) -> range:
-    """The exponents e with p**e <= max_order, from 1.  max_order is an
-    upper bound and need not be a power of p; one below p raises
-    NotPPower."""
-    fingroup.check_prime(p)
+def _catalog_walk(p: int, max_order: int) -> Iterator[FiniteGroup]:
+    """The witness targets of order <= max_order (need not be a power of
+    p; one below p raises NotPPower at once), smallest order first, for a
+    prime p (``SearchBudget`` checks it).  Each order's groups are built
+    when the walk first reaches them, so a large bound costs nothing until
+    a search gets that far."""
     k = 0
     while p ** (k + 1) <= max_order:
         k += 1
     if not k:
         raise NotPPower(f"no {p}-group of order at most {max_order} "
                         f"is nontrivial")
-    return range(1, k + 1)
-
-
-def _catalog_walk(p: int, max_order: int) -> Iterator[FiniteGroup]:
-    """The witness targets of order <= max_order, smallest order first.
-    Each order's groups are built when the walk first reaches them, so a
-    large bound costs nothing until a search gets that far."""
     return itertools.chain.from_iterable(
-        map(_groups_of_order, itertools.repeat(p), _exponents(p, max_order)))
+        map(_groups_of_order, itertools.repeat(p), range(1, k + 1)))
 
 
-@lru_cache(maxsize=None)
 def p_group_catalog(p: int, max_order: int) -> tuple[FiniteGroup, ...]:
     """The whole search space of witness targets of order <= max_order,
     in the order ``search_witness`` walks it (``_catalog_walk``).  No two
-    share a table.  Built once per (p, max_order)."""
+    share a table."""
+    fingroup.check_prime(p)
     return tuple(_catalog_walk(p, max_order))
 
 
@@ -185,9 +191,9 @@ def _first_agreeing_pair(spec: AmalgamSpec, catalog: Iterable[FiniteGroup],
                          ) -> Optional[tuple[FiniteGroup, GroupHom, GroupHom]]:
     """First (X, psi_H, psi_K) over the catalog that sends the two
     ``words`` into distinct conjugacy classes of X, read from X's class
-    index (``_class_index``); None if there is none.  Within each X the order
-    is that of all agreeing pairs (psi_K(a phi) = psi_H(a) on A) with
-    psi_H outer, each factor's homs in ``enumerate_homs`` order.
+    index (``fingroup.class_index``); None if there is none.  Within each
+    X the order is that of all agreeing pairs (psi_K(a phi) = psi_H(a) on
+    A) with psi_H outer, each factor's homs in ``enumerate_homs`` order.
 
     A pair's images of the words depend only on the images of their
     letters.  So each factor's homs are walked by ``fingroup.keyed_homs``,
@@ -207,7 +213,7 @@ def _first_agreeing_pair(spec: AmalgamSpec, catalog: Iterable[FiniteGroup],
     k_key = [b for _, b in spec.phi] + [e for tag, e in letters if tag == TAG_K]
     n = len(spec.phi)
     for X in catalog:
-        cls_index = _class_index(X)
+        cls_index = fingroup.class_index(X)
         by_b: dict[tuple[int, ...], dict[tuple[int, ...], tuple[int, ...]]] = {}
         for key, images in fingroup.keyed_homs(spec.K, X, k_key):
             by_b.setdefault(key[:n], {})[key[n:]] = images
@@ -226,17 +232,6 @@ def _first_agreeing_pair(spec: AmalgamSpec, catalog: Iterable[FiniteGroup],
                     return (X, GroupHom(spec.H, X, h_images),
                             GroupHom(spec.K, X, k_images))
     return None
-
-
-@lru_cache(maxsize=None)
-def _class_index(X: FiniteGroup) -> tuple[int, ...]:
-    """Per element of X, the position of its class in
-    ``fingroup.conjugacy_classes(X)``.  Built once per X."""
-    index = [0] * X.order
-    for i, cls in enumerate(fingroup.conjugacy_classes(X)):
-        for e in cls:
-            index[e] = i
-    return tuple(index)
 
 
 def search_witness(spec: AmalgamSpec, f: Word, g: Word,

@@ -17,8 +17,8 @@ merge pass again after every flip of an amalgamated syllable,
 expands the whole factor class of every element its length-1 closure
 reaches.  It reads only ``spec.phi``, the element lists of the
 amalgamated subgroups and the factor tables, never the spec's derived
-lookups (``_left_action``, ``_double_cosets``, ``_across``, ``in_amalg``,
-``transport``, ``central``) that the library's word layer reads.
+lookups (``_left_action``, ``_double_cosets``, ``_across``, ``central``)
+that the library's word layer reads.
 """
 
 from __future__ import annotations

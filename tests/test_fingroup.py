@@ -61,6 +61,11 @@ class TestFromTable:
             fg.from_table(2, [[0, 1], [0, 1]])
         assert exc.value.reason == "not-a-latin-square"
 
+    @pytest.mark.parametrize("names", [["a"], ["a", "b", "c"]])
+    def test_names_must_name_every_element(self, names):
+        with pytest.raises(IndexOutOfRange):
+            fg.from_table(2, [[0, 1], [1, 0]], names)
+
     def test_c4_mod_table(self):
         G = fg.from_table(4, [[(i + j) % 4 for j in range(4)] for i in range(4)])
         assert G.element_order(1) == 4
@@ -218,6 +223,9 @@ class TestConjugacyClasses:
             assert sum(len(c) for c in classes) == G.order
             assert all(G.order % len(c) == 0 for c in classes)
             assert classes[0] == (0,)
+            for cls in classes:
+                assert cls == tuple(sorted({G.conj(cls[0], z)
+                                            for z in G.elements()}))
 
 
 class TestHoms:
@@ -320,24 +328,6 @@ class TestHoms:
 
     def test_hom_table_is_a_clearable_cache(self):
         assert callable(fg._homs.cache_clear)
-
-    def test_order_table_matches_repeated_products(self):
-        """Every catalog group and every divisor n of its order: the
-        elements x with x**n = 1, by repeated ``mul``, in index order."""
-        for X in p_group_catalog(2, 16) + p_group_catalog(3, 27):
-            for n in (d for d in range(1, X.order + 1) if X.order % d == 0):
-                powers = []
-                for x in X.elements():
-                    y = 0
-                    for _ in range(n):
-                        y = X.mul(y, x)
-                    powers.append(y)
-                expected = tuple(x for x in X.elements() if powers[x] == 0)
-                assert fg.elements_of_order_dividing(X, n) == expected, \
-                    (X.order, n)
-
-    def test_order_table_is_a_clearable_cache(self):
-        assert callable(fg.elements_of_order_dividing.cache_clear)
 
     def test_is_valid_rejects_out_of_range_images(self):
         c2 = fg.cyclic(2)

@@ -93,7 +93,10 @@ class TestCatalog:
         assert len(nonabelian) == 2  # dihedral and quaternion of order 8
 
     def test_built_once(self):
-        assert sep.p_group_catalog(2, 16) is sep.p_group_catalog(2, 16)
+        """Each order's groups are built once: two catalogs share them."""
+        first, second = sep.p_group_catalog(2, 16), sep.p_group_catalog(2, 16)
+        assert len(first) == len(second)
+        assert all(a is b for a, b in zip(first, second))
 
     @pytest.mark.parametrize("p,order", [(2, 16), (3, 27)])
     def test_tables_distinct(self, p, order):
@@ -105,9 +108,7 @@ class TestCatalog:
         catalog group of larger order, however large the bound: each
         order's groups are built when the walk first reaches them."""
         spec = make_amalg1()
-        for cache in (sep._exponents, sep._groups_of_order,
-                      sep.p_group_catalog):
-            cache.cache_clear()
+        sep._groups_of_order.cache_clear()
         orders = []
         from_table = fg.from_table
 
@@ -258,15 +259,10 @@ class TestVerificationIndependence:
         distinct images for non-conjugate ones.  No catalog group of order
         <= 16 separates this pair, so any witness it returns is false; the
         re-check searches for a conjugator itself and must reject it."""
-        monkeypatch.setattr(fg, "conjugacy_classes",
-                            lambda G: tuple((e,) for e in G.elements()))
-        sep._class_index.cache_clear()
-        try:
-            with pytest.raises(VerificationFailed):
-                sep.search_witness(make_d8_q8(), W(("H", 1), ("K", 1)),
-                                   W(("K", 1), ("H", 3)), BUDGET)
-        finally:
-            sep._class_index.cache_clear()
+        monkeypatch.setattr(fg, "class_index", lambda G: tuple(G.elements()))
+        with pytest.raises(VerificationFailed):
+            sep.search_witness(make_d8_q8(), W(("H", 1), ("K", 1)),
+                               W(("K", 1), ("H", 3)), BUDGET)
 
 
 def test_value_classes_are_slotted_and_pickle(amalg1):
@@ -387,13 +383,13 @@ class TestClassIndex:
     def test_shared_index_iff_conjugate(self):
         for X in sep.p_group_catalog(2, 16) + sep.p_group_catalog(3, 27) \
                 + (fg.symmetric3(),):
-            index = sep._class_index(X)
+            index = fg.class_index(X)
             for a, b in itertools.product(X.elements(), repeat=2):
                 conjugate = fg.are_conjugate_in(X, a, b) is not None
                 assert (index[a] == index[b]) == conjugate, (X.order, a, b)
 
     def test_is_a_clearable_cache(self):
-        assert callable(sep._class_index.cache_clear)
+        assert callable(fg.class_index.cache_clear)
 
 
 class TestWalkOnCyclicReductions:

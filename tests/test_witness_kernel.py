@@ -12,7 +12,6 @@ import pytest
 
 import oracles
 from amalgams import amalgam as am
-from amalgams import fingroup as fg
 from amalgams import separability as sep
 from conftest import (
     make_amalg1,
@@ -26,10 +25,8 @@ from conftest import (
 
 def ref_hom_pair_witness(spec, f, g, catalog):
     for X in catalog:
-        cls_of = {}
-        for cls in fg.conjugacy_classes(X):
-            for e in cls:
-                cls_of[e] = cls
+        cls_of = {e: frozenset(X.conj(e, z) for z in X.elements())
+                  for e in X.elements()}
         for psi_H, psi_K in oracles.agreeing_pairs(spec, X):
             w = sep.Witness(X, psi_H, psi_K, "direct")
             if cls_of[sep.word_image(w, f)] != cls_of[sep.word_image(w, g)]:
