@@ -94,8 +94,10 @@ class AmalgamSpec:
     the membership sets of A and B), and per factor the inverse table
     (``_inverses``) and the one coset table, ``_left_action``, with the
     double-coset labels read from it.
-    ``p_residuals`` holds, per prime p, the p-residual pair that
-    ``quotients.p_residual`` builds on first request.
+    Two caches live exactly as long as the spec: ``p_residuals`` holds,
+    per prime p, the p-residual pair that ``quotients.p_residual`` builds
+    on first request, and ``hom_tables`` each table of Hom(factor, X) that
+    the witness search has read.
     They are not fields, so equality and hashing see only the defining
     data.
     """
@@ -121,6 +123,13 @@ class AmalgamSpec:
     def p_residuals(self) -> dict:
         """Per prime p, the result of ``quotients.p_residual``, filled in
         on first request."""
+        return {}
+
+    @cached_property
+    def hom_tables(self) -> dict:
+        """Per (factor tag, target group X), the table of Hom(factor, X) as
+        ``fingroup.hom_images`` returns it, filled in by the witness search
+        when it first reaches X."""
         return {}
 
     @cached_property

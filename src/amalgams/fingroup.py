@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     IndexOutOfRange,
@@ -331,61 +331,38 @@ def generating_sequence(G: FiniteGroup) -> tuple[int, ...]:
     return tuple(gens)
 
 
-@lru_cache(maxsize=None)
-def _hom_plan(G: FiniteGroup) -> tuple[tuple[int, ...],
-                                       tuple[tuple[int, int, int], ...],
-                                       tuple[tuple[int, int, int], ...]]:
-    """How ``_homs`` extends and checks generator images on G:
-    (orders, steps, checks).
+def hom_images(G: FiniteGroup, X: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """Every homomorphism G -> X as the tuple of images of G's elements, in
+    lexicographic order of the images of G's greedy generating sequence.
+    Uncached: each call enumerates Hom(G, X) afresh, and the witness search
+    keeps the tables it reads per spec (``AmalgamSpec.hom_tables``).
 
-    ``orders`` are the orders of the greedy generating sequence.  ``steps``
-    is a breadth-first spanning tree of G from the identity: (e, prev, gi)
-    with e = prev * gens[gi], in discovery order, so each prev precedes the
-    step that uses it.  ``checks`` are the relations img(a*s) = img(a)*img(s)
-    as (a, gi, a*s), one per element a and generator s, except the n - 1
-    tree edges, which the extension satisfies by construction: n*d - (n - 1)
-    checks for n elements and d generators.  Only ``_homs`` reads the plan,
-    once per (G, X) while its table is cached."""
+    Tries the images of the generating sequence whose orders divide the
+    generators' orders, as one ``itertools.product`` over the
+    per-generator candidates, so candidates come in lexicographic order.
+    Each is extended along a breadth-first spanning tree of G from the
+    identity by rows of ``X.table`` and kept when it passes every relation
+    img(a*s) = img(a)*img(s) that the tree does not already imply: n*d -
+    (n - 1) checks for n elements and d generators, which give the full
+    homomorphism law since the generators span G.
+    """
     gens = generating_sequence(G)
-    table = G.table
-    steps = []
+    steps = []  # (e, prev, gi) with e = prev * gens[gi], each prev first
     seen = {0}
     frontier = [0]
     for x in frontier:  # grows while iterated: breadth-first order
         for gi, g in enumerate(gens):
-            y = table[x][g]
+            y = G.table[x][g]
             if y not in seen:
                 seen.add(y)
                 frontier.append(y)
                 steps.append((y, x, gi))
     tree = {(prev, gi) for _, prev, gi in steps}
-    checks = tuple((a, gi, table[a][g]) for a in G.elements()
-                   for gi, g in enumerate(gens) if (a, gi) not in tree)
-    return tuple(map(G.element_order, gens)), tuple(steps), checks
-
-
-@lru_cache(maxsize=None)
-def _homs(G: FiniteGroup, X: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """The table of Hom(G, X): every homomorphism as the tuple of images of
-    G's elements, in lexicographic order of the images of G's greedy
-    generating sequence.  Enumerated once per (G, X) and kept, unbounded,
-    for the life of the process (0.19 MB after one sep-order16 benchmark
-    pass, but Hom(C2^4, C2^4) alone is 11.5 MB); ``cache_clear`` empties it.
-
-    Tries the images of the generating sequence whose orders divide the
-    generators' orders, as one ``itertools.product`` over the
-    per-generator candidates, read from X's element orders once per fill:
-    candidates come in lexicographic order of their generator images.  Each
-    candidate is extended along the spanning tree of G's plan
-    (``_hom_plan``, read at call time) by rows of ``X.table``, and is kept
-    when it passes the plan's relation checks, every img(a*s) =
-    img(a)*img(s) that the tree does not already imply, which gives the
-    full homomorphism law since the generators span G.
-    """
-    orders, steps, checks = _hom_plan(G)
+    checks = [(a, gi, G.table[a][g]) for a in G.elements()
+              for gi, g in enumerate(gens) if (a, gi) not in tree]
     x_orders = [X.element_order(x) for x in X.elements()]
-    candidates = [[x for x in X.elements() if order % x_orders[x] == 0]
-                  for order in orders]
+    candidates = [[x for x in X.elements()
+                   if G.element_order(g) % x_orders[x] == 0] for g in gens]
     table = X.table
     images = [0] * G.order
     homs = []
@@ -400,28 +377,10 @@ def _homs(G: FiniteGroup, X: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     return tuple(homs)
 
 
-def keyed_homs(G: FiniteGroup, X: FiniteGroup,
-               key: Sequence[int]) -> Iterator[tuple[tuple[int, ...],
-                                                   tuple[int, ...]]]:
-    """The first homomorphism G -> X of each distinct key, as (key, images):
-    the key is the tuple of images of the elements ``key``, the images
-    those of every element of G.  A filter over the table of Hom(G, X)
-    (``_homs``, filled on first use), in its order; no relation is checked
-    here."""
-    seen = set()
-    for images in _homs(G, X):
-        k = tuple([images[e] for e in key])
-        if k not in seen:
-            seen.add(k)
-            yield k, images
-
-
 def enumerate_homs(G: FiniteGroup, X: FiniteGroup) -> tuple[GroupHom, ...]:
-    """All homomorphisms G -> X, in lexicographic order of the images of
-    G's greedy generating sequence: the table of Hom(G, X) (``_homs``,
-    filled on first use and then shared with the witness search), each
-    images tuple wrapped in a ``GroupHom``."""
-    return tuple(GroupHom(G, X, images) for images in _homs(G, X))
+    """All homomorphisms G -> X, in ``hom_images`` order, each images tuple
+    wrapped in a ``GroupHom``.  Uncached: each call enumerates afresh."""
+    return tuple(GroupHom(G, X, images) for images in hom_images(G, X))
 
 
 def check_prime(p: int) -> None:

@@ -20,28 +20,24 @@ walk cheaper.  The independent re-check and the certificate use f and g.
 A pair's images of the words depend only on the images of their letters,
 so the search tests each distinct combination of letter images once (see
 ``_first_agreeing_pair``) and returns the pair the loop over all agreeing
-pairs would return.  ``fingroup.keyed_homs`` yields only the first
-homomorphism of each combination, keyed by the images on the amalgamated
-subgroup and on the letters.  It filters the table of Hom(G, X)
-(``fingroup._homs``).  The first search to reach a target pays for the
-whole table, where an early return could have stopped sooner; every later
-search only reads it.
+pairs would return.  It reads each factor's homs from the table of
+Hom(factor, X) that ``fingroup.hom_images`` enumerates.  The first search
+on a spec to reach X pays for the whole table, where an early return could
+have stopped sooner; every later search on that spec only reads it.
 
-Module-level ``lru_cache``s hold the five tables that searches read again
-and again, for the life of the process (``cache_clear`` empties each);
-per-amalgam tables live on the ``AmalgamSpec``:
+Caches on the witness path:
 
-- ``_groups_of_order``: the catalog groups of each order, built when the
+- module-level, per group (``lru_cache``, ``cache_clear`` empties each):
+  ``_groups_of_order``, the catalog groups of each order, built when the
   walk first reaches it (``p_group_catalog`` is a view of them);
-- ``fingroup._homs``: each Hom(factor, target), unbounded: 0.19 MB after
-  one sep-order16 benchmark pass, but Hom(C2^4, C2^4) alone is 11.5 MB,
-  within the default budget;
-- ``fingroup._hom_plan``: what each fill of a table from a factor reads;
-  uncached, sep-order16 queries took 1.3% longer;
-- ``fingroup.class_index``: each target's classes, read for every pair
-  tested (``fingroup.conjugacy_classes`` is a view of it);
-- ``fingroup.enumerate_normal_subgroups``: read per factor by every
-  ``quotients.enumerate_compatible_pairs`` call.
+  ``fingroup.class_index``, each target's classes, read for every pair
+  tested (``fingroup.conjugacy_classes`` is a view of it); and
+  ``fingroup.enumerate_normal_subgroups``, read per factor by every
+  ``quotients.enumerate_compatible_pairs`` call;
+- per spec, living as long as the ``AmalgamSpec``: the Hom tables
+  (``AmalgamSpec.hom_tables``, filled by ``_hom_table``), each unbounded
+  (Hom(C2^4, C2^4) alone is 11.5 MB, within the default budget), and the
+  p-residuals (``AmalgamSpec.p_residuals``).
 
 Before the catalog walk, the search consults the p-residual quotient
 G* = H/R* * K/S* (``quotients.p_residual``), through which every
@@ -186,6 +182,17 @@ def p_group_catalog(p: int, max_order: int) -> tuple[FiniteGroup, ...]:
     return tuple(_catalog_walk(p, max_order))
 
 
+def _hom_table(spec: AmalgamSpec, tag: str,
+               X: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """The table of Hom(factor ``tag``, X), enumerated on the first call
+    for the spec and kept in ``spec.hom_tables``."""
+    homs = spec.hom_tables.get((tag, X))
+    if homs is None:
+        homs = fingroup.hom_images(spec.factor(tag), X)
+        spec.hom_tables[tag, X] = homs
+    return homs
+
+
 def _first_agreeing_pair(spec: AmalgamSpec, catalog: Iterable[FiniteGroup],
                          words: Sequence[Word]
                          ) -> Optional[tuple[FiniteGroup, GroupHom, GroupHom]]:
@@ -196,16 +203,14 @@ def _first_agreeing_pair(spec: AmalgamSpec, catalog: Iterable[FiniteGroup],
     A) with psi_H outer, each factor's homs in ``enumerate_homs`` order.
 
     A pair's images of the words depend only on the images of their
-    letters.  So each factor's homs are walked by ``fingroup.keyed_homs``,
-    which yields only the first hom of each key from the cached table of
-    Hom(factor, X): for K the key is the images on B, then on the
-    K-letters, and for H the images on A, then on the H-letters.  Every
+    letters.  So of each factor's Hom table (``_hom_table``) only the first
+    hom of each key is walked: for K the key is the images on B, then on
+    the K-letters, and for H the images on A, then on the H-letters.  Every
     pair a skipped hom would form was tested through the earlier one with
     its key, so the pair returned is the first passing one in that order.
-    The keyed homs of K are grouped by their images on B (dicts keep
-    insertion order, so enumeration order survives); those of H are walked
-    lazily, and the two ``GroupHom``s are built only for the pair
-    returned."""
+    The first homs of K are grouped by their images on B (dicts keep
+    insertion order, so enumeration order survives), and the two
+    ``GroupHom``s are built only for the pair returned."""
     letters = sorted({s for u in words for s in u})  # "H" sorts before "K"
     slot = {s: i for i, s in enumerate(letters)}
     programs = [[slot[s] for s in u] for u in words]
@@ -215,10 +220,19 @@ def _first_agreeing_pair(spec: AmalgamSpec, catalog: Iterable[FiniteGroup],
     for X in catalog:
         cls_index = fingroup.class_index(X)
         by_b: dict[tuple[int, ...], dict[tuple[int, ...], tuple[int, ...]]] = {}
-        for key, images in fingroup.keyed_homs(spec.K, X, k_key):
-            by_b.setdefault(key[:n], {})[key[n:]] = images
+        seen = set()
+        for k_images in _hom_table(spec, TAG_K, X):
+            key = tuple([k_images[e] for e in k_key])
+            if key not in seen:
+                seen.add(key)
+                by_b.setdefault(key[:n], {})[key[n:]] = k_images
         table = X.table
-        for key, h_images in fingroup.keyed_homs(spec.H, X, h_key):
+        seen.clear()
+        for h_images in _hom_table(spec, TAG_H, X):
+            key = tuple([h_images[e] for e in h_key])
+            if key in seen:
+                continue
+            seen.add(key)
             h_values = key[n:]
             for k_values, k_images in by_b.get(key[:n], {}).items():
                 values = h_values + k_values  # images of the letters

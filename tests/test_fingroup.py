@@ -11,6 +11,8 @@ from amalgams.errors import (
     NotNormal,
     NotPrime,
 )
+from amalgams import amalgam as am
+from amalgams import separability as sep
 from amalgams.separability import p_group_catalog
 from conftest import (
     make_amalg1,
@@ -269,15 +271,6 @@ class TestHoms:
         homs = tuple(h.images for h in fg.enumerate_homs(G, X))
         assert homs == brute_force_homs(G, X)
 
-    def test_plan_checks_only_non_tree_relations(self):
-        for G in BENCHMARK_FACTORS.values():
-            orders, steps, checks = fg._hom_plan(G)
-            n, d = G.order, len(fg.generating_sequence(G))
-            assert len(steps) == n - 1
-            assert len(checks) == n * d - (n - 1)
-            tree = {(prev, gi) for _, prev, gi in steps}
-            assert not tree & {(a, gi) for a, gi, _ in checks}
-
     @pytest.mark.parametrize("name", sorted(BENCHMARK_FACTORS))
     def test_benchmark_pairs_match_brute_force(self, name):
         """Every factor of the benchmark corpus into every group of the
@@ -294,40 +287,67 @@ class TestHoms:
             "d16_z_q16"])
     def test_keyed_kernel_is_first_brute_force_hom_per_key(self, make):
         """Each factor of a benchmark amalgam into every group of both
-        catalogs: ``keyed_homs`` yields, in order, the first brute-force
-        hom of each key, for keys of the amalgamated subgroup plus one
-        letter and for the key of every element.  Each key is read once
-        from an emptied Hom table and once from the table that read filled,
-        with the same output."""
+        catalogs, keyed as the witness search keys it (images on the
+        amalgamated subgroup in ``phi`` order, then on one letter), and
+        keyed by every element: the first hom of each key in the spec's
+        Hom table (``separability._hom_table``) is the first brute-force
+        hom of that key, in the same order.  Each key is read once from the
+        table a fresh spec fills and once from the table it kept."""
         spec = make()
-        for G, amalg in ((spec.H, spec.A), (spec.K, spec.B)):
-            keys = [amalg.elements + (letter,)
+        for tag, amalg in (("H", [a for a, _ in spec.phi]),
+                           ("K", [b for _, b in spec.phi])):
+            G = spec.factor(tag)
+            keys = [tuple(amalg) + (letter,)
                     for letter in {1, G.order - 1}]
             keys.append(tuple(G.elements()))
             for X in p_group_catalog(2, 16) + p_group_catalog(3, 27):
+                cold = sep._hom_table(spec, tag, X)
+                warm = sep._hom_table(spec, tag, X)
+                assert warm is cold, (tag, G.order, X.order)
                 for key in keys:
                     first = {}
                     for images in brute_force_homs(G, X):
                         first.setdefault(tuple(images[e] for e in key), images)
-                    fg._homs.cache_clear()
-                    cold = list(fg.keyed_homs(G, X, key))
-                    warm = list(fg.keyed_homs(G, X, key))
-                    assert cold == warm == list(first.items()), \
-                        (G.order, X.order, key)
+                    keyed = {}
+                    for images in cold:
+                        keyed.setdefault(tuple(images[e] for e in key), images)
+                    assert list(keyed.items()) == list(first.items()), \
+                        (tag, G.order, X.order, key)
 
     @pytest.mark.parametrize("name", sorted(BENCHMARK_FACTORS))
     def test_hom_table_gives_equal_homs_cold_and_warm(self, name):
-        """Every benchmark factor into every group of both catalogs:
-        ``enumerate_homs`` from an emptied Hom table equals it from the
-        table that call filled."""
+        """Every benchmark factor into every group of both catalogs: the
+        enumerator keeps no table of its own, so a second ``hom_images``
+        call enumerates again and gives equal homs, and ``enumerate_homs``
+        wraps the same images in the same order."""
         G = BENCHMARK_FACTORS[name]
         for X in p_group_catalog(2, 16) + p_group_catalog(3, 27):
-            fg._homs.cache_clear()
-            cold = fg.enumerate_homs(G, X)
-            assert fg.enumerate_homs(G, X) == cold, (name, X.order)
+            cold = fg.hom_images(G, X)
+            warm = fg.hom_images(G, X)
+            assert warm == cold and warm is not cold, (name, X.order)
+            homs = fg.enumerate_homs(G, X)
+            assert tuple(h.images for h in homs) == cold, (name, X.order)
 
     def test_hom_table_is_a_clearable_cache(self):
-        assert callable(fg._homs.cache_clear)
+        """The Hom tables of a search live on its spec: a fresh spec has
+        none, and once its ``hom_tables`` are cleared the next search
+        fills them again with equal tables and finds the same witness."""
+        spec = make_d16_q16()
+        assert spec.hom_tables == {}
+        f, g = am.EMPTY, am.word([("H", 2)])
+        budget = sep.SearchBudget(p=2, max_target_order=16,
+                                  max_quotient_index=16,
+                                  max_conjugator_length=4)
+        w = sep.search_witness(spec, f, g, budget)
+        tables = dict(spec.hom_tables)
+        assert tables
+        spec.hom_tables.clear()
+        assert spec.hom_tables == {}
+        again = sep.search_witness(spec, f, g, budget)
+        assert spec.hom_tables == tables
+        assert all(spec.hom_tables[k] is not t for k, t in tables.items())
+        assert (again.target, again.psi_H, again.psi_K) == \
+            (w.target, w.psi_H, w.psi_K)
 
     def test_is_valid_rejects_out_of_range_images(self):
         c2 = fg.cyclic(2)

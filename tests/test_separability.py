@@ -239,20 +239,31 @@ class TestSearchWitness:
 
 class TestVerificationIndependence:
     def test_kernel_without_relation_checks_is_caught(self, monkeypatch):
-        """With every relation check dropped, the Hom table (``_homs``)
-        holds maps that are not homomorphisms; the re-check must reject the
-        witness the search builds from them, not pass it on.  The table is
-        emptied first, so that it is filled under the patched plan, and
-        after, so that no later test reads those maps."""
-        plan = fg._hom_plan
-        fg._homs.cache_clear()
-        monkeypatch.setattr(fg, "_hom_plan", lambda G: plan(G)[:2] + ((),))
-        try:
-            with pytest.raises(VerificationFailed):
-                sep.search_witness(make_d8_q8(), W(("H", 1), ("K", 1)),
-                                   W(("H", 1), ("K", 3)), BUDGET)
-        finally:
-            fg._homs.cache_clear()
+        """With the hom enumerator replaced by one that checks no relation,
+        the search reads maps that are not homomorphisms.  No catalog group
+        of order <= 16 separates this pair, so the witness it builds from
+        them is false; the re-check must reject it, not pass it on.  The
+        spec is fresh, so its Hom tables are filled by the patched
+        enumerator and die with it."""
+        def tree_extensions(G, X):
+            gens = fg.generating_sequence(G)
+            homs = []
+            for chosen in itertools.product(X.elements(), repeat=len(gens)):
+                images = {0: 0}
+                frontier = [0]
+                for x in frontier:  # breadth-first spanning tree of G
+                    for g, c in zip(gens, chosen):
+                        y = G.mul(x, g)
+                        if y not in images:
+                            images[y] = X.mul(images[x], c)
+                            frontier.append(y)
+                homs.append(tuple(images[e] for e in G.elements()))
+            return tuple(homs)
+
+        monkeypatch.setattr(fg, "hom_images", tree_extensions)
+        with pytest.raises(VerificationFailed):
+            sep.search_witness(make_d8_q8(), W(("H", 1), ("K", 1)),
+                               W(("H", 1), ("K", 3)), BUDGET)
 
     def test_class_tables_not_shared_with_the_search(self, monkeypatch):
         """With every class of every target a singleton, the search takes
@@ -379,6 +390,34 @@ class TestResidualReverification:
             sep.is_cfp_separable_bounded(amalg1, am.EMPTY, RESIDUAL_BUDGET)
 
 
+class TestSpecHomTables:
+    def test_search_fills_and_rereads_the_spec_tables(self):
+        """A search on a fresh spec fills one Hom table per factor for
+        every target the walk reached, each equal to the brute-force
+        table; a second search on the same spec reads the same table
+        objects and returns the witness a freshly built equal spec
+        gives."""
+        f, g = am.EMPTY, W(("H", 2))
+        spec = make_d16_q16()
+        assert spec.hom_tables == {}
+        w = sep.search_witness(spec, f, g, BUDGET)
+        catalog = sep.p_group_catalog(2, BUDGET.max_target_order)
+        reached = catalog[:catalog.index(w.target) + 1]
+        assert len(reached) > 2
+        assert set(spec.hom_tables) == {(tag, X) for tag in "HK"
+                                        for X in reached}
+        for (tag, X), homs in spec.hom_tables.items():
+            assert homs == oracles.brute_force_homs(spec.factor(tag), X)
+        tables = dict(spec.hom_tables)
+        again = sep.search_witness(spec, f, g, BUDGET)
+        assert spec.hom_tables.keys() == tables.keys()
+        assert all(spec.hom_tables[k] is t for k, t in tables.items())
+        fresh = sep.search_witness(make_d16_q16(), f, g, BUDGET)
+        for other in (again, fresh):
+            assert (other.target, other.psi_H, other.psi_K) == \
+                (w.target, w.psi_H, w.psi_K)
+
+
 class TestClassIndex:
     def test_shared_index_iff_conjugate(self):
         for X in sep.p_group_catalog(2, 16) + sep.p_group_catalog(3, 27) \
@@ -454,7 +493,6 @@ class TestVerdictPinning:
     @pytest.fixture(autouse=True)
     def cold_catalog(self):
         sep._groups_of_order.cache_clear()
-        fg._homs.cache_clear()
 
     @pytest.mark.parametrize("make,length,p,order,expected", [
         (make_s3_amalgam, 2, 2, 16, (81, 5, 19)),

@@ -62,11 +62,14 @@ def key(w):
 
 
 @pytest.mark.parametrize("make,length,p,order", [
+    (make_amalg1, 2, 2, 16),
     (make_s3_amalgam, 2, 2, 16),
     (make_c9_amalgam, 2, 3, 27),
+    (make_c2c3, 2, 2, 8),
     (make_d8_q8, 1, 2, 16),
     (make_d16_q16, 1, 2, 8),
-], ids=["s3_c3_c6", "c9_c3_c3xc3", "d8_z_q8", "d16_z_q16"])
+], ids=["c4_c2_c4", "s3_c3_c6", "c9_c3_c3xc3", "c2_c3", "d8_z_q8",
+        "d16_z_q16"])
 def test_same_witness_as_pair_loop(make, length, p, order):
     spec = make()
     catalog = sep.p_group_catalog(p, order)
