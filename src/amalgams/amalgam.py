@@ -161,10 +161,11 @@ class AmalgamSpec:
         for tag, into, to_h in ((TAG_H, ident, ident),
                                 (TAG_K, [fwd.get(a, 0) for a in ident], back)):
             G, sub = self.factor(tag), self.amalg(tag).elements
-            rows = []
+            rows = [None] * G.order
             for e in G.elements():
-                rep = min(G.mul(a, e) for a in sub)
-                rows.append((to_h[G.mul(e, G.inv(rep))], rep))
+                if rows[e] is None:  # e is the least element of its coset A*e
+                    for a in sub:
+                        rows[G.table[a][e]] = (to_h[a], e)
             out[tag] = (G.table, tuple(into), tuple(rows))
         return out
 
@@ -198,10 +199,14 @@ def make_amalgam(H: FiniteGroup, K: FiniteGroup,
     if (sorted(phi) != list(A_sub.elements)
             or sorted(phi.values()) != list(B_sub.elements)):
         raise PhiNotIso("phi is not a bijection A -> B")
-    for a1 in A_sub.elements:
-        for a2 in A_sub.elements:
-            if phi[H.mul(a1, a2)] != K.mul(phi[a1], phi[a2]):
-                raise PhiNotIso(f"phi not a homomorphism at ({a1},{a2})")
+    elts = A_sub.elements
+    images = [phi[a] for a in elts]
+    for a1 in elts:  # phi of a1's row against phi(a1)'s row read at phi(A)
+        left = list(map(phi.__getitem__, map(H.table[a1].__getitem__, elts)))
+        right = list(map(K.table[phi[a1]].__getitem__, images))
+        if left != right:
+            a2 = next(a2 for a2, x, y in zip(elts, left, right) if x != y)
+            raise PhiNotIso(f"phi not a homomorphism at ({a1},{a2})")
     return AmalgamSpec(H, K, A_sub, B_sub, tuple(sorted(phi.items())))
 
 

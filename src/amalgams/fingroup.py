@@ -3,6 +3,14 @@
 Groups are order-n multiplication tables on element indices 0..n-1 with
 identity 0.  Everything is immutable and pure; enumeration results are
 returned in a deterministic order.
+
+The kernels work one table row per step: a row of ``FiniteGroup.table``
+is a tuple, so reading it at a run of indices (``operator.itemgetter``,
+or ``map(row.__getitem__, xs)``) is one C-level call where a loop of
+``mul`` calls would be one Python step per product.  Each law is still
+checked on every product: ``from_table`` compares whole rows and then
+finds the first failing product in them, ``make_subgroup`` tests each
+row of products against the element set.
 """
 
 from __future__ import annotations
@@ -10,7 +18,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional, Sequence
+from operator import getitem, itemgetter
+from typing import Collection, Iterable, Optional, Sequence
 
 from .errors import (
     IndexOutOfRange,
@@ -42,9 +51,9 @@ class FiniteGroup:
         return range(self.order)
 
     def element_order(self, a: int) -> int:
-        n, x = 1, a
+        row, n, x = self.table[a], 1, a
         while x != 0:
-            x = self.mul(x, a)
+            x = row[x]
             n += 1
         return n
 
@@ -71,30 +80,40 @@ def from_table(order: int, table: Sequence[Sequence[int]],
     NotAGroup with a reason on any axiom failure, IndexOutOfRange for a
     wrong number of ``names``.  An associative Latin square with identity 0
     is a group, so each inverse is read off its row as the column holding 0.
+
+    The checks run in this order, each row or column in index order: an
+    entry out of range, then a repeated entry in the same row; a repeated
+    entry in a column; row or column 0 not the identity; a product
+    (a*b)*c != a*(b*c), reported at the first (a, b, c) in lexicographic
+    order.  Associativity compares row a*b with row a read through row b,
+    (a*b)*c = a*(b*c) for every c at once.
     """
     if order <= 0 or len(table) != order or any(len(row) != order for row in table):
         raise NotAGroup("not-a-latin-square", "table is not order x order")
     if names is not None and len(names) != order:
         raise IndexOutOfRange(f"{len(names)} names for order {order}")
-    rows = [tuple(int(x) for x in row) for row in table]
-    rng = range(order)
-    full = set(rng)
+    rows = [tuple(map(int, row)) for row in table]
+    full = set(range(order))
     for row in rows:
-        if any(not 0 <= x < order for x in row):
-            raise NotAGroup("not-a-latin-square", "entry out of range")
-        if set(row) != full:
-            raise NotAGroup("not-a-latin-square", "row is not a permutation")
-    for j in rng:
-        if {rows[i][j] for i in rng} != full:
-            raise NotAGroup("not-a-latin-square", "column is not a permutation")
-    if any(rows[0][x] != x or rows[x][0] != x for x in rng):
+        entries = set(row)
+        if entries != full:
+            raise NotAGroup("not-a-latin-square",
+                            "row is not a permutation" if entries <= full
+                            else "entry out of range")
+    columns = list(zip(*rows))
+    if any(set(column) != full for column in columns):
+        raise NotAGroup("not-a-latin-square", "column is not a permutation")
+    if rows[0] != columns[0] or rows[0] != tuple(range(order)):
         raise NotAGroup("no-identity", "the identity must be element 0")
-    for a in rng:
-        for b in rng:
-            ab = rows[a][b]
-            for c in rng:
-                if rows[ab][c] != rows[a][rows[b][c]]:
-                    raise NotAGroup("non-associative", f"({a}*{b})*{c}")
+    # itemgetter of a single index returns an entry, not a row; the only
+    # order-1 table left is the trivial group.
+    readers = [itemgetter(*row) for row in rows] if order > 1 else []
+    for a, row in enumerate(rows):
+        for b, (ab, read_b) in enumerate(zip(row, readers)):
+            if read_b(row) != rows[ab]:
+                c = next(c for c, (x, y) in enumerate(zip(rows[ab], read_b(row)))
+                         if x != y)
+                raise NotAGroup("non-associative", f"({a}*{b})*{c}")
     return FiniteGroup(order, tuple(rows),
                        tuple(names) if names is not None else None,
                        tuple(row.index(0) for row in rows))
@@ -128,13 +147,16 @@ class Subgroup:
         """The subgroup as a standalone group plus the local->parent embedding."""
         emb = self.elements
         local = {p: i for i, p in enumerate(emb)}
-        table = tuple(tuple(local[self.parent.mul(a, b)] for b in emb) for a in emb)
+        table = tuple(tuple(map(local.__getitem__,
+                                map(self.parent.table[a].__getitem__, emb)))
+                      for a in emb)
         names = tuple(self.parent.name_of(p) for p in emb) if self.parent.names else None
         return from_table(len(emb), table, names), emb
 
 
 def make_subgroup(G: FiniteGroup, elements: Iterable[int]) -> Subgroup:
-    """Wrap an element set as a Subgroup, verifying closure."""
+    """Wrap an element set as a Subgroup, verifying closure: per element a
+    in order, its inverse, then its row of products a*b."""
     elts = sorted(set(elements))
     s = set(elts)
     if 0 not in s:
@@ -144,28 +166,42 @@ def make_subgroup(G: FiniteGroup, elements: Iterable[int]) -> Subgroup:
     for a in elts:
         if G.inv(a) not in s:
             raise NotSubgroup(f"not closed under inverse at {a}")
-        for b in elts:
-            if G.mul(a, b) not in s:
-                raise NotSubgroup(f"not closed under product at ({a},{b})")
+        row = G.table[a]
+        if not s.issuperset(map(row.__getitem__, elts)):
+            b = next(b for b in elts if row[b] not in s)
+            raise NotSubgroup(f"not closed under product at ({a},{b})")
     return Subgroup(G, tuple(elts))
 
 
 def subgroup_closure(G: FiniteGroup, generators: Iterable[int]) -> Subgroup:
-    """Smallest subgroup containing the generators ({0} for an empty set)."""
+    """Smallest subgroup containing the generators ({0} for an empty set):
+    the closure of {0} under right products by the generators.  In a
+    finite group that is already a subgroup, since each g^-1 is a power of
+    g."""
     gens = list(generators)
     for g in gens:
         if not 0 <= g < G.order:
             raise IndexOutOfRange(f"generator {g} out of range")
-    seen = {0}
-    frontier = [0]
+    return Subgroup(G, tuple(sorted(_grow(G.table, {0}, set(gens), [0]))))
+
+
+def _grow(table: tuple[tuple[int, ...], ...], seen: set[int],
+          gens: Collection[int], frontier: Iterable[int]) -> set[int]:
+    """Add to ``seen`` every product x*g1*...*gk with x in ``frontier`` and
+    each gi in ``gens``; returns ``seen``.  Each step reads one row at all
+    of ``gens`` and at 0: x*0 = x is in ``seen`` already, and the extra
+    index keeps ``itemgetter``'s result a tuple for a single generator."""
+    if not gens:
+        return seen
+    read = itemgetter(0, *gens)
     while frontier:
-        x = frontier.pop()
-        for g in gens:
-            for y in (G.mul(x, g), G.mul(x, G.inv(g))):
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-    return Subgroup(G, tuple(sorted(seen)))
+        new = set()
+        for x in frontier:
+            new.update(read(table[x]))
+        new -= seen
+        seen |= new
+        frontier = new
+    return seen
 
 
 def trivial_subgroup(G: FiniteGroup) -> Subgroup:
@@ -177,22 +213,28 @@ def full_subgroup(G: FiniteGroup) -> Subgroup:
 
 
 def center(G: FiniteGroup) -> Subgroup:
-    z = [a for a in G.elements()
-         if all(G.mul(a, b) == G.mul(b, a) for b in G.elements())]
+    """The elements whose row equals their column."""
+    z = [a for a, (row, column) in enumerate(zip(G.table, zip(*G.table)))
+         if row == column]
     return Subgroup(G, tuple(z))
+
+
+def conjugates(G: FiniteGroup, x: int) -> set[int]:
+    """The conjugacy class of x: z^-1 * x * z for every z, read as row
+    z^-1 at entry z of x's row."""
+    return set(map(getitem, map(G.table.__getitem__, G._inv), G.table[x]))
 
 
 def normal_closure(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
     gens = set()
     for x in seed:
-        for z in G.elements():
-            gens.add(G.conj(x, z))
+        gens |= conjugates(G, x)
     return subgroup_closure(G, gens)
 
 
 def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
     s = H.element_set()
-    return all(G.conj(h, z) in s for h in H.elements for z in G.elements())
+    return all(s.issuperset(conjugates(G, h)) for h in H.elements)
 
 
 def enumerate_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
@@ -252,23 +294,19 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     """Quotient on minimal-index coset representatives plus the projection."""
     if not is_normal(G, N):
         raise NotNormal(f"{N.elements} is not normal")
-    coset_of = {}
+    label = [-1] * G.order  # element -> number of its coset
     reps = []
     for g in G.elements():
-        if g in coset_of:
-            continue
-        coset = sorted(G.mul(g, n) for n in N.elements)
-        rep = coset[0]
-        reps.append(rep)
-        for x in coset:
-            coset_of[x] = rep
-    reps.sort()  # identity coset has rep 0, hence first
-    label = {rep: i for i, rep in enumerate(reps)}
-    table = tuple(tuple(label[coset_of[G.mul(a, b)]] for b in reps) for a in reps)
+        if label[g] < 0:  # g is the least element of a new coset g*N
+            for x in map(G.table[g].__getitem__, N.elements):
+                label[x] = len(reps)
+            reps.append(g)
+    table = tuple(tuple(map(label.__getitem__, map(G.table[a].__getitem__, reps)))
+                  for a in reps)
     names = (tuple(_quotient_name(G.name_of(r), i) for i, r in enumerate(reps))
              if G.names else None)
     Q = from_table(len(reps), table, names)
-    proj = GroupHom(G, Q, tuple(label[coset_of[g]] for g in G.elements()))
+    proj = GroupHom(G, Q, tuple(label))
     return Q, proj
 
 
@@ -297,8 +335,8 @@ def class_index(G: FiniteGroup) -> tuple[int, ...]:
     n = 0
     for g in G.elements():
         if index[g] < 0:  # g is the least element of a new class
-            for z in G.elements():
-                index[G.conj(g, z)] = n
+            for x in conjugates(G, g):
+                index[x] = n
             n += 1
     return tuple(index)
 
@@ -321,13 +359,16 @@ def are_conjugate_in(G: FiniteGroup, a: int, b: int) -> Optional[int]:
 
 def generating_sequence(G: FiniteGroup) -> tuple[int, ...]:
     """Greedy minimal generating sequence: repeatedly add the smallest
-    element outside the closure so far."""
+    element outside the closure so far.  The closure grows in place, each
+    new generator applied with the earlier ones to all of it; every element
+    below the last generator is already inside."""
     gens: list[int] = []
-    closed = subgroup_closure(G, gens)
+    closed = {0}
+    g = 0
     while len(closed) < G.order:
-        g = min(set(G.elements()) - closed.element_set())
+        g = next(x for x in range(g + 1, G.order) if x not in closed)
         gens.append(g)
-        closed = subgroup_closure(G, gens)
+        _grow(G.table, closed, gens, list(closed))
     return tuple(gens)
 
 
@@ -420,10 +461,13 @@ def cyclic(n: int) -> FiniteGroup:
 
 
 def direct_product(G1: FiniteGroup, G2: FiniteGroup) -> FiniteGroup:
+    """G1 x G2 on indices a1 * |G2| + a2.  Row (a1, a2) joins, for each
+    entry c of a1's row, the block c * |G2| + (a2's row)."""
     n1, n2 = G1.order, G2.order
-    table = [[0] * (n1 * n2) for _ in range(n1 * n2)]
-    for a1, a2, b1, b2 in itertools.product(range(n1), range(n2), range(n1), range(n2)):
-        table[a1 * n2 + a2][b1 * n2 + b2] = G1.mul(a1, b1) * n2 + G2.mul(a2, b2)
+    blocks = [[tuple(c * n2 + x for x in row2) for c in range(n1)]
+              for row2 in G2.table]
+    table = [tuple(itertools.chain.from_iterable(map(blocks[a2].__getitem__, row1)))
+             for row1 in G1.table for a2 in range(n2)]
     return from_table(n1 * n2, table)
 
 

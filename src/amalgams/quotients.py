@@ -143,14 +143,15 @@ def _p_residual(spec: AmalgamSpec, p: int) -> Optional[CompatiblePair]:
 def _lower_step(G: FiniteGroup, N: Subgroup, p: int) -> Subgroup:
     """[G, N] N^p for N normal in G.  Conjugation by G permutes the
     commutators [g, n] and the powers n^p, so they generate a normal
-    subgroup."""
+    subgroup.  Per n, the commutators [n, z] = n^-1 * (z^-1 n z) are read
+    off n^-1's row at the conjugates of n; they are the inverses of the
+    [z, n], so they generate the same subgroup."""
     gens = set()
     for n in N.elements:
-        for g in G.elements():
-            gens.add(G.mul(G.inv(g), G.conj(g, n)))  # g^-1 n^-1 g n
-        power = 0
+        gens.update(map(G.table[G.inv(n)].__getitem__, fingroup.conjugates(G, n)))
+        row, power = G.table[n], 0
         for _ in range(p):
-            power = G.mul(power, n)
+            power = row[power]
         gens.add(power)
     return fingroup.subgroup_closure(G, gens)
 

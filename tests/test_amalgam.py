@@ -40,6 +40,19 @@ class TestSpecValidation:
         with pytest.raises(PhiNotIso):
             am.make_amalgam(c4, c4, [0, 2], [0, 2], {0: 0, 2: 0})
 
+    def test_phi_not_a_homomorphism_reports_first_pair(self):
+        """A bijection A -> B that is no homomorphism is rejected at the
+        first (a1, a2) of a plain loop over A x A."""
+        c4, d8 = fg.cyclic(4), fg.dihedral(4)
+        for H, K, phi in ((c4, c4, {0: 0, 1: 1, 2: 3, 3: 2}),
+                          (d8, d8, {0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5,
+                                    6: 7, 7: 6})):
+            first = next((a1, a2) for a1 in sorted(phi) for a2 in sorted(phi)
+                         if phi[H.mul(a1, a2)] != K.mul(phi[a1], phi[a2]))
+            with pytest.raises(PhiNotIso) as exc:
+                am.make_amalgam(H, K, sorted(phi), sorted(phi.values()), phi)
+            assert str(exc.value) == "phi not a homomorphism at ({},{})".format(*first)
+
     def test_s3_amalgam_not_central(self, s3_amalgam):
         assert not s3_amalgam.central
 

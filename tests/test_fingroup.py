@@ -10,6 +10,7 @@ from amalgams.errors import (
     NotAGroup,
     NotNormal,
     NotPrime,
+    NotSubgroup,
 )
 from amalgams import amalgam as am
 from amalgams import separability as sep
@@ -51,6 +52,30 @@ BENCHMARK_FACTORS = {
 def brute_force_normal_subgroups(G):
     return [s for s in brute_force_subgroups(G)
             if all(G.conj(h, z) in set(s) for h in s for z in G.elements())]
+
+
+# Every catalog group (p = 2 up to order 16, p = 3 up to order 27) and four
+# non-catalog groups, for the table kernels against the plain loops below.
+KERNEL_GROUPS = [*p_group_catalog(2, 16), *p_group_catalog(3, 27),
+                 fg.symmetric3(), fg.cyclic(6), fg.dihedral(8), fg.quaternion(16)]
+
+
+def ref_closure(G, gens):
+    """Closure of {0} under products by the generators and their inverses,
+    one ``mul`` at a time."""
+    seen, frontier = {0}, [0]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            for y in (G.mul(x, g), G.mul(x, G.inv(g))):
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+    return tuple(sorted(seen))
+
+
+def ref_class(G, x):
+    return {G.conj(x, z) for z in G.elements()}
 
 
 class TestFromTable:
@@ -108,7 +133,48 @@ class TestFromTable:
                  [4, 3, 1, 2, 0]]
         with pytest.raises(NotAGroup) as exc:
             fg.from_table(5, table)
-        assert exc.value.reason in ("non-associative", "no-inverse")
+        assert exc.value.reason == "non-associative"
+        assert str(exc.value) == "non-associative: (1*1)*2"
+
+    def test_non_associative_reports_first_triple(self):
+        """S3 with one intercalate swapped off row and column 0: a Latin
+        square with identity 0, first non-associative at a = 2.  The
+        reported triple is the first of a plain triple loop."""
+        table = [[0, 1, 2, 3, 4, 5],
+                 [1, 0, 4, 5, 2, 3],
+                 [2, 3, 0, 1, 5, 4],
+                 [3, 2, 5, 4, 1, 0],
+                 [4, 5, 1, 0, 3, 2],
+                 [5, 4, 3, 2, 0, 1]]
+        n = len(table)
+        first = next((a, b, c) for a in range(n) for b in range(n)
+                     for c in range(n)
+                     if table[table[a][b]][c] != table[a][table[b][c]])
+        assert first == (2, 1, 4)
+        with pytest.raises(NotAGroup) as exc:
+            fg.from_table(n, table)
+        assert exc.value.reason == "non-associative"
+        assert str(exc.value) == "non-associative: ({}*{})*{}".format(*first)
+
+    @pytest.mark.parametrize("table,message", [
+        # row 1 repeats an entry and holds one out of range
+        ([[0, 1, 2], [1, 1, 5], [2, 0, 1]],
+         "not-a-latin-square: entry out of range"),
+        # row 1 repeats an entry, and so do columns 1 and 2
+        ([[0, 1, 2], [1, 1, 0], [2, 0, 1]],
+         "not-a-latin-square: row is not a permutation"),
+        # every row is a permutation, column 1 is not, row 0 is no identity
+        ([[1, 0, 2], [0, 1, 2], [2, 0, 1]],
+         "not-a-latin-square: column is not a permutation"),
+        # x*y = -x-y mod 3: a Latin square, neither identity nor associative
+        ([[0, 2, 1], [2, 1, 0], [1, 0, 2]],
+         "no-identity: the identity must be element 0"),
+    ], ids=["range-before-row", "row-before-column", "column-before-identity",
+            "identity-before-associativity"])
+    def test_check_order(self, table, message):
+        with pytest.raises(NotAGroup) as exc:
+            fg.from_table(len(table), table)
+        assert str(exc.value) == message
 
 
 class TestSubgroups:
@@ -204,6 +270,99 @@ class TestQuotient:
                 for q in Q.elements():
                     rep = min(g for g in G.elements() if proj(g) == q)
                     assert proj(rep) == q
+
+
+class TestKernelAgainstBruteForce:
+    """The table kernels against plain loops of ``mul``, ``inv`` and
+    ``conj`` on every group of ``KERNEL_GROUPS``."""
+
+    def test_subgroup_closure_of_every_pair(self):
+        for G in KERNEL_GROUPS:
+            for a in G.elements():
+                for b in range(a, G.order):
+                    assert fg.subgroup_closure(G, [a, b]).elements == \
+                        ref_closure(G, [a, b]), (G.order, a, b)
+
+    def test_normal_closure_and_is_normal(self):
+        for G in KERNEL_GROUPS:
+            for x in G.elements():
+                assert fg.normal_closure(G, [x]).elements == \
+                    ref_closure(G, ref_class(G, x)), (G.order, x)
+            for S in fg.enumerate_subgroups(G):
+                members = S.element_set()
+                assert fg.is_normal(G, S) == all(
+                    ref_class(G, h) <= members for h in S.elements), \
+                    (G.order, S.elements)
+
+    def test_center_classes_and_orders(self):
+        for G in KERNEL_GROUPS:
+            assert fg.center(G).elements == tuple(
+                a for a in G.elements()
+                if all(G.mul(a, b) == G.mul(b, a) for b in G.elements()))
+            index, least = fg.class_index(G), {}
+            for x in G.elements():
+                rep = min(ref_class(G, x))
+                least.setdefault(rep, len(least))
+                assert index[x] == least[rep], (G.order, x)
+            for x in G.elements():
+                order, power = 1, x
+                while power != 0:
+                    power = G.mul(power, x)
+                    order += 1
+                assert G.element_order(x) == order, (G.order, x)
+
+    def test_quotient_by_every_normal_subgroup(self):
+        for G in KERNEL_GROUPS:
+            for N in fg.enumerate_normal_subgroups(G):
+                cosets = {g: min(G.mul(g, n) for n in N.elements)
+                          for g in G.elements()}
+                reps = sorted(set(cosets.values()))
+                label = {g: reps.index(cosets[g]) for g in G.elements()}
+                Q, proj = fg.quotient(G, N)
+                assert Q.table == tuple(tuple(label[G.mul(a, b)] for b in reps)
+                                        for a in reps), (G.order, N.elements)
+                assert proj.images == tuple(label[g] for g in G.elements())
+
+    def test_direct_products(self):
+        small = [fg.cyclic(2), fg.cyclic(3), fg.cyclic(4), fg.symmetric3(),
+                 fg.dihedral(4), fg.quaternion(8)]
+        for G1 in small:
+            for G2 in small:
+                P, n2 = fg.direct_product(G1, G2), G2.order
+                assert P.table == tuple(
+                    tuple(G1.mul(a1, b1) * n2 + G2.mul(a2, b2)
+                          for b1 in G1.elements() for b2 in G2.elements())
+                    for a1 in G1.elements() for a2 in G2.elements())
+
+    def test_generating_sequence_is_greedy(self):
+        for G in KERNEL_GROUPS:
+            gens = []
+            while len(closed := ref_closure(G, gens)) < G.order:
+                gens.append(min(set(G.elements()) - set(closed)))
+            assert fg.generating_sequence(G) == tuple(gens), G.order
+
+    def test_make_subgroup_reports_the_first_failure(self):
+        """A subgroup plus one element outside it: ``make_subgroup``
+        accepts it when it is closed, else rejects it at the first failure
+        of a plain loop, per element its inverse before its products."""
+        for G in (fg.symmetric3(), fg.dihedral(8), fg.quaternion(16)):
+            for S in fg.enumerate_subgroups(G):
+                for extra in sorted(set(G.elements()) - S.element_set()):
+                    elts = sorted(S.elements + (extra,))
+                    members = set(elts)
+                    expected = next(
+                        (f"not closed under inverse at {a}"
+                         if G.inv(a) not in members else
+                         f"not closed under product at ({a},{b})"
+                         for a in elts for b in elts
+                         if G.inv(a) not in members
+                         or G.mul(a, b) not in members), None)
+                    if expected is None:
+                        assert fg.make_subgroup(G, elts).elements == tuple(elts)
+                        continue
+                    with pytest.raises(NotSubgroup) as exc:
+                        fg.make_subgroup(G, elts)
+                    assert str(exc.value) == expected
 
 
 class TestConjugacyClasses:
