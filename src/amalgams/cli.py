@@ -127,11 +127,10 @@ def cmd_separate(args) -> int:
     out = Path(args.output)
     out.write_text(cert)
     _emit(args,
-          [f"witness target order {witness.target.order} "
-           f"(strategy {witness.strategy_tag})",
+          [f"witness target order {witness.target.order} (strategy direct)",
            f"certificate written to {out}"],
           {"target_order": witness.target.order,
-           "strategy": witness.strategy_tag, "certificate_path": str(out)})
+           "strategy": "direct", "certificate_path": str(out)})
     return EXIT_OK
 
 
@@ -141,8 +140,7 @@ def cmd_verify(args) -> int:
     f, g = fileio.parse_word(spec, cert["f"]), fileio.parse_word(spec, cert["g"])
     X = cert["target"]
     witness = sep.Witness(X, fingroup.GroupHom(spec.H, X, cert["psi_H"]),
-                          fingroup.GroupHom(spec.K, X, cert["psi_K"]),
-                          cert["strategy"])
+                          fingroup.GroupHom(spec.K, X, cert["psi_K"]))
     # The smallest prime factor of |X|; verify_witness rejects a target
     # whose order is not a power of it.
     p = next((d for d in range(2, X.order + 1) if X.order % d == 0), None)

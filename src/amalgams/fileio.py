@@ -264,7 +264,7 @@ def serialize_certificate(spec: AmalgamSpec, w: sep.Witness,
                           f: Word, g: Word) -> str:
     """Self-contained certificate for third-party re-verification."""
     lines = ["[witness]",
-             f"strategy {w.strategy_tag}",
+             "strategy direct",
              f"f {render_word(spec, f) or '-'}",
              f"g {render_word(spec, g) or '-'}",
              "[target]",

@@ -82,7 +82,8 @@ def from_table(order: int, table: Sequence[Sequence[int]],
     is a group, so each inverse is read off its row as the column holding 0.
 
     The checks run in this order, each row or column in index order: an
-    entry out of range, then a repeated entry in the same row; a repeated
+    entry out of range (equal to no index 0..n-1; ``int`` reads entries
+    only after this), then a repeated entry in the same row; a repeated
     entry in a column; row or column 0 not the identity; a product
     (a*b)*c != a*(b*c), reported at the first (a, b, c) in lexicographic
     order.  Associativity compares row a*b with row a read through row b,
@@ -92,14 +93,15 @@ def from_table(order: int, table: Sequence[Sequence[int]],
         raise NotAGroup("not-a-latin-square", "table is not order x order")
     if names is not None and len(names) != order:
         raise IndexOutOfRange(f"{len(names)} names for order {order}")
-    rows = [tuple(map(int, row)) for row in table]
     full = set(range(order))
-    for row in rows:
+    rows = []
+    for row in table:
         entries = set(row)
         if entries != full:
             raise NotAGroup("not-a-latin-square",
                             "row is not a permutation" if entries <= full
                             else "entry out of range")
+        rows.append(tuple(map(int, row)))
     columns = list(zip(*rows))
     if any(set(column) != full for column in columns):
         raise NotAGroup("not-a-latin-square", "column is not a permutation")
@@ -156,13 +158,14 @@ class Subgroup:
 
 def make_subgroup(G: FiniteGroup, elements: Iterable[int]) -> Subgroup:
     """Wrap an element set as a Subgroup, verifying closure: per element a
-    in order, its inverse, then its row of products a*b."""
-    elts = sorted(set(elements))
-    s = set(elts)
+    in order, its inverse, then its row of products a*b.  An element must
+    equal an index 0..n-1 before ``int`` reads it."""
+    s = set(elements)
     if 0 not in s:
         raise NotSubgroup("missing identity")
-    if elts[0] < 0 or elts[-1] >= G.order:
+    if not s.issubset(range(G.order)):
         raise IndexOutOfRange(f"element out of range 0..{G.order - 1}")
+    elts = sorted(map(int, s))
     for a in elts:
         if G.inv(a) not in s:
             raise NotSubgroup(f"not closed under inverse at {a}")
@@ -177,12 +180,13 @@ def subgroup_closure(G: FiniteGroup, generators: Iterable[int]) -> Subgroup:
     """Smallest subgroup containing the generators ({0} for an empty set):
     the closure of {0} under right products by the generators.  In a
     finite group that is already a subgroup, since each g^-1 is a power of
-    g."""
+    g.  A generator must equal an index 0..n-1 before ``int`` reads it."""
     gens = list(generators)
     for g in gens:
-        if not 0 <= g < G.order:
+        if g not in range(G.order):
             raise IndexOutOfRange(f"generator {g} out of range")
-    return Subgroup(G, tuple(sorted(_grow(G.table, {0}, set(gens), [0]))))
+    gens = set(map(int, gens))
+    return Subgroup(G, tuple(sorted(_grow(G.table, {0}, gens, [0]))))
 
 
 def _grow(table: tuple[tuple[int, ...], ...], seen: set[int],
@@ -226,10 +230,7 @@ def conjugates(G: FiniteGroup, x: int) -> set[int]:
 
 
 def normal_closure(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
-    gens = set()
-    for x in seed:
-        gens |= conjugates(G, x)
-    return subgroup_closure(G, gens)
+    return subgroup_closure(G, set().union(*(conjugates(G, x) for x in seed)))
 
 
 def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
@@ -243,19 +244,21 @@ def enumerate_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     return _joins(G, [subgroup_closure(G, [g]) for g in G.elements()])
 
 
-@lru_cache(maxsize=None)
 def enumerate_normal_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
-    """All normal subgroups, sorted by size then lexicographically.
+    """All normal subgroups, sorted by size then lexicographically; uncached.
 
-    Generated as joins of normal closures of single elements, which reach
-    every normal subgroup without enumerating the full subgroup lattice.
+    Generated as joins of the normal closures of single elements, one per
+    conjugacy class (the subgroup the class generates), which reach every
+    normal subgroup without enumerating the full subgroup lattice.
     """
-    return _joins(G, [normal_closure(G, [g]) for g in G.elements()])
+    return _joins(G, [subgroup_closure(G, c) for c in conjugacy_classes(G)])
 
 
-def _joins(G: FiniteGroup, pieces: Sequence[Subgroup]) -> tuple[Subgroup, ...]:
+def _joins(G: FiniteGroup, pieces: Iterable[Subgroup]) -> tuple[Subgroup, ...]:
     """Every join of some of the pieces (the trivial subgroup for none),
-    sorted by size then lexicographically."""
+    sorted by size then lexicographically.  Pieces with equal elements are
+    walked once."""
+    pieces = list({C.elements: C for C in pieces}.values())
     found = {(0,): trivial_subgroup(G)}
     frontier = [trivial_subgroup(G)]
     while frontier:
@@ -263,7 +266,8 @@ def _joins(G: FiniteGroup, pieces: Sequence[Subgroup]) -> tuple[Subgroup, ...]:
         for C in pieces:
             if C.element_set() <= N.element_set():
                 continue
-            join = subgroup_closure(G, set(N.elements) | set(C.elements))
+            join = Subgroup(G, tuple(sorted(_grow(
+                G.table, {0}, N.element_set() | C.element_set(), [0]))))
             if join.elements not in found:
                 found[join.elements] = join
                 frontier.append(join)

@@ -29,11 +29,9 @@ Caches on the witness path:
 
 - module-level, per group (``lru_cache``, ``cache_clear`` empties each):
   ``_groups_of_order``, the catalog groups of each order, built when the
-  walk first reaches it (``p_group_catalog`` is a view of them);
+  walk first reaches it (``p_group_catalog`` is a view of them), and
   ``fingroup.class_index``, each target's classes, read for every pair
-  tested (``fingroup.conjugacy_classes`` is a view of it); and
-  ``fingroup.enumerate_normal_subgroups``, read per factor by every
-  ``quotients.enumerate_compatible_pairs`` call;
+  tested (``fingroup.conjugacy_classes`` is a view of it);
 - per spec, living as long as the ``AmalgamSpec``: the Hom tables
   (``AmalgamSpec.hom_tables``, filled by ``_hom_table``), each unbounded
   (Hom(C2^4, C2^4) alone is 11.5 MB, within the default budget), and the
@@ -81,7 +79,6 @@ class Witness:
     target: FiniteGroup
     psi_H: GroupHom
     psi_K: GroupHom
-    strategy_tag: str
 
 
 @dataclass(frozen=True)
@@ -286,7 +283,7 @@ def search_witness(spec: AmalgamSpec, f: Word, g: Word,
             f"no agreeing homomorphism pair into a catalog {p}-group of "
             f"order at most {budget.max_target_order} separates the inputs; "
             f"the search budget ran out")
-    witness = Witness(*found, "direct")
+    witness = Witness(*found)
     if not verify_witness(spec, witness, f, g, p):
         raise VerificationFailed("witness failed the independent re-check")
     return witness

@@ -229,7 +229,7 @@ def test_criterion_7_negative_control():
     identified = True
     for X in sep.p_group_catalog(2, 16):
         for psi_H, psi_K in oracles.agreeing_pairs(spec, X):
-            w = sep.Witness(X, psi_H, psi_K, "exhaustive-check")
+            w = sep.Witness(X, psi_H, psi_K)
             fi, gi = sep.word_image(w, f), sep.word_image(w, g)
             if fg.are_conjugate_in(X, fi, gi) is None:
                 identified = False

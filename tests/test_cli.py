@@ -239,13 +239,28 @@ class TestSeparate:
         spec = fileio.load_amalgam(amalg1_file)
         w = sep.Witness(target,
                         fg.GroupHom(spec.H, target, parsed["psi_H"]),
-                        fg.GroupHom(spec.K, target, parsed["psi_K"]),
-                        parsed["strategy"])
+                        fg.GroupHom(spec.K, target, parsed["psi_K"]))
         f = fileio.parse_word(spec, parsed["f"])
         g = fileio.parse_word(spec, parsed["g"])
         assert sep.verify_witness(spec, w, f, g, 2)
         assert sep.word_image(w, f) == parsed["images"]["f_image"]
         assert sep.word_image(w, g) == parsed["images"]["g_image"]
+
+    def test_strategy_is_constant_and_ignored(self, amalg1_file, tmp_path,
+                                              capsys):
+        """The search has one strategy: the text and JSON output and the
+        certificate name it ``direct``, and ``verify`` ignores the value."""
+        cert = tmp_path / "w.cert"
+        args = ["separate", amalg1_file, "H:1", "K:1", "-o", str(cert)]
+        assert main(args) == 0
+        assert "witness target order 2 (strategy direct)" in \
+            capsys.readouterr().out
+        assert main(["--format", "json", *args]) == 0
+        assert json.loads(capsys.readouterr().out)["strategy"] == "direct"
+        text = cert.read_text()
+        assert text.splitlines()[:2] == ["[witness]", "strategy direct"]
+        cert.write_text(text.replace("strategy direct", "strategy other"))
+        assert main(["verify", amalg1_file, str(cert)]) == 0
 
     def test_conjugate_inputs_exit_4(self, amalg1_file, tmp_path, capsys):
         assert main(["separate", amalg1_file, "H:1 K:1", "K:1 H:1",

@@ -60,6 +60,13 @@ KERNEL_GROUPS = [*p_group_catalog(2, 16), *p_group_catalog(3, 27),
                  fg.symmetric3(), fg.cyclic(6), fg.dihedral(8), fg.quaternion(16)]
 
 
+# The order-16 catalog groups, five abelian then D16 and Q16, and D8 x C2.
+ORDER16_GROUPS = [*(G for G in p_group_catalog(2, 16) if G.order == 16),
+                  fg.direct_product(fg.dihedral(4), fg.cyclic(2))]
+ORDER16_NAMES = ["C16", "C8xC2", "C4xC4", "C4xC2xC2", "C2^4", "D16", "Q16",
+                 "D8xC2"]
+
+
 def ref_closure(G, gens):
     """Closure of {0} under products by the generators and their inverses,
     one ``mul`` at a time."""
@@ -176,6 +183,17 @@ class TestFromTable:
             fg.from_table(len(table), table)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("table", [
+        [[0, 1.5], [1.5, 0]],
+        [["0", "1"], ["1", "0"]],
+    ], ids=["float", "string"])
+    def test_entries_checked_before_int_coercion(self, table):
+        """``int`` would turn these into C2's table; an entry that equals
+        no index is out of range."""
+        with pytest.raises(NotAGroup) as exc:
+            fg.from_table(2, table)
+        assert str(exc.value) == "not-a-latin-square: entry out of range"
+
 
 class TestSubgroups:
     def test_closure_examples(self):
@@ -189,6 +207,14 @@ class TestSubgroups:
             fg.subgroup_closure(fg.cyclic(4), {7})
         with pytest.raises(IndexOutOfRange):
             fg.make_subgroup(fg.cyclic(4), [0, 9])
+
+    @pytest.mark.parametrize("bad", [1.5, "1"])
+    def test_non_index_elements_out_of_range(self, bad):
+        c4 = fg.cyclic(4)
+        with pytest.raises(IndexOutOfRange):
+            fg.make_subgroup(c4, [0, bad])
+        with pytest.raises(IndexOutOfRange):
+            fg.subgroup_closure(c4, [bad])
 
     def test_normal_subgroups_c4(self):
         c4 = fg.cyclic(4)
@@ -221,6 +247,38 @@ class TestSubgroups:
         for G in (fg.symmetric3(), fg.dihedral(4)):
             got = [s.elements for s in fg.enumerate_subgroups(G)]
             assert got == brute_force_subgroups(G)
+
+    @pytest.mark.parametrize("G", ORDER16_GROUPS, ids=ORDER16_NAMES)
+    def test_subgroups_of_order_16_are_closures_of_four_elements(self, G):
+        """A group of order 2^4 needs at most 4 generators, so its
+        subgroups are the closures of its subsets of at most 4 elements."""
+        rest = [e for e in G.elements() if e != 0]
+        closures = {ref_closure(G, gens) for r in range(5)
+                    for gens in itertools.combinations(rest, r)}
+        assert [s.elements for s in fg.enumerate_subgroups(G)] == \
+            sorted(closures, key=lambda t: (len(t), t))
+
+    @pytest.mark.parametrize("G", ORDER16_GROUPS[5:], ids=ORDER16_NAMES[5:])
+    def test_normal_subgroups_are_the_closed_class_unions(self, G):
+        """A normal subgroup is a union of conjugacy classes closed under
+        products; brute force over the unions that contain {0}, for the
+        non-abelian groups only (C2^4 alone has 2^15 unions)."""
+        classes = {frozenset(ref_class(G, x)) for x in G.elements()} - {
+            frozenset({0})}
+        unions = []
+        for r in range(len(classes) + 1):
+            for combo in itertools.combinations(classes, r):
+                s = {0}.union(*combo)
+                if all(G.mul(a, b) in s for a in s for b in s):
+                    unions.append(tuple(sorted(s)))
+        assert [s.elements for s in fg.enumerate_normal_subgroups(G)] == \
+            sorted(unions, key=lambda t: (len(t), t))
+
+    def test_normal_subgroup_lattice_is_uncached(self):
+        G = fg.dihedral(8)
+        first, second = (fg.enumerate_normal_subgroups(G),
+                         fg.enumerate_normal_subgroups(G))
+        assert first == second and first is not second
 
 
 class TestQuotient:

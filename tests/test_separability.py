@@ -129,7 +129,7 @@ class TestWordImage:
         psi = fg.GroupHom(c4, c4, (0, 1, 2, 3))
         psi_k = fg.GroupHom(c4, c4, (0, 3, 2, 1))
         assert sep.agrees_on_amalgam(amalg1, psi, psi_k)
-        w = sep.Witness(c4, psi, psi_k, "manual")
+        w = sep.Witness(c4, psi, psi_k)
         assert sep.word_image(w, W(("H", 1), ("K", 1))) == 0
         assert sep.word_image(w, W(("H", 1), ("K", 3))) == 2
 
@@ -163,14 +163,14 @@ class TestVerifyWitness:
     def test_rejects_disagreement_on_amalgam(self, amalg1):
         c4 = fg.cyclic(4)
         w = sep.Witness(c4, fg.GroupHom(amalg1.H, c4, (0, 1, 2, 3)),
-                        fg.GroupHom(amalg1.K, c4, (0, 0, 0, 0)), "manual")
+                        fg.GroupHom(amalg1.K, c4, (0, 0, 0, 0)))
         assert w.psi_H.is_valid() and w.psi_K.is_valid()
         assert not sep.verify_witness(amalg1, w, W(("H", 1)), W(), 2)
 
     def test_rejects_target_not_a_p_group(self, amalg1):
         c6 = fg.cyclic(6)
         w = sep.Witness(c6, fg.GroupHom(amalg1.H, c6, (0, 3, 0, 3)),
-                        fg.GroupHom(amalg1.K, c6, (0, 3, 0, 3)), "manual")
+                        fg.GroupHom(amalg1.K, c6, (0, 3, 0, 3)))
         assert w.psi_H.is_valid() and w.psi_K.is_valid()
         assert sep.agrees_on_amalgam(amalg1, w.psi_H, w.psi_K)
         assert sep.word_image(w, W(("H", 1))) != sep.word_image(w, W())
@@ -231,10 +231,6 @@ class TestSearchWitness:
         monkeypatch.setattr(sep, "verify_witness", lambda *args: False)
         with pytest.raises(VerificationFailed):
             sep.search_witness(amalg1, W(("H", 1)), W(("K", 1)), BUDGET)
-
-    def test_strategy_tag_present(self, amalg1):
-        w = sep.search_witness(amalg1, W(("H", 1)), W(("K", 1)), BUDGET)
-        assert w.strategy_tag
 
 
 class TestVerificationIndependence:

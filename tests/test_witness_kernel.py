@@ -28,7 +28,7 @@ def ref_hom_pair_witness(spec, f, g, catalog):
         cls_of = {e: frozenset(X.conj(e, z) for z in X.elements())
                   for e in X.elements()}
         for psi_H, psi_K in oracles.agreeing_pairs(spec, X):
-            w = sep.Witness(X, psi_H, psi_K, "direct")
+            w = sep.Witness(X, psi_H, psi_K)
             if cls_of[sep.word_image(w, f)] != cls_of[sep.word_image(w, g)]:
                 return w
     return None
@@ -45,7 +45,7 @@ def ref_residual_entries(spec, p, length_bound, order):
         hit = None
         for X in catalog:
             for psi_H, psi_K in oracles.agreeing_pairs(spec, X):
-                cand = sep.Witness(X, psi_H, psi_K, "direct")
+                cand = sep.Witness(X, psi_H, psi_K)
                 if sep.word_image(cand, w) != 0:
                     hit = cand
                     break
@@ -58,7 +58,7 @@ def ref_residual_entries(spec, p, length_bound, order):
 def key(w):
     if w is None:
         return None
-    return (w.target.table, w.psi_H.images, w.psi_K.images, w.strategy_tag)
+    return (w.target.table, w.psi_H.images, w.psi_K.images)
 
 
 @pytest.mark.parametrize("make,length,p,order", [
@@ -77,7 +77,7 @@ def test_same_witness_as_pair_loop(make, length, p, order):
     found = 0
     for f, g in itertools.combinations(reps, 2):
         hit = sep._first_agreeing_pair(spec, catalog, (f, g))
-        got = sep.Witness(*hit, "direct") if hit else None
+        got = sep.Witness(*hit) if hit else None
         assert key(got) == key(ref_hom_pair_witness(spec, f, g, catalog)), \
             (f, g)
         found += got is not None
