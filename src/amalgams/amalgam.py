@@ -96,8 +96,8 @@ class AmalgamSpec:
     double-coset labels read from it.
     Two caches live exactly as long as the spec: ``p_residuals`` holds,
     per prime p, the p-residual pair that ``quotients.p_residual`` builds
-    on first request, and ``hom_tables`` each table of Hom(factor, X) that
-    the witness search has read.
+    on first request, and ``targets`` one record per target group X that
+    the witness search has reached.
     They are not fields, so equality and hashing see only the defining
     data.
     """
@@ -126,10 +126,10 @@ class AmalgamSpec:
         return {}
 
     @cached_property
-    def hom_tables(self) -> dict:
-        """Per (factor tag, target group X), the table of Hom(factor, X) as
-        ``fingroup.hom_images`` returns it, filled in by the witness search
-        when it first reaches X."""
+    def targets(self) -> dict:
+        """Per target group X, the record (class index of X, Hom(H, X),
+        Hom(K, X)), filled in by the witness search when it first reaches X
+        (``separability._target``)."""
         return {}
 
     @cached_property

@@ -1,7 +1,8 @@
 """Exact finite-group engine over multiplication tables.
 
 Groups are order-n multiplication tables on element indices 0..n-1 with
-identity 0.  Everything is immutable and pure; enumeration results are
+identity 0.  Everything is immutable and pure, and the module keeps no
+state: a caller that reuses a result keeps it.  Enumeration results are
 returned in a deterministic order.
 
 The kernels work one table row per step: a row of ``FiniteGroup.table``
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import getitem, itemgetter
 from typing import Collection, Iterable, Optional, Sequence
 
@@ -330,7 +331,6 @@ def names_other_index(name: str, index: int) -> bool:
         return False
 
 
-@lru_cache(maxsize=None)
 def class_index(G: FiniteGroup) -> tuple[int, ...]:
     """Per element of G, the number of its conjugacy class, the classes
     numbered by their least element: the class of 0 is 0.  Two elements
@@ -347,10 +347,11 @@ def class_index(G: FiniteGroup) -> tuple[int, ...]:
 
 def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """Conjugacy classes sorted by minimal element; the class of 0 is first.
-    Read off ``class_index``, each class in index order."""
-    index = class_index(G)
-    return tuple(tuple(e for e in G.elements() if index[e] == i)
-                 for i in range(max(index) + 1))
+    Read off ``class_index`` in one pass, each class in index order."""
+    classes: dict[int, list[int]] = {}
+    for e, i in enumerate(class_index(G)):
+        classes.setdefault(i, []).append(e)
+    return tuple(map(tuple, classes.values()))
 
 
 def are_conjugate_in(G: FiniteGroup, a: int, b: int) -> Optional[int]:
@@ -380,7 +381,7 @@ def hom_images(G: FiniteGroup, X: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """Every homomorphism G -> X as the tuple of images of G's elements, in
     lexicographic order of the images of G's greedy generating sequence.
     Uncached: each call enumerates Hom(G, X) afresh, and the witness search
-    keeps the tables it reads per spec (``AmalgamSpec.hom_tables``).
+    keeps the tables it reads per spec (``AmalgamSpec.targets``).
 
     Tries the images of the generating sequence whose orders divide the
     generators' orders, as one ``itertools.product`` over the

@@ -27,14 +27,13 @@ have stopped sooner; every later search on that spec only reads it.
 
 Caches on the witness path:
 
-- module-level, per group (``lru_cache``, ``cache_clear`` empties each):
+- one module-level cache (``lru_cache``, ``cache_clear`` empties it):
   ``_groups_of_order``, the catalog groups of each order, built when the
-  walk first reaches it (``p_group_catalog`` is a view of them), and
-  ``fingroup.class_index``, each target's classes, read for every pair
-  tested (``fingroup.conjugacy_classes`` is a view of it);
-- per spec, living as long as the ``AmalgamSpec``: the Hom tables
-  (``AmalgamSpec.hom_tables``, filled by ``_hom_table``), each unbounded
-  (Hom(C2^4, C2^4) alone is 11.5 MB, within the default budget), and the
+  walk first reaches it (``p_group_catalog`` is a view of them);
+- per spec, living as long as the ``AmalgamSpec``: one record per target
+  X (``AmalgamSpec.targets``, filled by ``_target``) holding X's class
+  index, read for every pair tested, and both Hom tables, each unbounded
+  (Hom(C2^4, C2^4) alone is 11.5 MB, within the default budget); and the
   p-residuals (``AmalgamSpec.p_residuals``).
 
 Before the catalog walk, the search consults the p-residual quotient
@@ -179,30 +178,30 @@ def p_group_catalog(p: int, max_order: int) -> tuple[FiniteGroup, ...]:
     return tuple(_catalog_walk(p, max_order))
 
 
-def _hom_table(spec: AmalgamSpec, tag: str,
-               X: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """The table of Hom(factor ``tag``, X), enumerated on the first call
-    for the spec and kept in ``spec.hom_tables``."""
-    homs = spec.hom_tables.get((tag, X))
-    if homs is None:
-        homs = fingroup.hom_images(spec.factor(tag), X)
-        spec.hom_tables[tag, X] = homs
-    return homs
+def _target(spec: AmalgamSpec, X: FiniteGroup) -> tuple:
+    """X's record on the spec, (class index of X, Hom(H, X), Hom(K, X)),
+    built on the first call for the spec and kept in ``spec.targets``."""
+    record = spec.targets.get(X)
+    if record is None:
+        record = spec.targets[X] = (fingroup.class_index(X),
+                                    fingroup.hom_images(spec.H, X),
+                                    fingroup.hom_images(spec.K, X))
+    return record
 
 
 def _first_agreeing_pair(spec: AmalgamSpec, catalog: Iterable[FiniteGroup],
                          words: Sequence[Word]
                          ) -> Optional[tuple[FiniteGroup, GroupHom, GroupHom]]:
     """First (X, psi_H, psi_K) over the catalog that sends the two
-    ``words`` into distinct conjugacy classes of X, read from X's class
-    index (``fingroup.class_index``); None if there is none.  Within each
-    X the order is that of all agreeing pairs (psi_K(a phi) = psi_H(a) on
-    A) with psi_H outer, each factor's homs in ``enumerate_homs`` order.
+    ``words`` into distinct conjugacy classes of X, read from X's record
+    (``_target``); None if there is none.  Within each X the order is that
+    of all agreeing pairs (psi_K(a phi) = psi_H(a) on A) with psi_H outer,
+    each factor's homs in ``enumerate_homs`` order.
 
     A pair's images of the words depend only on the images of their
-    letters.  So of each factor's Hom table (``_hom_table``) only the first
-    hom of each key is walked: for K the key is the images on B, then on
-    the K-letters, and for H the images on A, then on the H-letters.  Every
+    letters.  So of each factor's Hom table only the first hom of each key
+    is walked: for K the key is the images on B, then on the K-letters, and
+    for H the images on A, then on the H-letters.  Every
     pair a skipped hom would form was tested through the earlier one with
     its key, so the pair returned is the first passing one in that order.
     The first homs of K are grouped by their images on B (dicts keep
@@ -215,17 +214,17 @@ def _first_agreeing_pair(spec: AmalgamSpec, catalog: Iterable[FiniteGroup],
     k_key = [b for _, b in spec.phi] + [e for tag, e in letters if tag == TAG_K]
     n = len(spec.phi)
     for X in catalog:
-        cls_index = fingroup.class_index(X)
+        cls_index, h_homs, k_homs = _target(spec, X)
         by_b: dict[tuple[int, ...], dict[tuple[int, ...], tuple[int, ...]]] = {}
         seen = set()
-        for k_images in _hom_table(spec, TAG_K, X):
+        for k_images in k_homs:
             key = tuple([k_images[e] for e in k_key])
             if key not in seen:
                 seen.add(key)
                 by_b.setdefault(key[:n], {})[key[n:]] = k_images
         table = X.table
         seen.clear()
-        for h_images in _hom_table(spec, TAG_H, X):
+        for h_images in h_homs:
             key = tuple([h_images[e] for e in h_key])
             if key in seen:
                 continue

@@ -7,6 +7,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from amalgams import amalgam as am
 from amalgams import fingroup
+from oracles import ref_is_conjugate_general, ref_normal_form, ref_reduce
 
 
 def make_amalg1():
@@ -95,6 +96,29 @@ def make_d8_v_d8_twisted():
     d8 = fingroup.dihedral(4)
     return am.make_amalgam(d8, d8, [0, 2, 4, 6], [0, 2, 4, 6],
                            {0: 0, 2: 4, 4: 2, 6: 6})
+
+
+def check_reduce_and_normal_form(spec, words):
+    """``reduce`` and ``normal_form`` give the reference's outputs
+    (``oracles.ref_*``) on every word."""
+    for w in words:
+        assert am.reduce(spec, w) == ref_reduce(spec, w), w
+        assert am.normal_form(spec, w) == ref_normal_form(spec, w), w
+
+
+def check_deciders(spec, words):
+    """Both deciders give the reference's verdicts, cyclic reductions
+    included, on each pair of consecutive words and on each word against a
+    conjugate of it by the word after next."""
+    words = list(words)
+    for x, y, z in zip(words, words[1:], words[2:]):
+        for v in (y, am.inverse(spec, z).concat(x).concat(z)):
+            expected = ref_is_conjugate_general(spec, x, v)
+            got = am.is_conjugate_general(spec, x, v)
+            assert got == expected
+            assert got.reduced == expected.reduced  # not compared by ==
+            if spec.central:
+                assert am.is_conjugate_central(spec, x, v) == expected
 
 
 @pytest.fixture(scope="session")

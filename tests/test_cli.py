@@ -503,6 +503,25 @@ def test_identity_not_element_zero_exits_2(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_imports_only_the_standard_library():
+    """The library has no runtime dependency: importing ``amalgams`` and
+    its CLI loads no top-level module outside the standard library.  Only
+    the modules the import adds are compared, since site hooks may load
+    others when the interpreter starts."""
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import amalgams, amalgams.cli\n"
+            "added = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+            "print(*sorted(added - set(sys.stdlib_module_names)))\n")
+    src = str(Path(fileio.__file__).resolve().parents[1])
+    env_path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], timeout=60,
+                          env=dict(os.environ, PYTHONPATH=env_path),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["amalgams"]
+
+
 def _damaged(text, mutations, optional=("names ",)):
     """Named variants of a valid file that must all be rejected: every
     proper prefix, every file with one line deleted (except optional

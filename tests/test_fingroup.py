@@ -437,7 +437,9 @@ class TestConjugacyClasses:
         assert sizes == [1, 1, 2, 2, 2]
 
     def test_partition_properties(self):
-        for G in (fg.symmetric3(), fg.dihedral(4), fg.quaternion(8)):
+        """Every class is the sorted orbit of its least element, and the
+        classes come in order of their least elements."""
+        for G in KERNEL_GROUPS:
             classes = fg.conjugacy_classes(G)
             assert sum(len(c) for c in classes) == G.order
             assert all(G.order % len(c) == 0 for c in classes)
@@ -445,6 +447,8 @@ class TestConjugacyClasses:
             for cls in classes:
                 assert cls == tuple(sorted({G.conj(cls[0], z)
                                             for z in G.elements()}))
+            least = [cls[0] for cls in classes]
+            assert least == sorted(least), G.order
 
 
 class TestHoms:
@@ -506,27 +510,27 @@ class TestHoms:
         """Each factor of a benchmark amalgam into every group of both
         catalogs, keyed as the witness search keys it (images on the
         amalgamated subgroup in ``phi`` order, then on one letter), and
-        keyed by every element: the first hom of each key in the spec's
-        Hom table (``separability._hom_table``) is the first brute-force
-        hom of that key, in the same order.  Each key is read once from the
-        table a fresh spec fills and once from the table it kept."""
+        keyed by every element: the first hom of each key in the Hom
+        tables of X's record on the spec (``separability._target``) is the
+        first brute-force hom of that key, in the same order.  A fresh spec
+        builds each record, and reading it again gives the same object."""
         spec = make()
-        for tag, amalg in (("H", [a for a, _ in spec.phi]),
-                           ("K", [b for _, b in spec.phi])):
-            G = spec.factor(tag)
-            keys = [tuple(amalg) + (letter,)
-                    for letter in {1, G.order - 1}]
-            keys.append(tuple(G.elements()))
-            for X in p_group_catalog(2, 16) + p_group_catalog(3, 27):
-                cold = sep._hom_table(spec, tag, X)
-                warm = sep._hom_table(spec, tag, X)
-                assert warm is cold, (tag, G.order, X.order)
+        for X in p_group_catalog(2, 16) + p_group_catalog(3, 27):
+            record = sep._target(spec, X)
+            assert sep._target(spec, X) is record, X.order
+            for tag, amalg, homs in (
+                    ("H", [a for a, _ in spec.phi], record[1]),
+                    ("K", [b for _, b in spec.phi], record[2])):
+                G = spec.factor(tag)
+                keys = [tuple(amalg) + (letter,)
+                        for letter in {1, G.order - 1}]
+                keys.append(tuple(G.elements()))
                 for key in keys:
                     first = {}
                     for images in brute_force_homs(G, X):
                         first.setdefault(tuple(images[e] for e in key), images)
                     keyed = {}
-                    for images in cold:
+                    for images in homs:
                         keyed.setdefault(tuple(images[e] for e in key), images)
                     assert list(keyed.items()) == list(first.items()), \
                         (tag, G.order, X.order, key)
@@ -546,23 +550,24 @@ class TestHoms:
             assert tuple(h.images for h in homs) == cold, (name, X.order)
 
     def test_hom_table_is_a_clearable_cache(self):
-        """The Hom tables of a search live on its spec: a fresh spec has
-        none, and once its ``hom_tables`` are cleared the next search
-        fills them again with equal tables and finds the same witness."""
+        """The Hom tables of a search live on its spec, in the target
+        records: a fresh spec has none, and once its ``targets`` are
+        cleared the next search fills them again with equal records and
+        finds the same witness."""
         spec = make_d16_q16()
-        assert spec.hom_tables == {}
+        assert spec.targets == {}
         f, g = am.EMPTY, am.word([("H", 2)])
         budget = sep.SearchBudget(p=2, max_target_order=16,
                                   max_quotient_index=16,
                                   max_conjugator_length=4)
         w = sep.search_witness(spec, f, g, budget)
-        tables = dict(spec.hom_tables)
-        assert tables
-        spec.hom_tables.clear()
-        assert spec.hom_tables == {}
+        records = dict(spec.targets)
+        assert records
+        spec.targets.clear()
+        assert spec.targets == {}
         again = sep.search_witness(spec, f, g, budget)
-        assert spec.hom_tables == tables
-        assert all(spec.hom_tables[k] is not t for k, t in tables.items())
+        assert spec.targets == records
+        assert all(spec.targets[X] is not r for X, r in records.items())
         assert (again.target, again.psi_H, again.psi_K) == \
             (w.target, w.psi_H, w.psi_K)
 

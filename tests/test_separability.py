@@ -3,6 +3,7 @@ import itertools
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -387,27 +388,35 @@ class TestResidualReverification:
 
 
 class TestSpecHomTables:
-    def test_search_fills_and_rereads_the_spec_tables(self):
-        """A search on a fresh spec fills one Hom table per factor for
-        every target the walk reached, each equal to the brute-force
-        table; a second search on the same spec reads the same table
-        objects and returns the witness a freshly built equal spec
-        gives."""
+    def test_search_fills_and_rereads_the_spec_tables(self, monkeypatch):
+        """A search on a fresh spec fills one record for each target the
+        walk reached, in walk order: X's class index and one Hom table per
+        factor, each equal to what a fresh ``class_index`` or the brute
+        force gives.  A second search on the same spec enumerates nothing,
+        reads the same record objects and returns the witness a freshly
+        built equal spec gives."""
+        filled = []
+        hom_images = fg.hom_images
+        monkeypatch.setattr(fg, "hom_images", lambda G, X: (
+            filled.append((G, X)) or hom_images(G, X)))
         f, g = am.EMPTY, W(("H", 2))
         spec = make_d16_q16()
-        assert spec.hom_tables == {}
+        assert spec.targets == {}
         w = sep.search_witness(spec, f, g, BUDGET)
         catalog = sep.p_group_catalog(2, BUDGET.max_target_order)
         reached = catalog[:catalog.index(w.target) + 1]
         assert len(reached) > 2
-        assert set(spec.hom_tables) == {(tag, X) for tag in "HK"
-                                        for X in reached}
-        for (tag, X), homs in spec.hom_tables.items():
-            assert homs == oracles.brute_force_homs(spec.factor(tag), X)
-        tables = dict(spec.hom_tables)
+        assert list(spec.targets) == list(reached)
+        assert filled == [(G, X) for X in reached for G in (spec.H, spec.K)]
+        for X, (index, h_homs, k_homs) in spec.targets.items():
+            assert index == fg.class_index(X)
+            assert h_homs == oracles.brute_force_homs(spec.H, X)
+            assert k_homs == oracles.brute_force_homs(spec.K, X)
+        records = dict(spec.targets)
         again = sep.search_witness(spec, f, g, BUDGET)
-        assert spec.hom_tables.keys() == tables.keys()
-        assert all(spec.hom_tables[k] is t for k, t in tables.items())
+        assert list(spec.targets) == list(reached)
+        assert len(filled) == 2 * len(reached)
+        assert all(spec.targets[X] is r for X, r in records.items())
         fresh = sep.search_witness(make_d16_q16(), f, g, BUDGET)
         for other in (again, fresh):
             assert (other.target, other.psi_H, other.psi_K) == \
@@ -423,8 +432,17 @@ class TestClassIndex:
                 conjugate = fg.are_conjugate_in(X, a, b) is not None
                 assert (index[a] == index[b]) == conjugate, (X.order, a, b)
 
-    def test_is_a_clearable_cache(self):
-        assert callable(fg.class_index.cache_clear)
+    def test_catalog_is_the_only_module_level_cache(self):
+        """``fingroup`` keeps no state, and the only ``lru_cache`` in the
+        library is the catalog's ``separability._groups_of_order``."""
+        assert not [name for name, value in vars(fg).items()
+                    if hasattr(value, "cache_clear")]
+        decorated = [(path.name, line.strip())
+                     for path in sorted(Path(sep.__file__).parent.glob("*.py"))
+                     for line in path.read_text().splitlines()
+                     if re.match(r"\s*@(functools\.)?(lru_)?cache\b", line)]
+        assert decorated == [("separability.py", "@lru_cache(maxsize=None)")]
+        assert callable(sep._groups_of_order.cache_clear)
 
 
 class TestWalkOnCyclicReductions:

@@ -16,6 +16,8 @@ from amalgams import amalgam as am
 from amalgams.amalgam import TAG_H, TAG_K, EMPTY, NormalForm, Word, word
 from amalgams.errors import IndexOutOfRange, VerificationFailed
 from conftest import (
+    check_deciders,
+    check_reduce_and_normal_form,
     make_amalg1,
     make_c2c3,
     make_c9_amalgam,
@@ -64,9 +66,8 @@ def biased_words(spec, seed, count, max_len):
 @pytest.mark.parametrize("make", MAKERS, ids=IDS)
 def test_reduce_and_normal_form_match_reference(make):
     spec = make()
-    for w in biased_words(spec, seed=11, count=1500, max_len=12):
-        assert am.reduce(spec, w) == ref_reduce(spec, w), w
-        assert am.normal_form(spec, w) == ref_normal_form(spec, w), w
+    check_reduce_and_normal_form(
+        spec, biased_words(spec, seed=11, count=1500, max_len=12))
 
 
 @pytest.mark.parametrize("make", MAKERS, ids=IDS)
@@ -79,15 +80,7 @@ def test_cyclically_reduce_matches_reference(make):
 @pytest.mark.parametrize("make", MAKERS, ids=IDS)
 def test_deciders_match_reference(make):
     spec = make()
-    words = list(biased_words(spec, seed=13, count=90, max_len=7))
-    for x, y, z in zip(words, words[1:], words[2:]):
-        for v in (y, am.inverse(spec, z).concat(x).concat(z)):
-            expected = ref_is_conjugate_general(spec, x, v)
-            got = am.is_conjugate_general(spec, x, v)
-            assert got == expected
-            assert got.reduced == expected.reduced  # not compared by ==
-            if spec.central:
-                assert am.is_conjugate_central(spec, x, v) == expected
+    check_deciders(spec, biased_words(spec, seed=13, count=90, max_len=7))
 
 
 def cyclic_word(spec, rng, n):
