@@ -51,8 +51,7 @@ class NotCompatible(AmalgamsError):
 
 class NoRefinementFound(AmalgamsError):
     """No compatible refinement exists for the given normal subgroups.
-    The library no longer raises it; ``perfbench/spans.py`` still names
-    it."""
+    The library does not raise it; ``perfbench/spans.py`` names it."""
 
 
 class NotConnected(AmalgamsError):

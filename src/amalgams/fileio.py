@@ -14,7 +14,6 @@ so the indices in a file name the elements as written.
 
 from __future__ import annotations
 
-import os
 from dataclasses import fields
 from pathlib import Path
 from typing import Optional
@@ -311,29 +310,20 @@ def parse_certificate(text: str) -> dict:
 
 # -- search budget config ------------------------------------------------
 
-ENV_PREFIX = "AMALGAMS_"
-
-
-def load_config(path: Optional[str | Path] = None,
-                env: Optional[dict[str, str]] = None) -> sep.SearchBudget:
+def load_config(path: Optional[str | Path] = None) -> sep.SearchBudget:
     """The search budget: `key value` lines, one integer per SearchBudget
-    field, with the field's default for a key not given; environment
-    variables AMALGAMS_<KEY> override.  An unknown key in the file raises
-    ParseError naming the accepted keys; a key given twice in the file, or
-    a value (from the file or the environment) that is not an integer,
+    field, with the field's default for a key not given (all defaults with
+    no file).  The file is the budget's only source; ``separate -p``
+    replaces p after loading.  An unknown key raises ParseError naming the
+    accepted keys; a key given twice, or a value that is not an integer,
     raises ParseError naming the key; SearchBudget raises for a p that is
-    not prime or a cap below 1."""
+    not prime, a cap below 1 or a max_target_order below p."""
     keys = tuple(fld.name for fld in fields(sep.SearchBudget))
     values: dict[str, str] = {}
     if path is not None:
         lines = [ln for ln in Path(path).read_text().splitlines()
                  if ln.strip() and not ln.strip().startswith("#")]
         values = _keyed(lines, "config", keys)
-    env = os.environ if env is None else env
-    for key in keys:
-        ev = env.get(ENV_PREFIX + key.upper())
-        if ev is not None:
-            values[key] = ev
     ints = {}
     for key, val in values.items():
         try:

@@ -82,10 +82,11 @@ class Witness:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Caps of the witness search.  ``max_target_order`` bounds the target
-    order from above and need not be a power of p.  ``max_quotient_index``
-    is validated but no longer read by the search, which enumerates hom
-    pairs directly."""
+    """Caps of the witness search, checked here only: p is prime, every
+    cap is at least 1 and ``max_target_order`` is at least p, so every
+    budget admits a nontrivial target.  ``max_target_order`` bounds the
+    target order from above and need not be a power of p.
+    ``max_quotient_index`` is checked but read by no search."""
 
     p: int = 2
     max_target_order: int = 16
@@ -97,6 +98,10 @@ class SearchBudget:
         if min(self.max_target_order, self.max_quotient_index,
                self.max_conjugator_length) < 1:
             raise NotPPower("budget caps must be positive")
+        if self.max_target_order < self.p:
+            raise NotPPower(f"max_target_order {self.max_target_order} is "
+                            f"below p = {self.p}: no nontrivial {self.p}-group "
+                            f"fits the budget")
 
 
 def word_image(w: Witness, u: Word) -> int:
@@ -114,10 +119,15 @@ def agrees_on_amalgam(spec: AmalgamSpec, psi_H: GroupHom, psi_K: GroupHom) -> bo
 
 def verify_witness(spec: AmalgamSpec, w: Witness, f: Word, g: Word,
                    p: int) -> bool:
-    """Independent re-check: both maps are homomorphisms (checked on every
-    product), they agree on A, the target is a p-group and no element of
-    it conjugates the image of f to that of g.  The last test searches for
-    a conjugator directly, sharing no class table with the search."""
+    """Independent re-check: psi_H and psi_K run from H and K into the
+    witness's target, both are homomorphisms (checked on every product),
+    they agree on A, the target is a p-group and no element of it
+    conjugates the image of f to that of g.  The last test searches for a
+    conjugator directly, sharing no class table with the search."""
+    if w.psi_H.source != spec.H or w.psi_K.source != spec.K:
+        return False
+    if w.psi_H.target != w.target or w.psi_K.target != w.target:
+        return False
     return (w.psi_H.is_valid() and w.psi_K.is_valid()
             and agrees_on_amalgam(spec, w.psi_H, w.psi_K)
             and fingroup.is_p_group(w.target, p)
@@ -155,17 +165,13 @@ def _groups_of_order(p: int, exp: int) -> tuple[FiniteGroup, ...]:
 
 
 def _catalog_walk(p: int, max_order: int) -> Iterator[FiniteGroup]:
-    """The witness targets of order <= max_order (need not be a power of
-    p; one below p raises NotPPower at once), smallest order first, for a
-    prime p (``SearchBudget`` checks it).  Each order's groups are built
-    when the walk first reaches them, so a large bound costs nothing until
-    a search gets that far."""
+    """The witness targets of order <= max_order, smallest order first,
+    for a prime p and a bound max_order >= p (``SearchBudget`` checks
+    both).  Each order's groups are built when the walk first reaches
+    them, so a large bound costs nothing until a search gets that far."""
     k = 0
     while p ** (k + 1) <= max_order:
         k += 1
-    if not k:
-        raise NotPPower(f"no {p}-group of order at most {max_order} "
-                        f"is nontrivial")
     return itertools.chain.from_iterable(
         map(_groups_of_order, itertools.repeat(p), range(1, k + 1)))
 
@@ -173,8 +179,9 @@ def _catalog_walk(p: int, max_order: int) -> Iterator[FiniteGroup]:
 def p_group_catalog(p: int, max_order: int) -> tuple[FiniteGroup, ...]:
     """The whole search space of witness targets of order <= max_order,
     in the order ``search_witness`` walks it (``_catalog_walk``).  No two
-    share a table."""
-    fingroup.check_prime(p)
+    share a table.  The arguments are checked as ``SearchBudget``'s p and
+    max_target_order: NotPrime or NotPPower before any group is built."""
+    SearchBudget(p, max_order)
     return tuple(_catalog_walk(p, max_order))
 
 

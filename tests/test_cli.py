@@ -13,7 +13,13 @@ from amalgams import fingroup as fg
 from amalgams import separability as sep
 from amalgams.cli import main
 from amalgams.errors import AmalgamsError, NotAGroup, NotSubgroup, ParseError
-from conftest import make_amalg1, make_c2c3, make_d8_q8, make_s3_amalgam
+from conftest import (
+    make_amalg1,
+    make_c2c3,
+    make_d8_q8,
+    make_d8_v_d8_twisted,
+    make_s3_amalgam,
+)
 
 
 @pytest.fixture()
@@ -108,33 +114,33 @@ class TestFileFormats:
         with pytest.raises(NotAGroup, match="identity must be element 0"):
             fileio.parse_group(text)
 
-    def test_config_env_override(self, tmp_path):
-        cfg = tmp_path / "cfg"
-        cfg.write_text("p 2\nmax_target_order 8\n")
-        conf = fileio.load_config(cfg, env={"AMALGAMS_MAX_TARGET_ORDER": "16"})
-        assert conf.max_target_order == 16 and conf.p == 2
-        assert isinstance(conf, sep.SearchBudget)
-
     @pytest.mark.parametrize("line", ["max_target_ordr 2", "output text"])
     def test_config_unknown_key(self, tmp_path, line):
         cfg = tmp_path / "cfg"
         cfg.write_text("p 2\n" + line + "\n")
         with pytest.raises(ParseError, match="max_conjugator_length"):
-            fileio.load_config(cfg, env={})
+            fileio.load_config(cfg)
 
 
-    @pytest.mark.parametrize("text,env", [
-        ("max_target_order\n", {}),
-        ("max_target_order eight\n", {}),
-        ("max_target_order 8\n", {"AMALGAMS_MAX_TARGET_ORDER": ""}),
-        ("max_target_order 8\n", {"AMALGAMS_MAX_TARGET_ORDER": "1.5"}),
-        ("max_target_order 2\nmax_target_order 16\n", {}),
+    @pytest.mark.parametrize("text", [
+        "max_target_order\n",
+        "max_target_order eight\n",
+        "max_target_order 2\nmax_target_order 16\n",
     ])
-    def test_config_bad_value_or_repeated_key(self, tmp_path, text, env):
+    def test_config_bad_value_or_repeated_key(self, tmp_path, text):
         cfg = tmp_path / "cfg"
         cfg.write_text("p 2\n" + text)
         with pytest.raises(ParseError, match="'max_target_order'"):
-            fileio.load_config(cfg, env=env)
+            fileio.load_config(cfg)
+
+    def test_library_reads_no_environment_variable(self):
+        """The config file, and ``separate -p``, are the only source of a
+        search budget: no module of the library reads the environment."""
+        readers = [(path.name, line.strip())
+                   for path in sorted(Path(sep.__file__).parent.glob("*.py"))
+                   for line in path.read_text().splitlines()
+                   if "environ" in line or "getenv" in line]
+        assert readers == []
 
 
 class TestReduce:
@@ -307,17 +313,14 @@ class TestSeparate:
         assert "Traceback" not in err
 
 
-    @pytest.mark.parametrize("text,env", [
-        ("max_target_order\n", {}),
-        ("max_target_order 8\n", {"AMALGAMS_MAX_TARGET_ORDER": "x"}),
-        ("max_target_order 2\nmax_target_order 16\n", {}),
+    @pytest.mark.parametrize("text", [
+        "max_target_order\n",
+        "max_target_order 2\nmax_target_order 16\n",
     ])
     def test_config_bad_value_or_repeated_key(self, amalg1_file, tmp_path,
-                                              capsys, monkeypatch, text, env):
-        """Exit 2 with the key named: a repeated key used to let its last
-        value win silently, here order 16, which separates "" from H:2."""
-        for var, val in env.items():
-            monkeypatch.setenv(var, val)
+                                              capsys, text):
+        """Exit 2 with the key named: a repeated key does not let its last
+        value win, here order 16, which would separate "" from H:2."""
         cfg = tmp_path / "cfg"
         cfg.write_text(text)
         assert main(["separate", amalg1_file, "", "H:2", "--config", str(cfg),
@@ -325,6 +328,36 @@ class TestSeparate:
         err = capsys.readouterr().err
         assert "'max_target_order'" in err and "Traceback" not in err
         assert not (tmp_path / "w.cert").exists()
+
+    def test_bound_below_p_is_an_input_error(self, amalg1_file, tmp_path,
+                                             capsys):
+        """A max_target_order below p admits no target.  The budget is
+        checked before any conjugacy decision, so an ordinary pair, a
+        conjugate pair and a pair with a p-residual proof all exit 2 with
+        one message and write no certificate; so does a bound that -p
+        raises p above."""
+        twisted = tmp_path / "twisted.txt"
+        twisted.write_text(fileio.serialize_amalgam(make_d8_v_d8_twisted()))
+        cfg = tmp_path / "cfg"
+        cfg.write_text("max_target_order 1\n")
+        cert = tmp_path / "w.cert"
+        errors = []
+        for amalgam, f, g in [(amalg1_file, "H:1", "K:1"),
+                              (amalg1_file, "H:1", "K:2 H:1 K:2"),
+                              (str(twisted), "", "H:2")]:
+            assert main(["separate", amalgam, f, g, "--config", str(cfg),
+                         "-o", str(cert)]) == 2
+            errors.append(capsys.readouterr().err)
+            assert not cert.exists()
+        assert errors == ["input error: max_target_order 1 is below p = 2: "
+                          "no nontrivial 2-group fits the budget\n"] * 3
+        cfg.write_text("max_target_order 2\n")
+        assert main(["separate", amalg1_file, "H:1", "K:1", "-p", "3",
+                     "--config", str(cfg), "-o", str(cert)]) == 2
+        assert capsys.readouterr().err == (
+            "input error: max_target_order 2 is below p = 3: no nontrivial "
+            "3-group fits the budget\n")
+        assert not cert.exists()
 
 
 class TestVerify:

@@ -50,6 +50,22 @@ class TestBudget:
         with pytest.raises(NotPPower):
             sep.SearchBudget(max_target_order=0)
 
+    @pytest.mark.parametrize("p,bound", [(3, 2), (2, 1)])
+    def test_rejects_bound_below_p(self, p, bound):
+        """No nontrivial p-group has order at most a bound below p.  The
+        budget and the catalog reject it, naming both values."""
+        message = f"max_target_order {bound} is below p = {p}"
+        with pytest.raises(NotPPower, match=message):
+            sep.SearchBudget(p, bound)
+        with pytest.raises(NotPPower, match=message):
+            sep.p_group_catalog(p, bound)
+
+    def test_replacing_p_checks_the_bound(self):
+        """``separate -p`` replaces p with ``dataclasses.replace``, which
+        checks the new budget."""
+        with pytest.raises(NotPPower, match="max_target_order 2 is below p = 3"):
+            dataclasses.replace(sep.SearchBudget(2, 2), p=3)
+
 
 class TestCatalog:
     def test_orders_up_to_16(self):
@@ -176,6 +192,30 @@ class TestVerifyWitness:
         assert sep.agrees_on_amalgam(amalg1, w.psi_H, w.psi_K)
         assert sep.word_image(w, W(("H", 1))) != sep.word_image(w, W())
         assert not sep.verify_witness(amalg1, w, W(("H", 1)), W(), 2)
+
+    @pytest.mark.parametrize("change", [
+        "target", "psi_H source", "psi_K source", "psi_K target"])
+    def test_rejects_maps_between_other_groups(self, amalg1, change):
+        """psi_H and psi_K must run from H and K into the witness's target.
+        Each change passes every other check: (0, 1, 0, 1) is a hom
+        C4 -> C2 but no map into C4, a hom from C2 x C2 is no map from H,
+        and x -> 2x maps K into C4, not into the target C2."""
+        c2, c4 = fg.cyclic(2), fg.cyclic(4)
+        v = fg.direct_product(c2, c2)
+        psi_H = fg.GroupHom(amalg1.H, c2, (0, 1, 0, 1))
+        psi_K = fg.GroupHom(amalg1.K, c2, (0, 1, 0, 1))
+        f, g = W(("H", 1)), W()
+        assert sep.verify_witness(amalg1, sep.Witness(c2, psi_H, psi_K), f, g, 2)
+        target = c4 if change == "target" else c2
+        if change == "psi_H source":
+            psi_H = fg.GroupHom(v, c2, (0, 1, 0, 1))
+        elif change == "psi_K source":
+            psi_K = fg.GroupHom(v, c2, (0, 1, 0, 1))
+        elif change == "psi_K target":
+            psi_K = fg.GroupHom(amalg1.K, c4, (0, 2, 0, 2))
+        assert psi_H.is_valid() and psi_K.is_valid()
+        assert not sep.verify_witness(amalg1, sep.Witness(target, psi_H, psi_K),
+                                      f, g, 2)
 
 
 class TestSearchWitness:

@@ -17,9 +17,12 @@ from conftest import (
     make_amalg1,
     make_c2c3,
     make_c9_amalgam,
+    make_d8_d8,
     make_d8_q8,
+    make_d8_v_d8_twisted,
     make_d16_q16,
     make_s3_amalgam,
+    make_s3_s3,
 )
 
 
@@ -68,8 +71,11 @@ def key(w):
     (make_c2c3, 2, 2, 8),
     (make_d8_q8, 1, 2, 16),
     (make_d16_q16, 1, 2, 8),
+    (make_s3_s3, 2, 2, 16),
+    (make_d8_d8, 1, 2, 16),
+    (make_d8_v_d8_twisted, 1, 2, 16),
 ], ids=["c4_c2_c4", "s3_c3_c6", "c9_c3_c3xc3", "c2_c3", "d8_z_q8",
-        "d16_z_q16"])
+        "d16_z_q16", "s3_c2_s3", "d8_c2_d8", "d8_v_d8_twisted"])
 def test_same_witness_as_pair_loop(make, length, p, order):
     spec = make()
     catalog = sep.p_group_catalog(p, order)
