@@ -381,7 +381,8 @@ def hom_images(G: FiniteGroup, X: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """Every homomorphism G -> X as the tuple of images of G's elements, in
     lexicographic order of the images of G's greedy generating sequence.
     Uncached: each call enumerates Hom(G, X) afresh, and the witness search
-    keeps the tables it reads per spec (``AmalgamSpec.targets``).
+    keeps the tables it reads per spec, one column per element of G
+    (``AmalgamSpec.targets``).
 
     Tries the images of the generating sequence whose orders divide the
     generators' orders, as one ``itertools.product`` over the

@@ -21,9 +21,13 @@ A pair's images of the words depend only on the images of their letters,
 so the search tests each distinct combination of letter images once (see
 ``_first_agreeing_pair``) and returns the pair the loop over all agreeing
 pairs would return.  It reads each factor's homs from the table of
-Hom(factor, X) that ``fingroup.hom_images`` enumerates.  The first search
-on a spec to reach X pays for the whole table, where an early return could
-have stopped sooner; every later search on that spec only reads it.
+Hom(factor, X) that ``fingroup.hom_images`` enumerates, kept column-major:
+one tuple per element of the factor, holding its image under every hom.
+A query reads only the columns of its key, and finds their distinct rows
+in C, so its cost follows the number of distinct keys, not of homs.  The
+first search on a spec to reach X pays for the whole table, where an
+early return could have stopped sooner; every later search on that spec
+only reads it.
 
 Caches on the witness path:
 
@@ -32,9 +36,11 @@ Caches on the witness path:
   walk first reaches it (``p_group_catalog`` is a view of them);
 - per spec, living as long as the ``AmalgamSpec``: one record per target
   X (``AmalgamSpec.targets``, filled by ``_target``) holding X's class
-  index, read for every pair tested, and both Hom tables, each unbounded
-  (Hom(C2^4, C2^4) alone is 11.5 MB, within the default budget); and the
-  p-residuals (``AmalgamSpec.p_residuals``).
+  index, read for every pair tested, and both column-major Hom tables,
+  each unbounded (Hom(C2^4, C2^4) alone is 65,536 homs in 16 columns,
+  8.0 MB, within the default budget); and the p-residuals
+  (``AmalgamSpec.p_residuals``).  A record never changes once built, so
+  no query leaves state that a later one reads.
 
 Before the catalog walk, the search consults the p-residual quotient
 G* = H/R* * K/S* (``quotients.p_residual``), through which every
@@ -55,6 +61,7 @@ in G* gets a ``proved`` entry.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
@@ -187,13 +194,38 @@ def p_group_catalog(p: int, max_order: int) -> tuple[FiniteGroup, ...]:
 
 def _target(spec: AmalgamSpec, X: FiniteGroup) -> tuple:
     """X's record on the spec, (class index of X, Hom(H, X), Hom(K, X)),
-    built on the first call for the spec and kept in ``spec.targets``."""
+    built on the first call for the spec and kept in ``spec.targets``.
+    Each Hom table is column-major: for each element of the factor, the
+    tuple of its images under every hom, in ``hom_images`` order, so hom i
+    is ``tuple(column[i] for column in table)``.  No column is empty: the
+    trivial hom is always there."""
     record = spec.targets.get(X)
     if record is None:
-        record = spec.targets[X] = (fingroup.class_index(X),
-                                    fingroup.hom_images(spec.H, X),
-                                    fingroup.hom_images(spec.K, X))
+        record = spec.targets[X] = (
+            fingroup.class_index(X),
+            tuple(zip(*fingroup.hom_images(spec.H, X))),
+            tuple(zip(*fingroup.hom_images(spec.K, X))))
     return record
+
+
+def _distinct_keys(columns: Sequence[tuple[int, ...]]) -> Iterable[tuple]:
+    """The distinct rows of the key columns, each a tuple, in order of
+    first occurrence among the homs, found in C.  A single column is
+    deduplicated as plain ints, with no tuple built per hom; no column
+    leaves the one key ()."""
+    if len(columns) > 1:
+        return dict.fromkeys(zip(*columns))
+    if columns:
+        return [(x,) for x in dict.fromkeys(columns[0])]
+    return [()]
+
+
+def _first_hom(G: FiniteGroup, X: FiniteGroup, table: Sequence[tuple],
+               columns: Sequence[tuple[int, ...]], key: tuple) -> GroupHom:
+    """The first hom of the column-major ``table`` of Hom(G, X) whose
+    rows of the key ``columns`` read ``key``."""
+    i = operator.indexOf(zip(*columns), key) if columns else 0
+    return GroupHom(G, X, tuple([column[i] for column in table]))
 
 
 def _first_agreeing_pair(spec: AmalgamSpec, catalog: Iterable[FiniteGroup],
@@ -208,46 +240,45 @@ def _first_agreeing_pair(spec: AmalgamSpec, catalog: Iterable[FiniteGroup],
     A pair's images of the words depend only on the images of their
     letters.  So of each factor's Hom table only the first hom of each key
     is walked: for K the key is the images on B, then on the K-letters, and
-    for H the images on A, then on the H-letters.  Every
-    pair a skipped hom would form was tested through the earlier one with
-    its key, so the pair returned is the first passing one in that order.
-    The first homs of K are grouped by their images on B (dicts keep
-    insertion order, so enumeration order survives), and the two
-    ``GroupHom``s are built only for the pair returned."""
-    letters = sorted({s for u in words for s in u})  # "H" sorts before "K"
+    for H the images on A, then on the H-letters (the identity, sent to the
+    identity by every hom, is left out).  Every pair a skipped hom would
+    form was tested through the earlier one with its key, so the pair
+    returned is the first passing one in that order.  The distinct keys
+    come from the table's key columns in C (``_distinct_keys``), so Python
+    loops over distinct keys and pair tests only, never over homs.  The
+    keys of K are grouped by their images on B (dicts keep insertion
+    order, so enumeration order survives), and the two ``GroupHom``s are
+    rebuilt from the columns only for the pair returned."""
+    letters = sorted(set().union(*words))  # "H" sorts before "K"
     slot = {s: i for i, s in enumerate(letters)}
-    programs = [[slot[s] for s in u] for u in words]
-    h_key = [a for a, _ in spec.phi] + [e for tag, e in letters if tag == TAG_H]
-    k_key = [b for _, b in spec.phi] + [e for tag, e in letters if tag == TAG_K]
-    n = len(spec.phi)
+    f_program, g_program = [[slot[s] for s in u] for u in words]
+    h_key = [a for a, _ in spec.phi if a]
+    k_key = [b for a, b in spec.phi if a]
+    n = len(h_key)
+    for tag, e in letters:
+        (h_key if tag == TAG_H else k_key).append(e)
     for X in catalog:
-        cls_index, h_homs, k_homs = _target(spec, X)
-        by_b: dict[tuple[int, ...], dict[tuple[int, ...], tuple[int, ...]]] = {}
-        seen = set()
-        for k_images in k_homs:
-            key = tuple([k_images[e] for e in k_key])
-            if key not in seen:
-                seen.add(key)
-                by_b.setdefault(key[:n], {})[key[n:]] = k_images
+        cls_index, h_table, k_table = _target(spec, X)
+        h_columns = [h_table[e] for e in h_key]
+        k_columns = [k_table[e] for e in k_key]
+        by_b: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for key in _distinct_keys(k_columns):
+            by_b.setdefault(key[:n], []).append(key[n:])
         table = X.table
-        seen.clear()
-        for h_images in h_homs:
-            key = tuple([h_images[e] for e in h_key])
-            if key in seen:
-                continue
-            seen.add(key)
-            h_values = key[n:]
-            for k_values, k_images in by_b.get(key[:n], {}).items():
+        for key in _distinct_keys(h_columns):
+            on_a, h_values = key[:n], key[n:]
+            for k_values in by_b.get(on_a, ()):
                 values = h_values + k_values  # images of the letters
-                images = []
-                for program in programs:
-                    x = 0
-                    for i in program:
-                        x = table[x][values[i]]
-                    images.append(x)
-                if cls_index[images[0]] != cls_index[images[1]]:
-                    return (X, GroupHom(spec.H, X, h_images),
-                            GroupHom(spec.K, X, k_images))
+                x = y = 0
+                for i in f_program:
+                    x = table[x][values[i]]
+                for i in g_program:
+                    y = table[y][values[i]]
+                if cls_index[x] != cls_index[y]:
+                    return (X,
+                            _first_hom(spec.H, X, h_table, h_columns, key),
+                            _first_hom(spec.K, X, k_table, k_columns,
+                                       on_a + k_values))
     return None
 
 

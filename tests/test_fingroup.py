@@ -511,17 +511,20 @@ class TestHoms:
         catalogs, keyed as the witness search keys it (images on the
         amalgamated subgroup in ``phi`` order, then on one letter), and
         keyed by every element: the first hom of each key in the Hom
-        tables of X's record on the spec (``separability._target``) is the
-        first brute-force hom of that key, in the same order.  A fresh spec
+        tables of X's record on the spec (``separability._target``),
+        transposed back from its columns to one row per hom, is the first
+        brute-force hom of that key, in the same order.  A fresh spec
         builds each record, and reading it again gives the same object."""
         spec = make()
         for X in p_group_catalog(2, 16) + p_group_catalog(3, 27):
             record = sep._target(spec, X)
             assert sep._target(spec, X) is record, X.order
-            for tag, amalg, homs in (
+            for tag, amalg, columns in (
                     ("H", [a for a, _ in spec.phi], record[1]),
                     ("K", [b for _, b in spec.phi], record[2])):
                 G = spec.factor(tag)
+                assert len(columns) == G.order, (tag, X.order)
+                homs = list(zip(*columns))
                 keys = [tuple(amalg) + (letter,)
                         for letter in {1, G.order - 1}]
                 keys.append(tuple(G.elements()))

@@ -430,9 +430,11 @@ class TestResidualReverification:
 class TestSpecHomTables:
     def test_search_fills_and_rereads_the_spec_tables(self, monkeypatch):
         """A search on a fresh spec fills one record for each target the
-        walk reached, in walk order: X's class index and one Hom table per
-        factor, each equal to what a fresh ``class_index`` or the brute
-        force gives.  A second search on the same spec enumerates nothing,
+        walk reached, in walk order: X's class index and one column-major
+        Hom table per factor (one column per element of the factor), each
+        equal, transposed back to one row per hom, to what a fresh
+        ``class_index`` or the brute force gives, in the same order.  A
+        second search on the same spec enumerates nothing,
         reads the same record objects and returns the witness a freshly
         built equal spec gives."""
         filled = []
@@ -448,10 +450,14 @@ class TestSpecHomTables:
         assert len(reached) > 2
         assert list(spec.targets) == list(reached)
         assert filled == [(G, X) for X in reached for G in (spec.H, spec.K)]
-        for X, (index, h_homs, k_homs) in spec.targets.items():
+        for X, (index, h_columns, k_columns) in spec.targets.items():
             assert index == fg.class_index(X)
-            assert h_homs == oracles.brute_force_homs(spec.H, X)
-            assert k_homs == oracles.brute_force_homs(spec.K, X)
+            assert len(h_columns) == spec.H.order
+            assert len(k_columns) == spec.K.order
+            assert tuple(zip(*h_columns)) == \
+                oracles.brute_force_homs(spec.H, X)
+            assert tuple(zip(*k_columns)) == \
+                oracles.brute_force_homs(spec.K, X)
         records = dict(spec.targets)
         again = sep.search_witness(spec, f, g, BUDGET)
         assert list(spec.targets) == list(reached)

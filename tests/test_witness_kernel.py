@@ -7,12 +7,14 @@ table and both image tuples), or None where they do.
 """
 
 import itertools
+import random
 
 import pytest
 
 import oracles
 from amalgams import amalgam as am
 from amalgams import separability as sep
+from amalgams.errors import BudgetExhausted, ElementsConjugate
 from conftest import (
     make_amalg1,
     make_c2c3,
@@ -102,3 +104,36 @@ def test_same_residual_entries_as_pair_loop(make, order):
     got = sep.is_cfp_separable_bounded(spec, am.EMPTY, budget)
     assert [(e.other, e.separated, key(e.witness)) for e in got.entries] == \
         ref_residual_entries(spec, 2, 2, order)
+
+
+@pytest.mark.parametrize("make,length", [
+    (make_amalg1, 3), (make_d8_q8, 1),
+], ids=["c4_c2_c4", "d8_z_q8"])
+def test_witnesses_do_not_depend_on_query_order(make, length):
+    """A sweep of every ordered pair of distinct cyclically reduced
+    elements, run on a fresh spec in two seeded shuffled orders: every
+    verdict and witness (target table and both image tuples) is the same,
+    and so are the target records the two sweeps leave on their specs.  A
+    query may fill a record but must leave nothing in it that a later
+    query reads differently."""
+    budget = sep.SearchBudget(2, 16, 16)
+    runs = []
+    for seed in (0, 1):
+        spec = make()
+        pairs = list(itertools.permutations(
+            sep.enumerate_cyclically_reduced(spec, length), 2))
+        order = list(range(len(pairs)))
+        random.Random(seed).shuffle(order)
+        outcomes = {}
+        for i in order:
+            try:
+                outcomes[i] = key(sep.search_witness(spec, *pairs[i], budget))
+            except (ElementsConjugate, BudgetExhausted) as exc:
+                outcomes[i] = type(exc).__name__
+        runs.append((order, outcomes, spec.targets))
+    (order0, first, targets0), (order1, second, targets1) = runs
+    assert order0 != order1
+    assert first == second
+    assert targets0 == targets1
+    verdicts = {v if isinstance(v, str) else "found" for v in first.values()}
+    assert "found" in verdicts and len(verdicts) > 1, verdicts
