@@ -129,8 +129,9 @@ class AmalgamSpec:
     def targets(self) -> dict:
         """Per target group X, the record (class index of X, Hom(H, X),
         Hom(K, X)), filled in by the witness search when it first reaches X
-        (``separability._target``).  Each Hom table is column-major: per
-        element of the factor, its images under every hom."""
+        (``separability._target``).  Each Hom table is kept as
+        ``fingroup.hom_images`` builds it: per element of the factor, its
+        images under every hom."""
         return {}
 
     @cached_property

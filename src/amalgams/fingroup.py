@@ -378,11 +378,10 @@ def generating_sequence(G: FiniteGroup) -> tuple[int, ...]:
 
 
 def hom_images(G: FiniteGroup, X: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """Every homomorphism G -> X as the tuple of images of G's elements, in
-    lexicographic order of the images of G's greedy generating sequence.
-    Uncached: each call enumerates Hom(G, X) afresh, and the witness search
-    keeps the tables it reads per spec, one column per element of G
-    (``AmalgamSpec.targets``).
+    """The table of Hom(G, X), column-major: per element of G, its images
+    under every hom (hom i is ``tuple(column[i] for column in table)``;
+    the trivial hom is always there), homs in lexicographic order of the
+    images of G's greedy generating sequence.  Uncached.
 
     Tries the images of the generating sequence whose orders divide the
     generators' orders, as one ``itertools.product`` over the
@@ -391,7 +390,8 @@ def hom_images(G: FiniteGroup, X: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     identity by rows of ``X.table`` and kept when it passes every relation
     img(a*s) = img(a)*img(s) that the tree does not already imply: n*d -
     (n - 1) checks for n elements and d generators, which give the full
-    homomorphism law since the generators span G.
+    homomorphism law since the generators span G.  A kept candidate's
+    images go onto one flat list, sliced into the columns at the end.
     """
     gens = generating_sequence(G)
     steps = []  # (e, prev, gi) with e = prev * gens[gi], each prev first
@@ -411,8 +411,9 @@ def hom_images(G: FiniteGroup, X: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     candidates = [[x for x in X.elements()
                    if G.element_order(g) % x_orders[x] == 0] for g in gens]
     table = X.table
-    images = [0] * G.order
-    homs = []
+    n = G.order
+    images = [0] * n
+    flat = []  # hom i's images at flat[i*n:(i+1)*n]
     for chosen in itertools.product(*candidates):
         for e, prev, gi in steps:
             images[e] = table[images[prev]][chosen[gi]]
@@ -420,14 +421,14 @@ def hom_images(G: FiniteGroup, X: FiniteGroup) -> tuple[tuple[int, ...], ...]:
             if images[b] != table[images[a]][chosen[gi]]:
                 break
         else:
-            homs.append(tuple(images))
-    return tuple(homs)
+            flat.extend(images)
+    return tuple(tuple(flat[e::n]) for e in range(n))
 
 
 def enumerate_homs(G: FiniteGroup, X: FiniteGroup) -> tuple[GroupHom, ...]:
-    """All homomorphisms G -> X, in ``hom_images`` order, each images tuple
-    wrapped in a ``GroupHom``.  Uncached: each call enumerates afresh."""
-    return tuple(GroupHom(G, X, images) for images in hom_images(G, X))
+    """All homomorphisms G -> X, in ``hom_images`` order: the one place
+    that reads the table as rows, each wrapped in a ``GroupHom``."""
+    return tuple(GroupHom(G, X, images) for images in zip(*hom_images(G, X)))
 
 
 def check_prime(p: int) -> None:

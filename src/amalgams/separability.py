@@ -21,8 +21,8 @@ A pair's images of the words depend only on the images of their letters,
 so the search tests each distinct combination of letter images once (see
 ``_first_agreeing_pair``) and returns the pair the loop over all agreeing
 pairs would return.  It reads each factor's homs from the table of
-Hom(factor, X) that ``fingroup.hom_images`` enumerates, kept column-major:
-one tuple per element of the factor, holding its image under every hom.
+Hom(factor, X) as ``fingroup.hom_images`` builds it, column-major: one
+tuple per element of the factor, holding its image under every hom.
 A query reads only the columns of its key, and finds their distinct rows
 in C, so its cost follows the number of distinct keys, not of homs.  The
 first search on a spec to reach X pays for the whole table, where an
@@ -36,9 +36,10 @@ Caches on the witness path:
   walk first reaches it (``p_group_catalog`` is a view of them);
 - per spec, living as long as the ``AmalgamSpec``: one record per target
   X (``AmalgamSpec.targets``, filled by ``_target``) holding X's class
-  index, read for every pair tested, and both column-major Hom tables,
+  index, read for every pair tested, and both Hom tables as built,
   each unbounded (Hom(C2^4, C2^4) alone is 65,536 homs in 16 columns,
-  8.0 MB, within the default budget); and the p-residuals
+  8.4 MB kept, 18.2 MB at its build peak, within the default budget);
+  and the p-residuals
   (``AmalgamSpec.p_residuals``).  A record never changes once built, so
   no query leaves state that a later one reads.
 
@@ -195,16 +196,13 @@ def p_group_catalog(p: int, max_order: int) -> tuple[FiniteGroup, ...]:
 def _target(spec: AmalgamSpec, X: FiniteGroup) -> tuple:
     """X's record on the spec, (class index of X, Hom(H, X), Hom(K, X)),
     built on the first call for the spec and kept in ``spec.targets``.
-    Each Hom table is column-major: for each element of the factor, the
-    tuple of its images under every hom, in ``hom_images`` order, so hom i
-    is ``tuple(column[i] for column in table)``.  No column is empty: the
-    trivial hom is always there."""
+    Each Hom table is kept as ``fingroup.hom_images`` builds it,
+    column-major: one tuple per element of the factor."""
     record = spec.targets.get(X)
     if record is None:
-        record = spec.targets[X] = (
-            fingroup.class_index(X),
-            tuple(zip(*fingroup.hom_images(spec.H, X))),
-            tuple(zip(*fingroup.hom_images(spec.K, X))))
+        record = spec.targets[X] = (fingroup.class_index(X),
+                                    fingroup.hom_images(spec.H, X),
+                                    fingroup.hom_images(spec.K, X))
     return record
 
 

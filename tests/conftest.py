@@ -63,6 +63,20 @@ def make_d16_q16():
     return _over_centres(fingroup.dihedral(8), fingroup.quaternion(16))
 
 
+def make_he3_c9():
+    """He3 *_{C3} C9, He3 the Heisenberg group mod 3: (a, b, c) * (a', b',
+    c') = (a + a', b + b', c + c' + ab'), element a + 3b + 9c, so its
+    centre is {0, 9, 18}.  The non-central <(1, 0, 0)> = {0, 1, 2} is glued
+    to <3> = {0, 3, 6} in C9; non-central, for p = 3."""
+    def mul(x, y):
+        (a, b, c), (d, e, f) = ((v % 3, v // 3 % 3, v // 9) for v in (x, y))
+        return (a + d) % 3 + 3 * ((b + e) % 3) + 9 * ((c + f + a * e) % 3)
+    he3 = fingroup.from_table(27, [[mul(x, y) for y in range(27)]
+                                   for x in range(27)])
+    return am.make_amalgam(he3, fingroup.cyclic(9), [0, 1, 2], [0, 3, 6],
+                           {0: 0, 1: 3, 2: 6})
+
+
 def random_conjugate(spec, w, rng):
     """The unreduced word z^-1 w z for a random z of one to three
     alternating non-identity syllables."""

@@ -485,21 +485,37 @@ class TestHoms:
         (fg.symmetric3(), fg.symmetric3()),
         (fg.dihedral(4), fg.direct_product(fg.cyclic(2), fg.cyclic(2))),
         (fg.dihedral(8), fg.quaternion(8)),
+        (fg.cyclic(1), fg.dihedral(4)),
+        (fg.quaternion(8), fg.cyclic(1)),
     ])
     def test_homs_match_brute_force(self, G, X):
         """Same homs in the same order: the witness search returns the
-        first passing pair in this order."""
+        first passing pair in this order.  ``hom_images`` gives them
+        column-major, one column per element of G, down to a trivial
+        source or target, where the one hom is trivial."""
         homs = tuple(h.images for h in fg.enumerate_homs(G, X))
         assert homs == brute_force_homs(G, X)
+        table = fg.hom_images(G, X)
+        assert table == tuple(zip(*homs))
+        if 1 in (G.order, X.order):
+            assert table == ((0,),) * G.order
 
     @pytest.mark.parametrize("name", sorted(BENCHMARK_FACTORS))
     def test_benchmark_pairs_match_brute_force(self, name):
         """Every factor of the benchmark corpus into every group of the
-        catalogs it meets: the same homs in the same order."""
+        catalogs it meets: the same homs in the same order, and
+        ``hom_images`` holds them column-major: |G| columns of equal
+        length, the identity's column all zeros."""
         G = BENCHMARK_FACTORS[name]
         for X in p_group_catalog(2, 16) + p_group_catalog(3, 27):
             homs = tuple(h.images for h in fg.enumerate_homs(G, X))
             assert homs == brute_force_homs(G, X), (name, X.order)
+            table = fg.hom_images(G, X)
+            assert table == tuple(zip(*brute_force_homs(G, X))), \
+                (name, X.order)
+            assert len(table) == G.order, (name, X.order)
+            assert {len(column) for column in table} == {len(homs)}
+            assert set(table[0]) == {0}, (name, X.order)
 
     @pytest.mark.parametrize("make", [
         make_amalg1, make_s3_amalgam, make_c9_amalgam, make_c2c3,
@@ -543,14 +559,16 @@ class TestHoms:
         """Every benchmark factor into every group of both catalogs: the
         enumerator keeps no table of its own, so a second ``hom_images``
         call enumerates again and gives equal homs, and ``enumerate_homs``
-        wraps the same images in the same order."""
+        wraps the same images, the rows of the column-major table, in the
+        same order."""
         G = BENCHMARK_FACTORS[name]
         for X in p_group_catalog(2, 16) + p_group_catalog(3, 27):
             cold = fg.hom_images(G, X)
             warm = fg.hom_images(G, X)
             assert warm == cold and warm is not cold, (name, X.order)
             homs = fg.enumerate_homs(G, X)
-            assert tuple(h.images for h in homs) == cold, (name, X.order)
+            assert tuple(h.images for h in homs) == tuple(zip(*cold)), \
+                (name, X.order)
 
     def test_hom_table_is_a_clearable_cache(self):
         """The Hom tables of a search live on its spec, in the target

@@ -281,7 +281,8 @@ class TestVerificationIndependence:
         of order <= 16 separates this pair, so the witness it builds from
         them is false; the re-check must reject it, not pass it on.  The
         spec is fresh, so its Hom tables are filled by the patched
-        enumerator and die with it."""
+        enumerator and die with it.  The stub returns its maps in the
+        enumerator's layout, one column per element of G."""
         def tree_extensions(G, X):
             gens = fg.generating_sequence(G)
             homs = []
@@ -295,7 +296,7 @@ class TestVerificationIndependence:
                             images[y] = X.mul(images[x], c)
                             frontier.append(y)
                 homs.append(tuple(images[e] for e in G.elements()))
-            return tuple(homs)
+            return tuple(zip(*homs))
 
         monkeypatch.setattr(fg, "hom_images", tree_extensions)
         with pytest.raises(VerificationFailed):

@@ -23,6 +23,7 @@ from conftest import (
     make_d8_q8,
     make_d8_v_d8_twisted,
     make_d16_q16,
+    make_he3_c9,
     make_s3_amalgam,
     make_s3_s3,
 )
@@ -76,8 +77,9 @@ def key(w):
     (make_s3_s3, 2, 2, 16),
     (make_d8_d8, 1, 2, 16),
     (make_d8_v_d8_twisted, 1, 2, 16),
+    (make_he3_c9, 1, 3, 27),
 ], ids=["c4_c2_c4", "s3_c3_c6", "c9_c3_c3xc3", "c2_c3", "d8_z_q8",
-        "d16_z_q16", "s3_c2_s3", "d8_c2_d8", "d8_v_d8_twisted"])
+        "d16_z_q16", "s3_c2_s3", "d8_c2_d8", "d8_v_d8_twisted", "he3_c3_c9"])
 def test_same_witness_as_pair_loop(make, length, p, order):
     spec = make()
     catalog = sep.p_group_catalog(p, order)
@@ -104,6 +106,22 @@ def test_same_residual_entries_as_pair_loop(make, order):
     got = sep.is_cfp_separable_bounded(spec, am.EMPTY, budget)
     assert [(e.other, e.separated, key(e.witness)) for e in got.entries] == \
         ref_residual_entries(spec, 2, 2, order)
+
+
+def test_non_central_residual_keeps_the_centre_unseparated():
+    """He3 *_{C3} C9 over a non-central C3, p = 3: the residual check
+    leaves exactly He3's centre, H:9 and H:18, unseparated and unproved,
+    whatever groups of order <= 27 the catalog holds.  A map that keeps
+    the centre is injective on He3 (every nontrivial normal subgroup of
+    He3 contains it), so its target of order <= 27 is He3, of exponent 3;
+    but then psi_K(1)^3 = 1 is not the image of the glued (1, 0, 0)."""
+    spec = make_he3_c9()
+    got = sep.is_cfp_separable_bounded(spec, am.EMPTY,
+                                       sep.SearchBudget(3, 27, 27, 1))
+    left = [e for e in got.entries if not e.separated]
+    assert [e.other for e in left] == [am.word([("H", 9)]),
+                                       am.word([("H", 18)])]
+    assert not any(e.proved for e in left)
 
 
 @pytest.mark.parametrize("make,length", [
