@@ -8,7 +8,9 @@ neighbour, or the right one for a leading syllable.  The canonical normal
 form uses fixed right transversals with minimal-index coset representatives,
 so equality in G is decidable by comparison.  It is computed from the raw
 syllables in one right-to-left pass, each syllable acting from the left on
-the normal form built so far, and does not call the reduction: the
+the normal form built so far: one read of a per-amalgam step table when
+the syllable's factor differs from that of the first tail syllable, and a
+merge with that syllable otherwise.  It does not call the reduction: the
 conjugator checks, which compare normal forms, share no code with the
 reduction and rotation whose output they check.
 
@@ -19,9 +21,11 @@ u, v through their normal forms only for the rotations u' of u whose
 syllables lie, position by position, in the double cosets A*v_i*A (B*v_i*B
 for K).  That filter is exact: if a^-1*u'*a = v with a in A, the normal
 form theorem puts each v_i in A*u'_i*A, so a rotation it drops never passes
-the normal form test.  When A is central in both factors it is central in
-G, so a = 1 alone is tried.  ``is_conjugate_central`` is the same decider
-behind a check that the amalgam is central.
+the normal form test.  Tags alternate in those words, so only the
+rotations by an even or only those by an odd offset can match.  When A is
+central in both factors it is central in G, so a = 1 alone is tried.
+``is_conjugate_central`` is the same decider behind a check that the
+amalgam is central.
 
 Each answer is checked by normal forms on the path that returns it.  A
 positive verdict checks z^-1*x*z = y for its whole conjugator z, which
@@ -93,7 +97,9 @@ class AmalgamSpec:
     (``phi_map`` and ``phi_inv_map`` expose them read-only; their keys are
     the membership sets of A and B), and per factor the inverse table
     (``_inverses``) and the one coset table, ``_left_action``, with the
-    double-coset labels read from it.
+    double-coset labels and the step table ``_steps`` read from it.
+    ``_steps`` holds |factor| x |H| entries per factor, each a reference to
+    a coset-table entry, and lives as long as the spec, like the others.
     Two caches live exactly as long as the spec: ``p_residuals`` holds,
     per prime p, the p-residual pair that ``quotients.p_residual`` builds
     on first request, and ``targets`` one record per target group X that
@@ -172,6 +178,16 @@ class AmalgamSpec:
         return out
 
     @cached_property
+    def _steps(self) -> dict[str, tuple[tuple[tuple[int, int], ...], ...]]:
+        """Per tag, the table e -> carry -> (a, rep) that ``normal_form``
+        reads for a syllable e of a factor other than that of the first
+        tail syllable: the coset-table entry of e * carry, carry an
+        element of A given by its H-side index.  Rows are indexed by
+        every H-side index; only those of A are read."""
+        return {tag: tuple(tuple(cosets[row[c]] for c in into) for row in tab)
+                for tag, (tab, into, cosets) in self._left_action.items()}
+
+    @cached_property
     def _double_cosets(self) -> dict[str, tuple[int, ...]]:
         """Per tag, the table e -> min(S*e*S), S the amalgamated subgroup of
         that factor: the label of e's double coset, the least coset
@@ -217,18 +233,19 @@ def _push(tab, across, out, syllables) -> None:
     A syllable merges with a last syllable of its factor; an amalgamated
     last syllable of the other factor is flipped into its left neighbour,
     which then merges with the syllable, or when alone into the syllable."""
-    for tag, e in syllables:
+    for syl in syllables:
+        tag, e = syl
         if out:
             top_tag, top = out[-1]
             if top_tag == tag:
                 out.pop()
-                e = tab[tag][top][e]
+                syl = tag, tab[tag][top][e]
             elif top in across[top_tag]:
                 out.pop()
                 t, top = tab[tag], across[top_tag][top]
-                e = t[t[out.pop()[1]][top]][e] if out else t[top][e]
-        if e:
-            out.append((tag, e))
+                syl = tag, t[t[out.pop()[1]][top]][e] if out else t[top][e]
+        if syl[1]:
+            out.append(syl)
 
 
 def _close(tab, across, out) -> None:
@@ -247,11 +264,12 @@ def reduce(spec: AmalgamSpec, w: Word) -> Word:
     neighbour, a leading one into its right neighbour."""
     tab, across = spec._tables, spec._across
     merged: list[tuple[str, int]] = []
-    for tag, e in w.syllables:
+    for syl in w.syllables:
+        tag = syl[0]
         if merged and merged[-1][0] == tag:
-            e = tab[tag][merged.pop()[1]][e]
-        if e:
-            merged.append((tag, e))
+            syl = tag, tab[tag][merged.pop()[1]][syl[1]]
+        if syl[1]:
+            merged.append(syl)
     out: list[tuple[str, int]] = []
     _push(tab, across, out, merged)
     _close(tab, across, out)
@@ -281,21 +299,22 @@ def normal_form(spec: AmalgamSpec, w: Word) -> NormalForm:
     with tag T gives y = e * a (a carried into T's factor), times t1 when
     t1 also has tag T, which is then popped; y = a' * rep by the coset
     table, rep is pushed unless it is the identity, and a' is the new
-    carry.  After a pop the next tail syllable has the other tag, so no
+    carry.  Without a merge, (a', rep) is one read of the step table at
+    (e, a).  After a pop the next tail syllable has the other tag, so no
     merge cascades: one table step per syllable.
     """
-    act = spec._left_action
+    act, steps = spec._left_action, spec._steps
     carry = 0  # element of A, H-side index
     tail: list[tuple[str, int]] = []  # tn ... t1
     for tag, e in reversed(w.syllables):
-        try:
-            tab, into, cosets = act[tag]
-        except KeyError:
-            raise IndexOutOfRange(f"bad factor tag {tag!r}") from None
-        y = tab[e][into[carry]]
         if tail and tail[-1][0] == tag:
-            y = tab[y][tail.pop()[1]]
-        carry, rep = cosets[y]
+            tab, into, cosets = act[tag]
+            carry, rep = cosets[tab[tab[e][into[carry]]][tail.pop()[1]]]
+        else:
+            try:
+                carry, rep = steps[tag][e][carry]
+            except KeyError:
+                raise IndexOutOfRange(f"bad factor tag {tag!r}") from None
         if rep:
             tail.append((tag, rep))
     tail.reverse()
@@ -314,8 +333,9 @@ def _cyclic(spec: AmalgamSpec, w: Word) -> tuple[Word, Word]:
     syl = deque(reduce(spec, w).syllables)
     moved = []
     while len(syl) > 1 and syl[0][0] == syl[-1][0]:
-        moved.append(syl.popleft())
-        _push(tab, across, syl, moved[-1:])
+        s = syl.popleft()
+        moved.append(s)
+        _push(tab, across, syl, (s,))
         _close(tab, across, syl)
     return Word(tuple(syl)), Word(tuple(moved))
 
@@ -350,12 +370,16 @@ def _rotation(w: Word, i: int) -> Word:
 
 def _label_matches(spec: AmalgamSpec, cx: Word, cy: Word) -> list[int]:
     """The rotations i of cx that agree with cy position by position in
-    (tag, double-coset label); cx and cy have equal length."""
+    (tag, double-coset label).  cx and cy are cyclically reduced, of equal
+    length >= 2, so their tags alternate: a rotation has cy's tags exactly
+    when its first tag is cy's, and then only the labels are compared."""
     dc = spec._double_cosets
-    lx = [(tag, dc[tag][e]) for tag, e in cx.syllables] * 2
-    ly = [(tag, dc[tag][e]) for tag, e in cy.syllables]
-    n = len(ly)
-    return [i for i in range(n) if lx[i:i + n] == ly]
+    lx = [dc[tag][e] for tag, e in cx.syllables] * 2
+    ly = [dc[tag][e] for tag, e in cy.syllables]
+    n, first = len(ly), ly[0]
+    start = 0 if cx.syllables[0][0] == cy.syllables[0][0] else 1
+    return [i for i in range(start, n, 2)
+            if lx[i] == first and lx[i:i + n] == ly]
 
 
 @dataclass(frozen=True, slots=True)

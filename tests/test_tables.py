@@ -50,6 +50,7 @@ def test_tables_match_brute_force(make):
     for tag in (TAG_H, TAG_K):
         G, S = spec.factor(tag), spec.amalg(tag).elements
         tab, into, cosets = spec._left_action[tag]
+        steps = spec._steps[tag]
         assert tab == G.table
         for a in spec.A.elements:
             assert into[a] == (a if tag == TAG_H else ref_transport(spec, TAG_H, a))
@@ -57,6 +58,11 @@ def test_tables_match_brute_force(make):
             a, rep = ref_coset_decompose(spec, tag, e)
             a_h = a if tag == TAG_H else ref_transport(spec, TAG_K, a)
             assert cosets[e] == (a_h, rep)
+            for carry in spec.A.elements:
+                c = carry if tag == TAG_H else ref_transport(spec, TAG_H, carry)
+                a, rep = ref_coset_decompose(spec, tag, G.mul(e, c))
+                a_h = a if tag == TAG_H else ref_transport(spec, TAG_K, a)
+                assert steps[e][carry] == (a_h, rep), (tag, e, carry)
             assert (e in spec._across[tag]) == ref_in_amalg(spec, tag, e)
             assert spec._double_cosets[tag][e] == \
                 min(G.mul(G.mul(a, e), b) for a in S for b in S)
@@ -90,7 +96,8 @@ def test_tables_do_not_affect_equality(make):
     hk = Word(((TAG_H, h), (TAG_K, k)))
     assert am.is_conjugate_general(built, hk, hk).conjugate
     assert 0 in built.A and 0 in built.B
-    assert {"_across", "_double_cosets", "_left_action"} <= set(vars(built))
+    assert {"_across", "_double_cosets", "_left_action", "_steps"} \
+        <= set(vars(built))
     assert built == fresh and hash(built) == hash(fresh)
     assert {built: 1}[fresh] == 1
     other = fg.make_subgroup(built.H, built.A.elements)

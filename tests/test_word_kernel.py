@@ -8,6 +8,7 @@ reductions with their conjugators, normal forms, closures and verdicts
 checks do not share the code whose output they check.
 """
 
+import itertools
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from conftest import (
     make_c9_amalgam,
     make_d8_d8,
     make_d8_q8,
+    make_he3_c9,
     make_s3_amalgam,
     make_s3_s3,
 )
@@ -146,6 +148,54 @@ def test_deciders_match_reference_at_workload_lengths(make):
             assert got.reduced == expected.reduced  # not compared by ==
             if spec.central:
                 assert am.is_conjugate_central(spec, a, b) == expected
+
+
+def label_sequences(spec, per_coset):
+    """Every alternating word of length 2 and 4, from either factor first,
+    whose syllables are among the ``per_coset`` least elements of each
+    nontrivial double coset S*e*S (S the amalgamated subgroup), mapped to
+    its (tag, double-coset label) sequence by brute force.  No word of
+    length 3 is cyclically reduced: its ends lie in one factor."""
+    label, pools = {}, {}
+    for tag in (TAG_H, TAG_K):
+        G, S = spec.factor(tag), spec.amalg(tag).elements
+        cosets = {}
+        for e in G.elements():
+            if e not in spec.amalg(tag):
+                label[tag, e] = min(G.mul(G.mul(a, e), b) for a in S for b in S)
+                cosets.setdefault(label[tag, e], []).append(e)
+        pools[tag] = [e for elts in cosets.values() for e in elts[:per_coset]]
+    for n in (2, 4):
+        for tags in ((TAG_H, TAG_K) * (n // 2), (TAG_K, TAG_H) * (n // 2)):
+            for elts in itertools.product(*map(pools.get, tags)):
+                w = Word(tuple(zip(tags, elts)))
+                yield w, [(tag, label[tag, e]) for tag, e in w.syllables]
+
+
+@pytest.mark.parametrize("make, per_coset", [
+    (make_amalg1, 2), (make_s3_amalgam, 3), (make_he3_c9, 1)],
+    ids=["c4_c2_c4", "s3_c3_c6", "he3_c3_c9"])
+def test_label_matches_is_its_definition(make, per_coset):
+    """``_label_matches`` returns exactly the rotations i of cx whose
+    (tag, label) sequence is cy's, for every pair of equal length, first
+    tags equal or not.  On C4 *_{C2} C4 and S3 *_{C3} C6 the words are all
+    cyclically reduced words of length 2 and 4, and each factor has one
+    nontrivial double coset, so only the tags tell rotations apart.  He3
+    has four nontrivial double cosets and C9 two; there one element of
+    each gives every label sequence."""
+    spec = make()
+    words = list(label_sequences(spec, per_coset))
+    found_across_tags = 0
+    for cx, lx in words:
+        assert am.cyclically_reduce(spec, cx) == (cx, EMPTY)
+        n = len(lx)
+        rotations = [lx[i:] + lx[:i] for i in range(n)]
+        for cy, ly in words:
+            if len(ly) == n:
+                expected = [i for i, r in enumerate(rotations) if r == ly]
+                assert am._label_matches(spec, cx, cy) == expected, (cx, cy)
+                found_across_tags += bool(expected) and lx[0][0] != ly[0][0]
+    assert found_across_tags
 
 
 @pytest.mark.parametrize("make", MAKERS, ids=IDS)
