@@ -27,13 +27,17 @@ central in both factors it is central in G, so a = 1 alone is tried.
 ``is_conjugate_central`` is the same decider behind a check that the
 amalgam is central.
 
-Each answer is checked by normal forms on the path that returns it.  A
+Each answer a public decider returns is checked by normal forms.  A
 positive verdict checks z^-1*x*z = y for its whole conjugator z, which
 backs it whatever the cyclic reductions were, so the reductions it went
 through are not checked on their own.  A negative verdict rests on the
 cyclic reductions c of x and y, so it first checks each: z^-1*w*z = c
 when syllables moved to z, otherwise w = c unless c is w syllable for
-syllable.  ``cyclically_reduce`` makes the same check.
+syllable.  ``cyclically_reduce`` makes the same check.  The decision
+behind the deciders, ``_decide``, returns a negative verdict with that
+check still pending, for a caller whose own answer is backed otherwise:
+the witness search runs it only before a negative answer, since a found
+witness is re-checked on the inputs themselves.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from . import fingroup
 from .errors import (
@@ -395,8 +399,8 @@ class ConjugacyVerdict:
     reduced: Optional[tuple[Word, Word]] = field(default=None, compare=False)
     """For NOT-CONJUGATE: the cyclically reduced conjugates (cx, cy) of x
     and y that the decision compared, each checked against its input by
-    normal forms before the verdict is returned; None for CONJUGATE.  Not
-    compared, so it leaves verdict equality alone."""
+    normal forms before a public decider returns the verdict; None for
+    CONJUGATE.  Not compared, so it leaves verdict equality alone."""
 
 
 def _verified(spec: AmalgamSpec, x: Word, y: Word, z: Word) -> ConjugacyVerdict:
@@ -407,12 +411,19 @@ def _verified(spec: AmalgamSpec, x: Word, y: Word, z: Word) -> ConjugacyVerdict:
 
 
 def _not(spec: AmalgamSpec, reason: tuple, x: Word, y: Word,
-         cx: Word, zx: Word, cy: Word, zy: Word) -> ConjugacyVerdict:
-    """A negative verdict, once the cyclic reductions it rests on pass
-    their checks."""
-    _check_cyclic(spec, x, cx, zx)
-    _check_cyclic(spec, y, cy, zy)
-    return ConjugacyVerdict(False, None, reason, (cx, cy))
+         cx: Word, zx: Word, cy: Word, zy: Word
+         ) -> tuple[ConjugacyVerdict, Callable[[], None]]:
+    """A negative verdict and its pending check, which checks the cyclic
+    reductions the verdict rests on as ``cyclically_reduce`` does."""
+    def check() -> None:
+        _check_cyclic(spec, x, cx, zx)
+        _check_cyclic(spec, y, cy, zy)
+    return ConjugacyVerdict(False, None, reason, (cx, cy)), check
+
+
+def _checked() -> None:
+    """The pending check of a positive verdict: none, as ``_verified``
+    has checked its conjugator."""
 
 
 def _length1_closure(spec: AmalgamSpec, tag: str, e: int) -> dict[tuple[str, int], Word]:
@@ -444,6 +455,42 @@ def _length1_closure(spec: AmalgamSpec, tag: str, e: int) -> dict[tuple[str, int
     return reached
 
 
+def _decide(spec: AmalgamSpec, x: Word, y: Word
+            ) -> tuple[ConjugacyVerdict, Callable[[], None]]:
+    """The decision of ``is_conjugate_general`` and the check its verdict
+    still needs: (verdict, pending check).  A positive verdict comes with
+    its conjugator checked and a pending check that does nothing.  A
+    negative one comes with its cyclic reductions unchecked; its pending
+    check raises VerificationFailed unless both pass."""
+    cx, zx = _cyclic(spec, x)
+    cy, zy = _cyclic(spec, y)
+    if len(cx) != len(cy):
+        return _not(spec, ("length-mismatch", len(cx), len(cy)),
+                    x, y, cx, zx, cy, zy)
+    if len(cx) == 0:
+        return _verified(spec, x, y, zx.concat(inverse(spec, zy))), _checked
+    if len(cx) == 1:
+        closure = _length1_closure(spec, *cx.syllables[0])
+        ty, ey = cy.syllables[0]
+        if (ty, ey) in closure:
+            return _verified(spec, x, y, zx.concat(closure[(ty, ey)])
+                             .concat(inverse(spec, zy))), _checked
+        return _not(spec, ("closure-exhausted", tuple(sorted(closure))),
+                    x, y, cx, zx, cy, zy)
+    a_tried = (0,) if spec.central else spec.A.elements
+    nfy = normal_form(spec, cy)
+    for i in _label_matches(spec, cx, cy):
+        prefix, u = Word(cx.syllables[:i]), _rotation(cx, i)
+        for a in a_tried:
+            a_word = word([(TAG_H, a)])
+            cand = inverse(spec, a_word).concat(u).concat(a_word)
+            if normal_form(spec, cand) == nfy:
+                return _verified(spec, x, y, zx.concat(prefix).concat(a_word)
+                                 .concat(inverse(spec, zy))), _checked
+    return _not(spec, ("exhausted", cx.syllables, a_tried),
+                x, y, cx, zx, cy, zy)
+
+
 def is_conjugate_general(spec: AmalgamSpec, x: Word, y: Word) -> ConjugacyVerdict:
     """Conjugacy decision in G (Magnus-Karrass-Solitar, Thm 4.6).
 
@@ -461,33 +508,9 @@ def is_conjugate_general(spec: AmalgamSpec, x: Word, y: Word) -> ConjugacyVerdic
     both cyclic reductions as ``cyclically_reduce`` does, since its
     certificate and ``reduced`` pair are read from them.
     """
-    cx, zx = _cyclic(spec, x)
-    cy, zy = _cyclic(spec, y)
-    if len(cx) != len(cy):
-        return _not(spec, ("length-mismatch", len(cx), len(cy)),
-                    x, y, cx, zx, cy, zy)
-    if len(cx) == 0:
-        return _verified(spec, x, y, zx.concat(inverse(spec, zy)))
-    if len(cx) == 1:
-        closure = _length1_closure(spec, *cx.syllables[0])
-        ty, ey = cy.syllables[0]
-        if (ty, ey) in closure:
-            return _verified(spec, x, y, zx.concat(closure[(ty, ey)])
-                             .concat(inverse(spec, zy)))
-        return _not(spec, ("closure-exhausted", tuple(sorted(closure))),
-                    x, y, cx, zx, cy, zy)
-    a_tried = (0,) if spec.central else spec.A.elements
-    nfy = normal_form(spec, cy)
-    for i in _label_matches(spec, cx, cy):
-        prefix, u = Word(cx.syllables[:i]), _rotation(cx, i)
-        for a in a_tried:
-            a_word = word([(TAG_H, a)])
-            cand = inverse(spec, a_word).concat(u).concat(a_word)
-            if normal_form(spec, cand) == nfy:
-                return _verified(spec, x, y, zx.concat(prefix).concat(a_word)
-                                 .concat(inverse(spec, zy)))
-    return _not(spec, ("exhausted", cx.syllables, a_tried),
-                x, y, cx, zx, cy, zy)
+    verdict, check = _decide(spec, x, y)
+    check()
+    return verdict
 
 
 def is_conjugate_central(spec: AmalgamSpec, x: Word, y: Word) -> ConjugacyVerdict:

@@ -16,6 +16,10 @@ the images of conjugate elements are conjugate, so a pair passes on
 (cx, cy) exactly when it passes on (f, g): the first passing pair, the
 witness, is the same.  The shorter words with fewer letters only make the
 walk cheaper.  The independent re-check and the certificate use f and g.
+The walk reads (cx, cy) before they are checked (``amalgam._decide``):
+a witness, re-checked on f and g, proves them non-conjugate by itself,
+so the decider's checks of the reductions run only before a negative
+answer, ``NotSeparable`` or ``BudgetExhausted``, which rests on them.
 
 A pair's images of the words depend only on the images of their letters,
 so the search tests each distinct combination of letter images once (see
@@ -48,8 +52,10 @@ G* = H/R* * K/S* (``quotients.p_residual``), through which every
 homomorphism onto a finite p-group factors.  Inputs whose images are
 conjugate in G* raise NotSeparable, a proof that no finite p-group
 separates them; the walk's answer there is always "none".  The proof
-projects f and g themselves, so its conjugator carries the image of the
-first input to that of the second.
+projects f and g themselves, so its conjugator, checked in G*, carries
+the image of the first input to that of the second.  A negative verdict
+in G* backs no answer, as the walk just goes on, so its cyclic
+reductions are not checked.
 
 Residual p is separation from the identity: the class of 1 is {1}, so a
 finite p-group separates a from 1 exactly when a survives in it.  The
@@ -298,22 +304,27 @@ def search_witness(spec: AmalgamSpec, f: Word, g: Word,
     that the decider returns with its negative verdict: conjugate inputs
     have conjugate images, so the walk returns the witness it would return
     on f and g, and the shorter words make it cheaper.  The re-check runs
-    on f and g, and the G* proof projects f and g.
+    on f and g, and the G* proof projects f and g.  The walk reads
+    (cx, cy) unchecked; the decider's checks of them, which raise
+    VerificationFailed when they fail, run only right before NotSeparable
+    or BudgetExhausted is raised, as a found witness needs no more than
+    its re-check.
     """
     p = budget.p
-    verdict = am.is_conjugate_general(spec, f, g)
+    verdict, check = am._decide(spec, f, g)
     if verdict.conjugate:
         raise ElementsConjugate(verdict.conjugator)
     pair = qt.p_residual(spec, p)
     if pair is not None:
-        star = am.is_conjugate_general(pair.quotient_spec,
-                                       qt.project_word(pair, f),
-                                       qt.project_word(pair, g))
+        star, _ = am._decide(pair.quotient_spec, qt.project_word(pair, f),
+                             qt.project_word(pair, g))
         if star.conjugate:
+            check()
             raise NotSeparable(pair.R, pair.S, star.conjugator, p)
     found = _first_agreeing_pair(
         spec, _catalog_walk(p, budget.max_target_order), verdict.reduced)
     if found is None:
+        check()
         raise BudgetExhausted(
             f"no agreeing homomorphism pair into a catalog {p}-group of "
             f"order at most {budget.max_target_order} separates the inputs; "

@@ -13,6 +13,7 @@ import pytest
 import oracles
 from amalgams import amalgam as am
 from amalgams import fingroup as fg
+from amalgams import quotients as qt
 from amalgams import separability as sep
 from amalgams.amalgam import word
 from amalgams.errors import (
@@ -24,8 +25,10 @@ from amalgams.errors import (
 )
 from conftest import (
     make_amalg1,
+    make_c2c3,
     make_c9_amalgam,
     make_d8_q8,
+    make_d8_v_d8_twisted,
     make_d16_q16,
     make_s3_amalgam,
     random_conjugate,
@@ -544,6 +547,128 @@ class TestWalkOnCyclicReductions:
         for u, c in zip((f, g), walked[0]):
             assert oracles.is_cyclically_reduced(amalg1, c) and len(c) < len(u)
         assert sep.verify_witness(amalg1, w, f, g, 2)
+
+
+class TestPendingChecks:
+    """The search runs the decider's checks of the cyclic reductions of f
+    and g only before a negative answer.  A found witness is re-checked on
+    f and g themselves, and a negative verdict in G* backs no answer, so
+    neither pays for them.  The inputs are conjugated, so that each cyclic
+    check compares normal forms."""
+
+    FOUND = [(make_amalg1, W(("H", 1), ("K", 1)), W(("H", 1), ("K", 3))),
+             (make_s3_amalgam, W(("H", 1), ("K", 1)), W(("K", 3)))]
+    EXHAUSTED = (make_d8_q8, W(("H", 1), ("K", 1)), W(("H", 1), ("K", 3)))
+    PROVED = [(make_c2c3, W(("K", 1)), W(("K", 2))),
+              (make_s3_amalgam, W(("K", 1)), W(("K", 3)))]
+
+    @staticmethod
+    def _count_checks(monkeypatch):
+        calls = []
+        real = am.equal_in_g
+
+        def counted(spec, u, v):
+            calls.append((spec, u, v))
+            return real(spec, u, v)
+
+        monkeypatch.setattr(am, "equal_in_g", counted)
+        return calls
+
+    @staticmethod
+    def _inputs(make, f, g):
+        spec, rng = make(), random.Random(1)
+        return (spec, random_conjugate(spec, f, rng),
+                random_conjugate(spec, g, rng))
+
+    @pytest.mark.parametrize("make, f, g", FOUND, ids=["amalg1", "s3"])
+    def test_found_search_makes_no_check(self, make, f, g, monkeypatch):
+        """On S3 *_{C3} C6 the search also decides in G*, negatively."""
+        spec, f, g = self._inputs(make, f, g)
+        calls = self._count_checks(monkeypatch)
+        w = sep.search_witness(spec, f, g, BUDGET)
+        assert calls == [] and sep.verify_witness(spec, w, f, g, 2)
+
+    def test_exhausted_search_checks_both_reductions_last(self, monkeypatch):
+        spec, f, g = self._inputs(*self.EXHAUSTED)
+        reduced = am.is_conjugate_general(spec, f, g).reduced
+        calls = self._count_checks(monkeypatch)
+        walk, at_walk = sep._first_agreeing_pair, []
+
+        def spy(*args):
+            found = walk(*args)
+            at_walk.append(len(calls))
+            return found
+
+        monkeypatch.setattr(sep, "_first_agreeing_pair", spy)
+        with pytest.raises(BudgetExhausted) as exc:
+            sep.search_witness(spec, f, g, BUDGET)
+        assert not isinstance(exc.value, NotSeparable) and at_walk == [0]
+        assert [(s, c) for s, _, c in calls] == [(spec, c) for c in reduced]
+
+    @pytest.mark.parametrize("make, f, g", PROVED, ids=["c2_c3", "s3"])
+    def test_proof_checks_both_reductions_and_the_star_conjugator(
+            self, make, f, g, monkeypatch):
+        spec, f, g = self._inputs(make, f, g)
+        reduced = am.is_conjugate_general(spec, f, g).reduced
+        calls = self._count_checks(monkeypatch)
+        with pytest.raises(NotSeparable) as exc:
+            sep.search_witness(spec, f, g, BUDGET)
+        pair, z = qt.p_residual(spec, 2), exc.value.conjugator
+        star = pair.quotient_spec
+        assert len(calls) == 3 and calls[0][0] is star
+        assert calls[0][1] == am.inverse(star, z).concat(
+            qt.project_word(pair, f)).concat(z)
+        assert [(s, c) for s, _, c in calls[1:]] == [(spec, c)
+                                                     for c in reduced]
+
+    def test_failing_checks_leave_found_answers_alone(self, monkeypatch):
+        """With every normal-form check failing, a found answer still
+        stands on its re-check, and each negative answer raises."""
+        monkeypatch.setattr(am, "equal_in_g", lambda spec, u, v: False)
+        for make, f, g in self.FOUND:
+            spec, f, g = self._inputs(make, f, g)
+            w = sep.search_witness(spec, f, g, BUDGET)
+            assert sep.verify_witness(spec, w, f, g, 2)
+        for make, f, g in [self.EXHAUSTED, *self.PROVED]:
+            spec, f, g = self._inputs(make, f, g)
+            with pytest.raises(VerificationFailed):
+                sep.search_witness(spec, f, g, BUDGET)
+
+    @pytest.mark.parametrize("make, p, order, length", [
+        (make_amalg1, 2, 16, 2),
+        (make_c2c3, 2, 8, 2),
+        (make_s3_amalgam, 2, 16, 1),
+        (make_c9_amalgam, 3, 27, 1),
+        (make_d8_q8, 2, 16, 1),
+        (make_d8_v_d8_twisted, 2, 16, 1),
+    ], ids=["amalg1", "c2_c3", "s3", "c9", "d8_q8", "d8_v_d8_twisted"])
+    def test_corrupted_reduce_gives_no_negative_answer(
+            self, make, p, order, length, monkeypatch):
+        """A reduce that drops its last syllable corrupts the decider's
+        cyclic reductions, which the walk reads unchecked.  Over every
+        non-conjugate pair, conjugated, the search then never claims
+        "exhausted" or "proved": it raises VerificationFailed, or returns
+        a witness that passes the re-check on the inputs themselves."""
+        spec, budget = make(), sep.SearchBudget(p, order, order)
+        rng, pairs = random.Random(0), []
+        for f, g in itertools.combinations(
+                sep.enumerate_cyclically_reduced(spec, length), 2):
+            f, g = random_conjugate(spec, f, rng), random_conjugate(spec, g, rng)
+            kind = TestWalkOnCyclicReductions.outcome(spec, f, g, budget)[0]
+            if kind != "conjugate":
+                pairs.append((f, g, kind))
+        real_reduce = am.reduce
+        monkeypatch.setattr(am, "reduce", lambda spec, w:
+                            am.Word(real_reduce(spec, w).syllables[:-1]))
+        caught = 0
+        for f, g, kind in pairs:
+            try:
+                w = sep.search_witness(spec, f, g, budget)
+            except VerificationFailed:
+                caught += 1
+            else:
+                assert kind == "found" and sep.verify_witness(spec, w, f, g, p)
+        assert caught
 
 
 class TestVerdictPinning:
