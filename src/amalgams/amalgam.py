@@ -31,13 +31,14 @@ Each answer a public decider returns is checked by normal forms.  A
 positive verdict checks z^-1*x*z = y for its whole conjugator z, which
 backs it whatever the cyclic reductions were, so the reductions it went
 through are not checked on their own.  A negative verdict rests on the
-cyclic reductions c of x and y, so it first checks each: z^-1*w*z = c
-when syllables moved to z, otherwise w = c unless c is w syllable for
-syllable.  ``cyclically_reduce`` makes the same check.  The decision
-behind the deciders, ``_decide``, returns a negative verdict with that
-check still pending, for a caller whose own answer is backed otherwise:
-the witness search runs it only before a negative answer, since a found
-witness is re-checked on the inputs themselves.
+cyclic reductions c of x and y, and carries each with the syllables z
+moved to reach it; one function, ``_check_reductions``, checks
+z^-1*w*z = c for both inputs, skipping an input only when nothing moved
+and c is w syllable for syllable.  ``cyclically_reduce`` makes the same
+check.  The decision behind the deciders, ``_decide``, returns its
+verdict unchecked, for a caller whose own answer is backed otherwise: the
+witness search checks the reductions only before a negative answer, since
+a found witness is re-checked on the inputs themselves.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from . import fingroup
 from .errors import (
@@ -346,13 +347,10 @@ def _cyclic(spec: AmalgamSpec, w: Word) -> tuple[Word, Word]:
 
 def _check_cyclic(spec: AmalgamSpec, w: Word, c: Word, z: Word) -> None:
     """Raise VerificationFailed unless z^-1 * w * z = c in G, by normal
-    forms.  With z empty that is w = c, which needs no check when c is w
-    syllable for syllable."""
-    if z.syllables:
-        if not equal_in_g(spec, inverse(spec, z).concat(w).concat(z), c):
-            raise VerificationFailed("cyclic conjugator failed verification")
-    elif c.syllables != w.syllables and not equal_in_g(spec, w, c):
-        raise VerificationFailed("cyclic reduction failed verification")
+    forms; skipped when z is empty and c is w syllable for syllable."""
+    if ((z.syllables or c.syllables != w.syllables)
+            and not equal_in_g(spec, inverse(spec, z).concat(w).concat(z), c)):
+        raise VerificationFailed("cyclic conjugator failed verification")
 
 
 def cyclically_reduce(spec: AmalgamSpec, w: Word) -> tuple[Word, Word]:
@@ -364,12 +362,6 @@ def cyclically_reduce(spec: AmalgamSpec, w: Word) -> tuple[Word, Word]:
     z = reduce(spec, moved)
     _check_cyclic(spec, w, c, z)
     return c, z
-
-
-def _rotation(w: Word, i: int) -> Word:
-    """The rotation x_i...x_n x_1...x_{i-1}, unchecked: the decider rotates
-    only cyclically reduced words from ``_cyclic``."""
-    return Word(w.syllables[i:] + w.syllables[:i])
 
 
 def _label_matches(spec: AmalgamSpec, cx: Word, cy: Word) -> list[int]:
@@ -398,9 +390,13 @@ class ConjugacyVerdict:
     <the elements a of A tried with each of its rotations>)."""
     reduced: Optional[tuple[Word, Word]] = field(default=None, compare=False)
     """For NOT-CONJUGATE: the cyclically reduced conjugates (cx, cy) of x
-    and y that the decision compared, each checked against its input by
-    normal forms before a public decider returns the verdict; None for
-    CONJUGATE.  Not compared, so it leaves verdict equality alone."""
+    and y that the decision compared; None for CONJUGATE."""
+    moved: Optional[tuple[Word, Word]] = field(default=None, compare=False)
+    """For NOT-CONJUGATE: the syllables (zx, zy), unreduced, moved to reach
+    (cx, cy), so that zx^-1 * x * zx = cx and zy^-1 * y * zy = cy in G, as
+    ``_check_reductions`` checks before a public decider returns the
+    verdict; None for CONJUGATE.  Neither ``moved`` nor ``reduced`` is
+    compared, so they leave verdict equality alone."""
 
 
 def _verified(spec: AmalgamSpec, x: Word, y: Word, z: Word) -> ConjugacyVerdict:
@@ -410,20 +406,16 @@ def _verified(spec: AmalgamSpec, x: Word, y: Word, z: Word) -> ConjugacyVerdict:
     return ConjugacyVerdict(True, z, ("conjugator", z.syllables))
 
 
-def _not(spec: AmalgamSpec, reason: tuple, x: Word, y: Word,
-         cx: Word, zx: Word, cy: Word, zy: Word
-         ) -> tuple[ConjugacyVerdict, Callable[[], None]]:
-    """A negative verdict and its pending check, which checks the cyclic
-    reductions the verdict rests on as ``cyclically_reduce`` does."""
-    def check() -> None:
-        _check_cyclic(spec, x, cx, zx)
-        _check_cyclic(spec, y, cy, zy)
-    return ConjugacyVerdict(False, None, reason, (cx, cy)), check
-
-
-def _checked() -> None:
-    """The pending check of a positive verdict: none, as ``_verified``
-    has checked its conjugator."""
+def _check_reductions(spec: AmalgamSpec, x: Word, y: Word,
+                      verdict: ConjugacyVerdict) -> None:
+    """Raise VerificationFailed unless the cyclic reductions a negative
+    verdict rests on hold in G: z^-1 * w * z = c for each input w, with c
+    from ``verdict.reduced`` and z from ``verdict.moved``.  A positive
+    verdict needs no such check, as ``_verified`` has checked its
+    conjugator."""
+    if not verdict.conjugate:
+        for w, c, z in zip((x, y), verdict.reduced, verdict.moved):
+            _check_cyclic(spec, w, c, z)
 
 
 def _length1_closure(spec: AmalgamSpec, tag: str, e: int) -> dict[tuple[str, int], Word]:
@@ -455,40 +447,38 @@ def _length1_closure(spec: AmalgamSpec, tag: str, e: int) -> dict[tuple[str, int
     return reached
 
 
-def _decide(spec: AmalgamSpec, x: Word, y: Word
-            ) -> tuple[ConjugacyVerdict, Callable[[], None]]:
-    """The decision of ``is_conjugate_general`` and the check its verdict
-    still needs: (verdict, pending check).  A positive verdict comes with
-    its conjugator checked and a pending check that does nothing.  A
-    negative one comes with its cyclic reductions unchecked; its pending
-    check raises VerificationFailed unless both pass."""
+def _decide(spec: AmalgamSpec, x: Word, y: Word) -> ConjugacyVerdict:
+    """The decision of ``is_conjugate_general``.  A positive verdict comes
+    with its conjugator checked.  A negative one comes with its cyclic
+    reductions unchecked: ``_check_reductions`` checks them from the
+    verdict's ``reduced`` and ``moved`` pairs."""
     cx, zx = _cyclic(spec, x)
     cy, zy = _cyclic(spec, y)
     if len(cx) != len(cy):
-        return _not(spec, ("length-mismatch", len(cx), len(cy)),
-                    x, y, cx, zx, cy, zy)
-    if len(cx) == 0:
-        return _verified(spec, x, y, zx.concat(inverse(spec, zy))), _checked
-    if len(cx) == 1:
+        reason = ("length-mismatch", len(cx), len(cy))
+    elif len(cx) == 0:
+        return _verified(spec, x, y, zx.concat(inverse(spec, zy)))
+    elif len(cx) == 1:
         closure = _length1_closure(spec, *cx.syllables[0])
         ty, ey = cy.syllables[0]
         if (ty, ey) in closure:
             return _verified(spec, x, y, zx.concat(closure[(ty, ey)])
-                             .concat(inverse(spec, zy))), _checked
-        return _not(spec, ("closure-exhausted", tuple(sorted(closure))),
-                    x, y, cx, zx, cy, zy)
-    a_tried = (0,) if spec.central else spec.A.elements
-    nfy = normal_form(spec, cy)
-    for i in _label_matches(spec, cx, cy):
-        prefix, u = Word(cx.syllables[:i]), _rotation(cx, i)
-        for a in a_tried:
-            a_word = word([(TAG_H, a)])
-            cand = inverse(spec, a_word).concat(u).concat(a_word)
-            if normal_form(spec, cand) == nfy:
-                return _verified(spec, x, y, zx.concat(prefix).concat(a_word)
-                                 .concat(inverse(spec, zy))), _checked
-    return _not(spec, ("exhausted", cx.syllables, a_tried),
-                x, y, cx, zx, cy, zy)
+                             .concat(inverse(spec, zy)))
+        reason = ("closure-exhausted", tuple(sorted(closure)))
+    else:
+        a_tried = (0,) if spec.central else spec.A.elements
+        nfy = normal_form(spec, cy)
+        for i in _label_matches(spec, cx, cy):
+            prefix = Word(cx.syllables[:i])
+            u = Word(cx.syllables[i:] + prefix.syllables)
+            for a in a_tried:
+                a_word = word([(TAG_H, a)])
+                cand = inverse(spec, a_word).concat(u).concat(a_word)
+                if normal_form(spec, cand) == nfy:
+                    return _verified(spec, x, y, zx.concat(prefix)
+                                     .concat(a_word).concat(inverse(spec, zy)))
+        reason = ("exhausted", cx.syllables, a_tried)
+    return ConjugacyVerdict(False, None, reason, (cx, cy), (zx, zy))
 
 
 def is_conjugate_general(spec: AmalgamSpec, x: Word, y: Word) -> ConjugacyVerdict:
@@ -501,15 +491,17 @@ def is_conjugate_general(spec: AmalgamSpec, x: Word, y: Word) -> ConjugacyVerdic
     a^-1 * u * a = u and only a = 1 is tried.
     Length <= 1: membership in the transport-closure of the factor class.
     A negative verdict carries the cyclically reduced conjugates (cx, cy)
-    of x and y that it compared (``ConjugacyVerdict.reduced``).
+    of x and y that it compared and the syllables moved to reach them
+    (``ConjugacyVerdict.reduced`` and ``moved``).
 
     Each check backs the answer it is made for.  A positive verdict checks
     only its whole conjugator, z^-1 * x * z = y.  A negative one checks
-    both cyclic reductions as ``cyclically_reduce`` does, since its
-    certificate and ``reduced`` pair are read from them.
+    both cyclic reductions (``_check_reductions``) as
+    ``cyclically_reduce`` does, since its certificate and ``reduced`` pair
+    are read from them.
     """
-    verdict, check = _decide(spec, x, y)
-    check()
+    verdict = _decide(spec, x, y)
+    _check_reductions(spec, x, y, verdict)
     return verdict
 
 

@@ -16,10 +16,11 @@ the images of conjugate elements are conjugate, so a pair passes on
 (cx, cy) exactly when it passes on (f, g): the first passing pair, the
 witness, is the same.  The shorter words with fewer letters only make the
 walk cheaper.  The independent re-check and the certificate use f and g.
-The walk reads (cx, cy) before they are checked (``amalgam._decide``):
-a witness, re-checked on f and g, proves them non-conjugate by itself,
-so the decider's checks of the reductions run only before a negative
-answer, ``NotSeparable`` or ``BudgetExhausted``, which rests on them.
+The walk reads (cx, cy) unchecked (``amalgam._decide``): a witness,
+re-checked on f and g, proves them non-conjugate by itself, so the search
+checks the reductions (``amalgam._check_reductions``) only right before a
+negative answer, ``NotSeparable`` or ``BudgetExhausted``, which rests on
+them.
 
 A pair's images of the words depend only on the images of their letters,
 so the search tests each distinct combination of letter images once (see
@@ -305,26 +306,25 @@ def search_witness(spec: AmalgamSpec, f: Word, g: Word,
     have conjugate images, so the walk returns the witness it would return
     on f and g, and the shorter words make it cheaper.  The re-check runs
     on f and g, and the G* proof projects f and g.  The walk reads
-    (cx, cy) unchecked; the decider's checks of them, which raise
-    VerificationFailed when they fail, run only right before NotSeparable
-    or BudgetExhausted is raised, as a found witness needs no more than
-    its re-check.
+    (cx, cy) unchecked; ``amalgam._check_reductions`` checks them from the
+    verdict, raising VerificationFailed when one fails, only right before
+    NotSeparable or BudgetExhausted is raised, as a found witness needs no
+    more than its re-check.
     """
     p = budget.p
-    verdict, check = am._decide(spec, f, g)
+    verdict = am._decide(spec, f, g)
     if verdict.conjugate:
         raise ElementsConjugate(verdict.conjugator)
     pair = qt.p_residual(spec, p)
-    if pair is not None:
-        star, _ = am._decide(pair.quotient_spec, qt.project_word(pair, f),
-                             qt.project_word(pair, g))
-        if star.conjugate:
-            check()
-            raise NotSeparable(pair.R, pair.S, star.conjugator, p)
-    found = _first_agreeing_pair(
+    star = None if pair is None else am._decide(
+        pair.quotient_spec, qt.project_word(pair, f), qt.project_word(pair, g))
+    proved = star is not None and star.conjugate
+    found = None if proved else _first_agreeing_pair(
         spec, _catalog_walk(p, budget.max_target_order), verdict.reduced)
     if found is None:
-        check()
+        am._check_reductions(spec, f, g, verdict)
+        if proved:
+            raise NotSeparable(pair.R, pair.S, star.conjugator, p)
         raise BudgetExhausted(
             f"no agreeing homomorphism pair into a catalog {p}-group of "
             f"order at most {budget.max_target_order} separates the inputs; "

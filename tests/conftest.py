@@ -7,7 +7,12 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from amalgams import amalgam as am
 from amalgams import fingroup
-from oracles import ref_is_conjugate_general, ref_normal_form, ref_reduce
+from oracles import (
+    ref_cyclically_reduce,
+    ref_is_conjugate_general,
+    ref_normal_form,
+    ref_reduce,
+)
 
 
 def make_amalg1():
@@ -121,9 +126,9 @@ def check_reduce_and_normal_form(spec, words):
 
 
 def check_deciders(spec, words):
-    """Both deciders give the reference's verdicts, cyclic reductions
-    included, on each pair of consecutive words and on each word against a
-    conjugate of it by the word after next."""
+    """Both deciders give the reference's verdicts, cyclic reductions and
+    (reduced) moved syllables included, on each pair of consecutive words
+    and on each word against a conjugate of it by the word after next."""
     words = list(words)
     for x, y, z in zip(words, words[1:], words[2:]):
         for v in (y, am.inverse(spec, z).concat(x).concat(z)):
@@ -131,6 +136,9 @@ def check_deciders(spec, words):
             got = am.is_conjugate_general(spec, x, v)
             assert got == expected
             assert got.reduced == expected.reduced  # not compared by ==
+            if not got.conjugate:
+                assert [am.reduce(spec, z) for z in got.moved] == \
+                    [ref_cyclically_reduce(spec, w)[1] for w in (x, v)]
             if spec.central:
                 assert am.is_conjugate_central(spec, x, v) == expected
 

@@ -403,6 +403,29 @@ class TestVerificationChecks:
         with pytest.raises(VerificationFailed):
             am.is_conjugate_general(spec, x, y)
 
+    def test_negative_verdict_carries_its_moved_syllables(self, amalg1):
+        """The moved syllables are data that ``_check_reductions`` reads:
+        swapped between the inputs, they fail its check.  Like
+        ``reduced``, they are left out of == and hash."""
+        x, y = W(("H", 1), ("K", 1), ("H", 1)), W(("K", 1), ("H", 1), ("K", 1))
+        verdict = am._decide(amalg1, x, y)
+        assert not verdict.conjugate
+        assert verdict.moved == (W(("H", 1)), W(("K", 1)))
+        am._check_reductions(amalg1, x, y, verdict)
+        swapped = dataclasses.replace(verdict, moved=verdict.moved[::-1])
+        assert swapped == verdict and hash(swapped) == hash(verdict)
+        with pytest.raises(VerificationFailed):
+            am._check_reductions(amalg1, x, y, swapped)
+
+    def test_positive_verdict_moves_nothing(self, amalg1, monkeypatch):
+        """A positive verdict has no moved syllables, and
+        ``_check_reductions`` checks nothing for it."""
+        x, y = W(("H", 1), ("K", 1), ("H", 1)), W(("H", 3), ("K", 1), ("H", 3))
+        verdict = am._decide(amalg1, x, y)
+        assert verdict.conjugate and verdict.moved is None
+        monkeypatch.setattr(am, "equal_in_g", lambda spec, u, v: False)
+        am._check_reductions(amalg1, x, y, verdict)
+
     def test_conjugator_rejects(self, amalg1, monkeypatch):
         monkeypatch.setattr(am, "equal_in_g", lambda spec, u, v: False)
         with pytest.raises(VerificationFailed):

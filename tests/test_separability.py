@@ -550,11 +550,12 @@ class TestWalkOnCyclicReductions:
 
 
 class TestPendingChecks:
-    """The search runs the decider's checks of the cyclic reductions of f
-    and g only before a negative answer.  A found witness is re-checked on
-    f and g themselves, and a negative verdict in G* backs no answer, so
-    neither pays for them.  The inputs are conjugated, so that each cyclic
-    check compares normal forms."""
+    """The search checks the cyclic reductions of f and g, from the
+    decider's negative verdict (``amalgam._check_reductions``), only
+    before a negative answer.  A found witness is re-checked on f and g
+    themselves, and a negative verdict in G* backs no answer, so neither
+    pays for them.  The inputs are conjugated, so that each cyclic check
+    compares normal forms."""
 
     FOUND = [(make_amalg1, W(("H", 1), ("K", 1)), W(("H", 1), ("K", 3))),
              (make_s3_amalgam, W(("H", 1), ("K", 1)), W(("K", 3)))]
