@@ -388,25 +388,26 @@ def hom_images(G: FiniteGroup, X: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     per-generator candidates, so candidates come in lexicographic order.
     Each is extended along a breadth-first spanning tree of G from the
     identity by rows of ``X.table`` and kept when it passes every relation
-    img(a*s) = img(a)*img(s) that the tree does not already imply: n*d -
-    (n - 1) checks for n elements and d generators, which give the full
+    img(a*s) = img(a)*img(s) that the tree does not already imply.  Those
+    checks are the edges the tree leaves out, met on the same walk: n*d -
+    (n - 1) of them for n elements and d generators, which give the full
     homomorphism law since the generators span G.  A kept candidate's
     images go onto one flat list, sliced into the columns at the end.
     """
     gens = generating_sequence(G)
     steps = []  # (e, prev, gi) with e = prev * gens[gi], each prev first
+    checks = []  # (a, gi, a * gens[gi]) for every edge off the tree
     seen = {0}
     frontier = [0]
     for x in frontier:  # grows while iterated: breadth-first order
         for gi, g in enumerate(gens):
             y = G.table[x][g]
-            if y not in seen:
+            if y in seen:
+                checks.append((x, gi, y))
+            else:
                 seen.add(y)
                 frontier.append(y)
                 steps.append((y, x, gi))
-    tree = {(prev, gi) for _, prev, gi in steps}
-    checks = [(a, gi, G.table[a][g]) for a in G.elements()
-              for gi, g in enumerate(gens) if (a, gi) not in tree]
     x_orders = [X.element_order(x) for x in X.elements()]
     candidates = [[x for x in X.elements()
                    if G.element_order(g) % x_orders[x] == 0] for g in gens]

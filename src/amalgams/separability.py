@@ -340,22 +340,18 @@ def enumerate_cyclically_reduced(spec: AmalgamSpec,
     """One representative word per distinct cyclically reduced element of
     length <= max_length (deduplicated by normal form).  The candidates
     are cyclically reduced as built: longer ones alternate syllables
-    outside the amalgam, first tag != last; a K-syllable in B shares its
-    normal form with the H-syllable listed before it."""
+    outside the amalgam, first tag != last, so their length is even (there
+    are no cyclically reduced elements of odd length >= 3); a K-syllable
+    in B shares its normal form with the H-syllable listed before it."""
     words: list[Word] = [am.EMPTY]
     if max_length >= 1:
         words += [am.word([(tag, e)]) for tag in (TAG_H, TAG_K)
                   for e in range(1, spec.factor(tag).order)]
-    for n in range(2, max_length + 1):
+    for n in range(2, max_length + 1, 2):
         for start in (TAG_H, TAG_K):
             tags = [(TAG_H, TAG_K)[(i + (start == TAG_K)) % 2] for i in range(n)]
-            if tags[0] == tags[-1]:
-                continue
-            pools = []
-            for tag in tags:
-                sub = spec.amalg(tag).element_set()
-                pools.append([e for e in range(1, spec.factor(tag).order)
-                              if e not in sub])
+            pools = [[e for e in range(1, spec.factor(tag).order)
+                      if e not in spec.amalg(tag)] for tag in tags]
             for combo in itertools.product(*pools):
                 words.append(Word(tuple(zip(tags, combo))))
     first: dict[am.NormalForm, Word] = {}

@@ -25,14 +25,22 @@ from amalgams.errors import (
 )
 from conftest import (
     make_amalg1,
+    make_c2c2,
     make_c2c3,
     make_c9_amalgam,
+    make_d8_d8,
     make_d8_q8,
     make_d8_v_d8_twisted,
     make_d16_q16,
+    make_he3_c9,
     make_s3_amalgam,
+    make_s3_s3,
     random_conjugate,
 )
+
+ALL_MAKERS = [make_amalg1, make_c2c2, make_c2c3, make_s3_amalgam,
+              make_c9_amalgam, make_d8_q8, make_d16_q16, make_he3_c9,
+              make_s3_s3, make_d8_d8, make_d8_v_d8_twisted]
 
 
 def W(*syllables):
@@ -243,8 +251,7 @@ class TestSearchWitness:
 
     def test_length_two_pair(self, amalg1):
         f, g = W(("H", 1), ("K", 1)), W(("H", 1), ("K", 3))
-        if am.is_conjugate_general(amalg1, f, g).conjugate:
-            pytest.skip("pair happens to be conjugate")
+        assert not am.is_conjugate_general(amalg1, f, g).conjugate
         w = sep.search_witness(amalg1, f, g, BUDGET)
         assert sep.verify_witness(amalg1, w, f, g, 2)
 
@@ -343,6 +350,17 @@ class TestEnumeration:
         nfs = {(am.normal_form(amalg1, w).amalgam_part,
                 am.normal_form(amalg1, w).tail) for w in ws}
         assert len(nfs) == len(ws)
+
+    @pytest.mark.parametrize("make", ALL_MAKERS, ids=lambda m: m.__name__)
+    def test_no_cyclically_reduced_element_of_odd_length(self, make):
+        """An alternating word of odd length >= 3 starts and ends in one
+        factor, so odd lengths add no element."""
+        spec = make()
+        assert sep.enumerate_cyclically_reduced(spec, 3) == \
+            sep.enumerate_cyclically_reduced(spec, 2)
+        if make in (make_amalg1, make_c2c3):
+            assert sep.enumerate_cyclically_reduced(spec, 5) == \
+                sep.enumerate_cyclically_reduced(spec, 4)
 
 
 class TestReports:

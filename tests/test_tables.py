@@ -3,7 +3,8 @@
 The tables are checked entry by entry against the table-free accessors of
 ``oracles``, and through ``reduce``, ``normal_form`` and both deciders
 against its reference word layer, on words with arbitrary tags and
-identity syllables.
+identity syllables, both on the conftest amalgams and on a seeded sample
+of random ones.
 """
 
 import pickle
@@ -14,6 +15,7 @@ import pytest
 from amalgams import amalgam as am
 from amalgams import fingroup as fg
 from amalgams.amalgam import TAG_H, TAG_K, Word
+from amalgams.errors import PhiNotIso
 from conftest import (
     check_deciders,
     check_reduce_and_normal_form,
@@ -42,6 +44,50 @@ def random_words(spec, seed, count=150, max_len=8):
             tag = rng.choice((TAG_H, TAG_K))
             syl.append((tag, rng.randrange(spec.factor(tag).order)))
         yield Word(tuple(syl))
+
+
+C2, C3, C4 = fg.cyclic(2), fg.cyclic(3), fg.cyclic(4)
+SAMPLED_FACTORS = [C2, C4, fg.direct_product(C2, C2), fg.cyclic(8),
+                   fg.direct_product(C2, C4), fg.dihedral(4), fg.quaternion(8),
+                   C3, fg.cyclic(9), fg.direct_product(C3, C3),
+                   fg.symmetric3(), fg.cyclic(6)]
+
+
+def sample_amalgams(seed, draws):
+    """Random amalgams over SAMPLED_FACTORS: per draw, an order n in 2..4,
+    factors H and K with a proper subgroup of order n each, such subgroups
+    A and B, and a random bijection phi: A -> B fixing 0.  A draw whose
+    phi is not an isomorphism is dropped."""
+    rng = random.Random(seed)
+    proper = [[S for S in fg.enumerate_subgroups(G) if 2 <= len(S) < G.order]
+              for G in SAMPLED_FACTORS]
+    specs = []
+    for _ in range(draws):
+        n = rng.choice((2, 3, 4))
+        h, k = (rng.choice([i for i, subs in enumerate(proper)
+                            if any(len(S) == n for S in subs)])
+                for _ in range(2))
+        A, B = (rng.choice([S for S in proper[i] if len(S) == n])
+                for i in (h, k))
+        images = list(B.elements[1:])
+        rng.shuffle(images)
+        try:
+            specs.append(am.make_amalgam(SAMPLED_FACTORS[h], SAMPLED_FACTORS[k],
+                                         A.elements, B.elements,
+                                         dict(zip(A.elements, (0, *images)))))
+        except PhiNotIso:
+            pass
+    return specs
+
+
+def test_sampled_amalgams_match_reference():
+    """The word layer and both deciders against the reference on amalgams
+    beyond the fixed makers, non-central ones among them."""
+    specs = sample_amalgams(seed=0, draws=40)
+    assert sum(not spec.central for spec in specs) >= 10
+    for i, spec in enumerate(specs):
+        check_reduce_and_normal_form(spec, random_words(spec, seed=i))
+        check_deciders(spec, random_words(spec, seed=i, count=40, max_len=6))
 
 
 @pytest.mark.parametrize("make", MAKERS, ids=IDS)
