@@ -105,10 +105,12 @@ class AmalgamSpec:
     double-coset labels and the step table ``_steps`` read from it.
     ``_steps`` holds |factor| x |H| entries per factor, each a reference to
     a coset-table entry, and lives as long as the spec, like the others.
-    Two caches live exactly as long as the spec: ``p_residuals`` holds,
+    Three caches live exactly as long as the spec: ``p_residuals`` holds,
     per prime p, the p-residual pair that ``quotients.p_residual`` builds
-    on first request, and ``targets`` one record per target group X that
-    the witness search has reached.
+    on first request, ``abelian_p_quotients``, per prime p, the labels of
+    the largest abelian p-quotient that the witness search's pre-test
+    reads, and ``targets`` one record per target group X that the
+    witness search has reached.
     They are not fields, so equality and hashing see only the defining
     data.
     """
@@ -134,6 +136,14 @@ class AmalgamSpec:
     def p_residuals(self) -> dict:
         """Per prime p, the result of ``quotients.p_residual``, filled in
         on first request."""
+        return {}
+
+    @cached_property
+    def abelian_p_quotients(self) -> dict:
+        """Per prime p, the labels of G's largest abelian p-quotient,
+        filled in on first request (``separability._abelian_p_quotient``):
+        per factor, each element's coset label, and the label pairs of
+        (a, phi(a)^-1), a in A."""
         return {}
 
     @cached_property

@@ -34,6 +34,17 @@ first search on a spec to reach X pays for the whole table, where an
 early return could have stopped sooner; every later search on that spec
 only reads it.
 
+Before it walks, the search tests whether (cx, cy) have equal images in
+the largest abelian p-quotient of G (``_agree_in_abelian_p_quotient``).
+Every homomorphism into an abelian p-group factors through that quotient,
+so when they do, every agreeing pair into an abelian catalog group sends
+them to one element, and the walk skips those groups, building neither
+their records nor their Hom tables (the catalog lists each order's
+abelian groups apart, as it builds them from partitions).  No skipped
+pair passes, so the first passing pair, the witness, is the same, and so
+is every verdict.  The test costs one pass over the letters and one set
+lookup, and runs only for a search about to walk.
+
 Caches on the witness path:
 
 - one module-level cache (``lru_cache``, ``cache_clear`` empties it):
@@ -44,9 +55,11 @@ Caches on the witness path:
   index, read for every pair tested, and both Hom tables as built,
   each unbounded (Hom(C2^4, C2^4) alone is 65,536 homs in 16 columns,
   8.4 MB kept, 18.2 MB at its build peak, within the default budget);
-  and the p-residuals
-  (``AmalgamSpec.p_residuals``).  A record never changes once built, so
-  no query leaves state that a later one reads.
+  the p-residuals (``AmalgamSpec.p_residuals``); and per p, the labels of
+  the largest abelian p-quotient (``AmalgamSpec.abelian_p_quotients``,
+  filled by ``_abelian_p_quotient``), one per element of each factor
+  plus the label pairs of A.  A record never changes once built, so no
+  query leaves state that a later one reads.
 
 Before the catalog walk, the search consults the p-residual quotient
 G* = H/R* * K/S* (``quotients.p_residual``), through which every
@@ -169,26 +182,35 @@ def _abelian_p_group(p: int, partition: tuple[int, ...]) -> FiniteGroup:
 
 
 @lru_cache(maxsize=None)
-def _groups_of_order(p: int, exp: int) -> tuple[FiniteGroup, ...]:
-    """The catalog groups of order p**exp: the abelian ones, one per
-    partition, then for p = 2 the dihedral and quaternion groups of order
-    8 and 16."""
-    groups = [_abelian_p_group(p, partition) for partition in _partitions(exp)]
+def _groups_of_order(p: int, exp: int
+                     ) -> tuple[tuple[FiniteGroup, ...], tuple[FiniteGroup, ...]]:
+    """The catalog groups of order p**exp, as two tuples: the abelian
+    ones, one per partition, and the others, for p = 2 the dihedral and
+    quaternion groups of order 8 and 16."""
+    abelian = tuple(_abelian_p_group(p, partition)
+                    for partition in _partitions(exp))
     if p == 2 and exp in (3, 4):
-        groups += [fingroup.dihedral(2 ** (exp - 1)), fingroup.quaternion(2 ** exp)]
-    return tuple(groups)
+        return abelian, (fingroup.dihedral(2 ** (exp - 1)),
+                         fingroup.quaternion(2 ** exp))
+    return abelian, ()
 
 
-def _catalog_walk(p: int, max_order: int) -> Iterator[FiniteGroup]:
-    """The witness targets of order <= max_order, smallest order first,
-    for a prime p and a bound max_order >= p (``SearchBudget`` checks
-    both).  Each order's groups are built when the walk first reaches
-    them, so a large bound costs nothing until a search gets that far."""
+def _catalog_walk(p: int, max_order: int,
+                  abelian: bool = True) -> Iterator[FiniteGroup]:
+    """The witness targets of order <= max_order, smallest order first
+    and within an order the abelian ones first, for a prime p and a bound
+    max_order >= p (``SearchBudget`` checks both); with ``abelian`` false,
+    only the non-abelian ones.  Each order's groups are built when the
+    walk first reaches them, so a large bound costs nothing until a search
+    gets that far."""
     k = 0
     while p ** (k + 1) <= max_order:
         k += 1
-    return itertools.chain.from_iterable(
-        map(_groups_of_order, itertools.repeat(p), range(1, k + 1)))
+    for exp in range(1, k + 1):
+        commutative, others = _groups_of_order(p, exp)
+        if abelian:
+            yield from commutative
+        yield from others
 
 
 def p_group_catalog(p: int, max_order: int) -> tuple[FiniteGroup, ...]:
@@ -211,6 +233,71 @@ def _target(spec: AmalgamSpec, X: FiniteGroup) -> tuple:
                                     fingroup.hom_images(spec.H, X),
                                     fingroup.hom_images(spec.K, X))
     return record
+
+
+def _abelian_p_labels(G: FiniteGroup, p: int) -> tuple[int, ...]:
+    """Per element of G, the least element of its coset of N, the
+    subgroup generated by the commutators of G and its elements of order
+    prime to p.  N is normal (both generating sets are closed under
+    conjugation) and it is the least normal subgroup whose quotient is an
+    abelian p-group, so G/N is the largest abelian p-quotient of G and the
+    labels multiply as its elements do."""
+    table, inv = G.table, G._inv
+    gens = {table[table[inv[x]][inv[y]]][table[x][y]]
+            for x in G.elements() for y in G.elements()}
+    gens.update(x for x in G.elements() if G.element_order(x) % p)
+    N = fingroup.subgroup_closure(G, gens).elements
+    labels = [None] * G.order
+    for e in G.elements():
+        if labels[e] is None:  # e is the least element of its coset e*N
+            for n in N:
+                labels[table[e][n]] = e
+    return tuple(labels)
+
+
+def _abelian_p_quotient(spec: AmalgamSpec, p: int) -> tuple:
+    """G's largest abelian p-quotient on the spec, (H labels, K labels,
+    relations), built on the first call for p and kept in
+    ``spec.abelian_p_quotients``.  The labels are each factor's
+    ``_abelian_p_labels``; ``relations`` is the set of label pairs of
+    (a, phi(a)^-1), a in A.  G^ab is H^ab x K^ab divided by the pairs
+    (a, phi(a)^-1), and its p'-part is the image of the p'-parts of H^ab
+    and K^ab, which the labels already divide out; so the relations are
+    the kernel of H/N_H x K/N_K onto the largest abelian p-quotient of G,
+    a subgroup given by its elements."""
+    record = spec.abelian_p_quotients.get(p)
+    if record is None:
+        h_labels = _abelian_p_labels(spec.H, p)
+        k_labels = _abelian_p_labels(spec.K, p)
+        k_inv = spec.K._inv
+        record = spec.abelian_p_quotients[p] = (
+            h_labels, k_labels,
+            frozenset((h_labels[a], k_labels[k_inv[b]]) for a, b in spec.phi))
+    return record
+
+
+def _agree_in_abelian_p_quotient(spec: AmalgamSpec, p: int,
+                                 u: Word, v: Word) -> bool:
+    """Whether u and v have equal images in the largest abelian p-quotient
+    of G (``_abelian_p_quotient``): the product of u's H-letters and of
+    the inverses of v's H-letters, and the same for K, label a pair in the
+    relations.  The quotient is abelian, so the letters may be multiplied
+    in any order."""
+    h_labels, k_labels, relations = _abelian_p_quotient(spec, p)
+    h_table, k_table = spec.H.table, spec.K.table
+    h_inv, k_inv = spec.H._inv, spec.K._inv
+    h = k = 0
+    for tag, e in u:
+        if tag == TAG_H:
+            h = h_table[h][e]
+        else:
+            k = k_table[k][e]
+    for tag, e in v:
+        if tag == TAG_H:
+            h = h_table[h][h_inv[e]]
+        else:
+            k = k_table[k][k_inv[e]]
+    return (h_labels[h], k_labels[k]) in relations
 
 
 def _distinct_keys(columns: Sequence[tuple[int, ...]]) -> Iterable[tuple]:
@@ -310,6 +397,14 @@ def search_witness(spec: AmalgamSpec, f: Word, g: Word,
     verdict, raising VerificationFailed when one fails, only right before
     NotSeparable or BudgetExhausted is raised, as a found witness needs no
     more than its re-check.
+
+    Just before the walk, and only there, the search tests whether
+    (cx, cy) have equal images in the largest abelian p-quotient of G.
+    When they do, each agreeing pair into an abelian p-group factors
+    through that quotient and sends them to one element, so the walk
+    skips the abelian catalog groups: it loses no passing pair and returns
+    the witness the whole catalog gives.  A BudgetExhausted raised after
+    such a walk says that the inputs agree in every abelian p-quotient.
     """
     p = budget.p
     verdict = am._decide(spec, f, g)
@@ -319,16 +414,22 @@ def search_witness(spec: AmalgamSpec, f: Word, g: Word,
     star = None if pair is None else am._decide(
         pair.quotient_spec, qt.project_word(pair, f), qt.project_word(pair, g))
     proved = star is not None and star.conjugate
-    found = None if proved else _first_agreeing_pair(
-        spec, _catalog_walk(p, budget.max_target_order), verdict.reduced)
+    found = abelian_agree = None
+    if not proved:
+        abelian_agree = _agree_in_abelian_p_quotient(spec, p, *verdict.reduced)
+        found = _first_agreeing_pair(
+            spec, _catalog_walk(p, budget.max_target_order, not abelian_agree),
+            verdict.reduced)
     if found is None:
         am._check_reductions(spec, f, g, verdict)
         if proved:
             raise NotSeparable(pair.R, pair.S, star.conjugator, p)
+        why = (f", and they agree in every abelian {p}-quotient of G, so "
+               f"no abelian target was tried" if abelian_agree else "")
         raise BudgetExhausted(
             f"no agreeing homomorphism pair into a catalog {p}-group of "
-            f"order at most {budget.max_target_order} separates the inputs; "
-            f"the search budget ran out")
+            f"order at most {budget.max_target_order} separates the "
+            f"inputs{why}; the search budget ran out")
     witness = Witness(*found)
     if not verify_witness(spec, witness, f, g, p):
         raise VerificationFailed("witness failed the independent re-check")

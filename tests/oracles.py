@@ -398,3 +398,48 @@ def free_product_conjugate(spec: AmalgamSpec, x: Word, y: Word) -> bool:
         (tx, ex), (ty, ey) = cx[0], cy[0]
         return tx == ty and fingroup.are_conjugate_in(spec.factor(tx), ex, ey) is not None
     return any(cx[i:] + cx[:i] == cy for i in range(len(cx)))
+
+
+def _derived_cosets(G: fingroup.FiniteGroup) -> list[frozenset]:
+    """Per element of G, its coset of the derived subgroup G', G' grown
+    from the commutators by multiplying until nothing new appears."""
+    derived = {G.mul(G.mul(G.inv(x), G.inv(y)), G.mul(x, y))
+               for x in G.elements() for y in G.elements()}
+    while True:
+        grown = derived | {G.mul(x, y) for x in derived for y in derived}
+        if grown == derived:
+            break
+        derived = grown
+    return [frozenset(G.mul(e, d) for d in derived) for e in G.elements()]
+
+
+def ref_agree_in_abelian_p_quotient(spec: AmalgamSpec, p: int, u: Word,
+                                    v: Word) -> bool:
+    """Whether u and v have equal images in the largest abelian p-quotient
+    of G, G^ab divided by its p'-part.  G^ab is H/H' x K/K' divided by the
+    relation subgroup R of the pairs (a, phi(a)^-1), a in A, so the images
+    agree exactly when the order of u v^-1 modulo R, the least n >= 1
+    with (u v^-1)^n in R, is prime to p.  The image of a word in H/H' x
+    K/K' is the pair of cosets of its H-letters' and its K-letters'
+    products, in word order."""
+    cosets = {TAG_H: _derived_cosets(spec.H), TAG_K: _derived_cosets(spec.K)}
+
+    def image(w: Word) -> dict[str, int]:
+        out = {TAG_H: 0, TAG_K: 0}
+        for tag, e in w:
+            out[tag] = spec.factor(tag).mul(out[tag], e)
+        return out
+
+    def coset_pair(h: int, k: int) -> tuple[frozenset, frozenset]:
+        return cosets[TAG_H][h], cosets[TAG_K][k]
+
+    relations = {coset_pair(a, spec.K.inv(b)) for a, b in spec.phi}
+    x, y = image(u), image(v)
+    d = {tag: spec.factor(tag).mul(x[tag], spec.factor(tag).inv(y[tag]))
+         for tag in (TAG_H, TAG_K)}
+    power, n = dict(d), 1
+    while coset_pair(power[TAG_H], power[TAG_K]) not in relations:
+        power = {tag: spec.factor(tag).mul(power[tag], d[tag])
+                 for tag in (TAG_H, TAG_K)}
+        n += 1
+    return n % p != 0

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import itertools
 import os
@@ -449,6 +450,13 @@ class TestResidualReverification:
             sep.is_cfp_separable_bounded(amalg1, am.EMPTY, RESIDUAL_BUDGET)
 
 
+def make_c8_c2_c8():
+    """C8 *_{C2} C8 over the subgroups of order 2; central.  H:4 is
+    nontrivial in G^ab = (C8 x C8) / <(4, 4)>."""
+    c8 = fg.cyclic(8)
+    return am.make_amalgam(c8, c8, [0, 4], [0, 4], {0: 0, 4: 4})
+
+
 class TestSpecHomTables:
     def test_search_fills_and_rereads_the_spec_tables(self, monkeypatch):
         """A search on a fresh spec fills one record for each target the
@@ -458,13 +466,15 @@ class TestSpecHomTables:
         ``class_index`` or the brute force gives, in the same order.  A
         second search on the same spec enumerates nothing,
         reads the same record objects and returns the witness a freshly
-        built equal spec gives."""
+        built equal spec gives.  The inputs differ in G^ab, so the walk
+        tries the abelian targets too: C2, C4, C2^2 and then C8, the
+        witness."""
         filled = []
         hom_images = fg.hom_images
         monkeypatch.setattr(fg, "hom_images", lambda G, X: (
             filled.append((G, X)) or hom_images(G, X)))
-        f, g = am.EMPTY, W(("H", 2))
-        spec = make_d16_q16()
+        f, g = am.EMPTY, W(("H", 4))
+        spec = make_c8_c2_c8()
         assert spec.targets == {}
         w = sep.search_witness(spec, f, g, BUDGET)
         catalog = sep.p_group_catalog(2, BUDGET.max_target_order)
@@ -485,10 +495,83 @@ class TestSpecHomTables:
         assert list(spec.targets) == list(reached)
         assert len(filled) == 2 * len(reached)
         assert all(spec.targets[X] is r for X, r in records.items())
-        fresh = sep.search_witness(make_d16_q16(), f, g, BUDGET)
+        fresh = sep.search_witness(make_c8_c2_c8(), f, g, BUDGET)
         for other in (again, fresh):
             assert (other.target, other.psi_H, other.psi_K) == \
                 (w.target, w.psi_H, w.psi_K)
+
+
+def is_abelian(X):
+    return all(X.mul(a, b) == X.mul(b, a)
+               for a in X.elements() for b in X.elements())
+
+
+class TestAbelianPreTest:
+    """Inputs with equal images in the largest abelian p-quotient of G
+    are equal in every abelian p-group an agreeing pair reaches, so the
+    walk skips the abelian targets for them."""
+
+    def test_agreeing_inputs_build_no_abelian_record(self, monkeypatch):
+        """D16 *_Z Q16 with ("", H:2): r^2 is a commutator of D16, so the
+        walk builds Hom tables into non-abelian targets only, and returns
+        the witness the full catalog gives."""
+        filled = []
+        hom_images = fg.hom_images
+        monkeypatch.setattr(fg, "hom_images", lambda G, X: (
+            filled.append(X) or hom_images(G, X)))
+        spec, f, g = make_d16_q16(), am.EMPTY, W(("H", 2))
+        assert sep._agree_in_abelian_p_quotient(spec, 2, f, g)
+        w = sep.search_witness(spec, f, g, BUDGET)
+        assert filled and not any(map(is_abelian, filled))
+        assert list(spec.targets) == list(dict.fromkeys(filled))
+        catalog = sep.p_group_catalog(2, BUDGET.max_target_order)
+        assert sep._first_agreeing_pair(make_d16_q16(), catalog, (f, g)) \
+            == (w.target, w.psi_H, w.psi_K)
+
+    @pytest.mark.parametrize("make, f, g, walked", [
+        (make_amalg1, W(("H", 1), ("K", 1)), W(("K", 1), ("H", 1)), False),
+        (make_c2c3, W(("K", 1)), W(("K", 2)), False),
+        (make_s3_amalgam, W(("K", 1)), W(("K", 3)), False),
+        (make_d8_q8, W(("H", 1), ("K", 1)), W(("H", 1), ("K", 3)), True),
+        (make_amalg1, W(("H", 1)), W(("K", 1)), True),
+    ], ids=["conjugate", "proved_c2_c3", "proved_s3", "exhausted", "found"])
+    def test_runs_once_and_only_before_a_walk(self, make, f, g, walked,
+                                              monkeypatch):
+        """Conjugate inputs and inputs proved through G* never reach the
+        test; a walked search runs it once, on the decider's reductions."""
+        calls = []
+        real = sep._agree_in_abelian_p_quotient
+        monkeypatch.setattr(sep, "_agree_in_abelian_p_quotient",
+                            lambda *args: calls.append(args) or real(*args))
+        spec = make()
+        budget = sep.SearchBudget(2, 32, 16)
+        with contextlib.suppress(BudgetExhausted, ElementsConjugate):
+            sep.search_witness(spec, f, g, budget)
+        if walked:
+            assert calls == [(spec, 2, *am._decide(spec, f, g).reduced)]
+        else:
+            assert calls == []
+
+    def test_exhausted_text_says_why(self, amalg1):
+        """The text names the skipped abelian targets only when the inputs
+        agree in every abelian p-quotient, and always leads with "no
+        agreeing homomorphism pair"."""
+        texts = []
+        for spec, f, g, budget in [
+                (make_d16_q16(), W(("H", 1)), W(("H", 3)),
+                 sep.SearchBudget(2, 8, 8)),
+                (amalg1, am.EMPTY, W(("H", 2)), sep.SearchBudget(2, 2, 2))]:
+            with pytest.raises(BudgetExhausted) as exc:
+                sep.search_witness(spec, f, g, budget)
+            assert not isinstance(exc.value, NotSeparable)
+            texts.append(str(exc.value))
+        assert texts == [
+            "no agreeing homomorphism pair into a catalog 2-group of order "
+            "at most 8 separates the inputs, and they agree in every "
+            "abelian 2-quotient of G, so no abelian target was tried; the "
+            "search budget ran out",
+            "no agreeing homomorphism pair into a catalog 2-group of order "
+            "at most 2 separates the inputs; the search budget ran out"]
 
 
 class TestClassIndex:

@@ -7,6 +7,7 @@ identity syllables, both on the conftest amalgams and on a seeded sample
 of random ones.
 """
 
+import itertools
 import pickle
 import random
 
@@ -14,6 +15,7 @@ import pytest
 
 from amalgams import amalgam as am
 from amalgams import fingroup as fg
+from amalgams import separability as sep
 from amalgams.amalgam import TAG_H, TAG_K, Word
 from amalgams.errors import PhiNotIso
 from conftest import (
@@ -24,10 +26,17 @@ from conftest import (
     make_c9_amalgam,
     make_d8_d8,
     make_d8_q8,
+    make_he3_c9,
     make_s3_amalgam,
     make_s3_s3,
+    random_conjugate,
 )
-from oracles import ref_coset_decompose, ref_in_amalg, ref_transport
+from oracles import (
+    ref_agree_in_abelian_p_quotient,
+    ref_coset_decompose,
+    ref_in_amalg,
+    ref_transport,
+)
 
 MAKERS = [make_amalg1, make_s3_amalgam, make_c9_amalgam, make_d8_q8, make_c2c3,
           make_s3_s3, make_d8_d8]
@@ -150,3 +159,45 @@ def test_tables_do_not_affect_equality(make):
     assert "_members" in vars(built.A) and "_members" not in vars(other)
     assert other == built.A and hash(other) == hash(built.A)
     assert pickle.loads(pickle.dumps(built)) == fresh
+
+
+def test_abelian_p_pre_test_matches_brute_force():
+    """The witness search's pre-test, equal images in the largest abelian
+    p-quotient of G, against the brute force (derived subgroups by
+    closure, the relation subgroup, the p'-part by element order) at
+    p = 2 and p = 3, on consecutive random words and on each word against
+    a random conjugate of the next, so both answers occur at both primes."""
+    specs = [make() for make in MAKERS] + [make_he3_c9()] \
+        + sample_amalgams(seed=0, draws=40)
+    answers = {2: set(), 3: set()}
+    for i, spec in enumerate(specs):
+        rng = random.Random(i)
+        words = list(random_words(spec, seed=i, count=20, max_len=6))
+        pairs = list(zip(words, words[1:]))
+        pairs += [(u, random_conjugate(spec, v, rng)) for u, v in pairs]
+        for p, (u, v) in itertools.product((2, 3), pairs):
+            got = sep._agree_in_abelian_p_quotient(spec, p, u, v)
+            assert got == ref_agree_in_abelian_p_quotient(spec, p, u, v), \
+                (i, p, u, v)
+            answers[p].add(got)
+    assert answers == {2: {False, True}, 3: {False, True}}
+
+
+@pytest.mark.parametrize("make", [make_s3_amalgam, make_c2c3],
+                         ids=["s3_c3_c6", "c2_c3"])
+def test_abelian_p_pre_test_forgets_the_p_prime_part(make):
+    """Words that differ by a K-letter of order 3 agree in every abelian
+    2-quotient of G.  At p = 3 they differ on C2 * C3, where G^ab =
+    C2 x C3 keeps that letter, and agree on S3 *_{C3} C6, where the letter
+    lies in B, glued to S3's derived subgroup A3, so G^ab = C2 x C2."""
+    spec = make()
+    threes = [e for e in spec.K.elements() if spec.K.element_order(e) == 3]
+    differ_at_3 = []
+    for i, u in enumerate(random_words(spec, seed=3, count=40)):
+        v = u.concat(Word(((TAG_K, threes[i % len(threes)]),)))
+        assert sep._agree_in_abelian_p_quotient(spec, 2, u, v)
+        assert ref_agree_in_abelian_p_quotient(spec, 2, u, v)
+        got = sep._agree_in_abelian_p_quotient(spec, 3, u, v)
+        assert got == ref_agree_in_abelian_p_quotient(spec, 3, u, v)
+        differ_at_3.append(not got)
+    assert differ_at_3 == [make is make_c2c3] * len(differ_at_3)

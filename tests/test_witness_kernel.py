@@ -14,7 +14,7 @@ import pytest
 import oracles
 from amalgams import amalgam as am
 from amalgams import separability as sep
-from amalgams.errors import BudgetExhausted, ElementsConjugate
+from amalgams.errors import BudgetExhausted, ElementsConjugate, NotSeparable
 from conftest import (
     make_amalg1,
     make_c2c3,
@@ -92,6 +92,77 @@ def test_same_witness_as_pair_loop(make, length, p, order):
             (f, g)
         found += got is not None
     assert found  # the comparison covered witnesses, not only None
+
+
+def search_outcome(spec, f, g, budget):
+    try:
+        w = sep.search_witness(spec, f, g, budget)
+    except ElementsConjugate:
+        return "conjugate", None
+    except NotSeparable:
+        return "proved", None
+    except BudgetExhausted:
+        return "exhausted", None
+    return "found", (w.target, w.psi_H, w.psi_K)
+
+
+@pytest.mark.parametrize("make,p,order", [
+    (make_amalg1, 2, 16),
+    (make_s3_amalgam, 2, 16),
+    (make_c9_amalgam, 3, 27),
+    (make_c2c3, 2, 8),
+    (make_d8_q8, 2, 16),
+    (make_d16_q16, 2, 8),
+    (make_s3_s3, 2, 16),
+    (make_d8_d8, 2, 16),
+    (make_d8_v_d8_twisted, 2, 16),
+    (make_he3_c9, 3, 27),
+], ids=["c4_c2_c4", "s3_c3_c6", "c9_c3_c3xc3", "c2_c3", "d8_z_q8",
+        "d16_z_q16", "s3_c2_s3", "d8_c2_d8", "d8_v_d8_twisted", "he3_c3_c9"])
+def test_skipping_abelian_targets_keeps_the_witness(make, p, order):
+    """Over every non-conjugate pair of cyclically reduced elements of
+    length <= 2 that agree in the largest abelian p-quotient of G, the
+    search, which skips the abelian targets for them, returns the witness
+    of the walk over the whole catalog, and is exhausted or proved where
+    that walk finds none.  A pair the test tells apart walks the whole
+    catalog anyway."""
+    spec = make()
+    budget = sep.SearchBudget(p, order, order)
+    catalog = sep.p_group_catalog(p, order)
+    outcomes = []
+    for f, g in itertools.combinations(
+            sep.enumerate_cyclically_reduced(spec, 2), 2):
+        if am._decide(spec, f, g).conjugate \
+                or not sep._agree_in_abelian_p_quotient(spec, p, f, g):
+            continue
+        outcome, found = search_outcome(spec, f, g, budget)
+        assert found == sep._first_agreeing_pair(spec, catalog, (f, g)), \
+            (f, g)
+        outcomes.append(outcome)
+    # C4 *_{C2} C4 and C9 *_{C3} C3^2 have no such pair: every
+    # non-conjugate pair there differs in G^ab's p-quotient.
+    assert outcomes or make in (make_amalg1, make_c9_amalgam)
+
+
+@pytest.mark.parametrize("make,exhausted", [
+    (make_d8_q8, 37), (make_d8_d8, 22),
+], ids=["d8_z_q8", "d8_c2_d8"])
+def test_order_32_sweep_keeps_every_outcome(make, exhausted):
+    """Every pair of distinct cyclically reduced elements of length <= 2
+    at order 32: the search's outcome and witness are those of the walk
+    over the whole catalog, and the exhausted count stays as the census
+    has it."""
+    spec = make()
+    budget = sep.SearchBudget(2, 32, 16)
+    catalog = sep.p_group_catalog(2, 32)
+    counts = {}
+    for f, g in itertools.combinations(
+            sep.enumerate_cyclically_reduced(spec, 2), 2):
+        outcome, found = search_outcome(spec, f, g, budget)
+        if outcome != "conjugate":
+            assert found == sep._first_agreeing_pair(spec, catalog, (f, g))
+        counts[outcome] = counts.get(outcome, 0) + 1
+    assert counts["exhausted"] == exhausted and counts["found"] > 1000
 
 
 @pytest.mark.parametrize("make,order", [
