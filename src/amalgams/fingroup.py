@@ -295,24 +295,31 @@ class GroupHom:
     def is_injective(self) -> bool:
         return len(set(self.images)) == self.source.order
 
+
+def coset_labels(G: FiniteGroup, S: Collection[int]) -> tuple[int, ...]:
+    """Per element e of G, the least element of e*S, S a subgroup's elements."""
+    labels = [-1] * G.order
+    for e in G.elements():
+        if labels[e] < 0:  # e is the least element of its coset e*S
+            for x in map(G.table[e].__getitem__, S):
+                labels[x] = e
+    return tuple(labels)
+
+
 def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
-    """Quotient on minimal-index coset representatives plus the projection."""
+    """Quotient on least coset representatives (``coset_labels``), numbered
+    in increasing order, plus the projection."""
     if not is_normal(G, N):
         raise NotNormal(f"{N.elements} is not normal")
-    label = [-1] * G.order  # element -> number of its coset
-    reps = []
-    for g in G.elements():
-        if label[g] < 0:  # g is the least element of a new coset g*N
-            for x in map(G.table[g].__getitem__, N.elements):
-                label[x] = len(reps)
-            reps.append(g)
+    least = coset_labels(G, N.elements)
+    reps = sorted(set(least))
+    label = tuple(map({r: i for i, r in enumerate(reps)}.__getitem__, least))
     table = tuple(tuple(map(label.__getitem__, map(G.table[a].__getitem__, reps)))
                   for a in reps)
     names = (tuple(_quotient_name(G.name_of(r), i) for i, r in enumerate(reps))
              if G.names else None)
     Q = from_table(len(reps), table, names)
-    proj = GroupHom(G, Q, tuple(label))
-    return Q, proj
+    return Q, GroupHom(G, Q, label)
 
 
 def _quotient_name(name: str, index: int) -> str:

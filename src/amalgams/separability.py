@@ -236,23 +236,17 @@ def _target(spec: AmalgamSpec, X: FiniteGroup) -> tuple:
 
 
 def _abelian_p_labels(G: FiniteGroup, p: int) -> tuple[int, ...]:
-    """Per element of G, the least element of its coset of N, the
-    subgroup generated by the commutators of G and its elements of order
-    prime to p.  N is normal (both generating sets are closed under
-    conjugation) and it is the least normal subgroup whose quotient is an
-    abelian p-group, so G/N is the largest abelian p-quotient of G and the
-    labels multiply as its elements do."""
+    """Per element of G, the least element of its coset of N
+    (``fingroup.coset_labels``), N being generated by the commutators of
+    G and its elements of order prime to p.  N is normal (both generating
+    sets are closed under conjugation) and it is the least normal subgroup
+    whose quotient is an abelian p-group, so G/N is the largest abelian
+    p-quotient of G and the labels multiply as its elements do."""
     table, inv = G.table, G._inv
     gens = {table[table[inv[x]][inv[y]]][table[x][y]]
             for x in G.elements() for y in G.elements()}
     gens.update(x for x in G.elements() if G.element_order(x) % p)
-    N = fingroup.subgroup_closure(G, gens).elements
-    labels = [None] * G.order
-    for e in G.elements():
-        if labels[e] is None:  # e is the least element of its coset e*N
-            for n in N:
-                labels[table[e][n]] = e
-    return tuple(labels)
+    return fingroup.coset_labels(G, fingroup.subgroup_closure(G, gens).elements)
 
 
 def _abelian_p_quotient(spec: AmalgamSpec, p: int) -> tuple:
@@ -438,27 +432,30 @@ def search_witness(spec: AmalgamSpec, f: Word, g: Word,
 
 def enumerate_cyclically_reduced(spec: AmalgamSpec,
                                  max_length: int) -> tuple[Word, ...]:
-    """One representative word per distinct cyclically reduced element of
-    length <= max_length (deduplicated by normal form).  The candidates
-    are cyclically reduced as built: longer ones alternate syllables
-    outside the amalgam, first tag != last, so their length is even (there
-    are no cyclically reduced elements of odd length >= 3); a K-syllable
-    in B shares its normal form with the H-syllable listed before it."""
+    """One word per distinct cyclically reduced element of length <=
+    max_length: the identity, every H letter, the K letters outside B,
+    then per even length the alternating words of syllables outside the
+    amalgam starting with H, then with K (no cyclically reduced element
+    has odd length >= 3).  Moving each syllable's amalgam part into the
+    next one gives every element one word whose syllables but the last are
+    least in their left cosets e*S (``fingroup.coset_labels``, S the
+    factor's amalgamated subgroup); only those words are built."""
+    outside, least = {}, {}
+    for tag in (TAG_H, TAG_K):
+        G, S = spec.factor(tag), spec.amalg(tag)
+        labels = fingroup.coset_labels(G, S.elements)
+        outside[tag] = [e for e in range(1, G.order) if e not in S]
+        least[tag] = [e for e in outside[tag] if labels[e] == e]
     words: list[Word] = [am.EMPTY]
     if max_length >= 1:
-        words += [am.word([(tag, e)]) for tag in (TAG_H, TAG_K)
-                  for e in range(1, spec.factor(tag).order)]
+        words += [Word(((TAG_H, e),)) for e in range(1, spec.H.order)]
+        words += [Word(((TAG_K, e),)) for e in outside[TAG_K]]
     for n in range(2, max_length + 1, 2):
-        for start in (TAG_H, TAG_K):
-            tags = [(TAG_H, TAG_K)[(i + (start == TAG_K)) % 2] for i in range(n)]
-            pools = [[e for e in range(1, spec.factor(tag).order)
-                      if e not in spec.amalg(tag)] for tag in tags]
-            for combo in itertools.product(*pools):
-                words.append(Word(tuple(zip(tags, combo))))
-    first: dict[am.NormalForm, Word] = {}
-    for w in words:
-        first.setdefault(am.normal_form(spec, w), w)
-    return tuple(first.values())
+        for tags in ((TAG_H, TAG_K) * (n // 2), (TAG_K, TAG_H) * (n // 2)):
+            pools = [least[tag] for tag in tags[:-1]] + [outside[tags[-1]]]
+            words += [Word(tuple(zip(tags, combo)))
+                      for combo in itertools.product(*pools)]
+    return tuple(words)
 
 
 @dataclass(frozen=True)

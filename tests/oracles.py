@@ -19,6 +19,12 @@ reaches.  It reads only ``spec.phi``, the element lists of the
 amalgamated subgroups and the factor tables, never the spec's derived
 lookups (``_left_action``, ``_double_cosets``, ``_across``, ``central``)
 that the library's word layer reads.
+
+``ref_enumerate_cyclically_reduced`` is the enumerator as it was before
+it built only words of least left-coset representatives: it builds every
+alternating word of syllables outside the amalgam and keeps the first one
+met per element, deduplicating by the library's ``normal_form`` (which
+the tests hold to ``ref_normal_form``).
 """
 
 from __future__ import annotations
@@ -443,3 +449,28 @@ def ref_agree_in_abelian_p_quotient(spec: AmalgamSpec, p: int, u: Word,
                  for tag in (TAG_H, TAG_K)}
         n += 1
     return n % p != 0
+
+
+def ref_enumerate_cyclically_reduced(spec: AmalgamSpec,
+                                     max_length: int) -> tuple[Word, ...]:
+    """One representative word per distinct cyclically reduced element of
+    length <= max_length (deduplicated by normal form).  The candidates
+    are cyclically reduced as built: longer ones alternate syllables
+    outside the amalgam, first tag != last, so their length is even (there
+    are no cyclically reduced elements of odd length >= 3); a K-syllable
+    in B shares its normal form with the H-syllable listed before it."""
+    words: list[Word] = [am.EMPTY]
+    if max_length >= 1:
+        words += [am.word([(tag, e)]) for tag in (TAG_H, TAG_K)
+                  for e in range(1, spec.factor(tag).order)]
+    for n in range(2, max_length + 1, 2):
+        for start in (TAG_H, TAG_K):
+            tags = [(TAG_H, TAG_K)[(i + (start == TAG_K)) % 2] for i in range(n)]
+            pools = [[e for e in range(1, spec.factor(tag).order)
+                      if e not in spec.amalg(tag)] for tag in tags]
+            for combo in itertools.product(*pools):
+                words.append(Word(tuple(zip(tags, combo))))
+    first: dict[am.NormalForm, Word] = {}
+    for w in words:
+        first.setdefault(am.normal_form(spec, w), w)
+    return tuple(first.values())

@@ -381,6 +381,15 @@ class TestKernelAgainstBruteForce:
                                         for a in reps), (G.order, N.elements)
                 assert proj.images == tuple(label[g] for g in G.elements())
 
+    def test_coset_labels_by_brute_force(self):
+        """The least element of each left coset e*S, on every subgroup,
+        non-normal ones such as the order-2 subgroups of S3 included."""
+        for G in KERNEL_GROUPS:
+            for S in fg.enumerate_subgroups(G):
+                assert fg.coset_labels(G, S.elements) == tuple(
+                    min(G.mul(e, s) for s in S.elements)
+                    for e in G.elements()), (G.order, S.elements)
+
     def test_direct_products(self):
         small = [fg.cyclic(2), fg.cyclic(3), fg.cyclic(4), fg.symmetric3(),
                  fg.dihedral(4), fg.quaternion(8)]

@@ -38,6 +38,7 @@ from conftest import (
     make_s3_s3,
     random_conjugate,
 )
+from test_tables import sample_amalgams
 
 ALL_MAKERS = [make_amalg1, make_c2c2, make_c2c3, make_s3_amalgam,
               make_c9_amalgam, make_d8_q8, make_d16_q16, make_he3_c9,
@@ -363,6 +364,23 @@ class TestEnumeration:
             assert sep.enumerate_cyclically_reduced(spec, 5) == \
                 sep.enumerate_cyclically_reduced(spec, 4)
 
+    @pytest.mark.parametrize("make", ALL_MAKERS, ids=lambda m: m.__name__)
+    def test_matches_the_generate_and_deduplicate_reference(self, make):
+        """The words built from least left-coset representatives are the
+        reference's first word per element, in its order.  S3 *_{C2} S3 and
+        He3 *_{C3} C9 tell a left coset e*S from the right coset S*e."""
+        spec = make()
+        top = 5 if make in (make_amalg1, make_c2c3) else 4
+        for n in range(top + 1):
+            assert sep.enumerate_cyclically_reduced(spec, n) == \
+                oracles.ref_enumerate_cyclically_reduced(spec, n), n
+
+    def test_sampled_amalgams_match_the_reference(self):
+        for spec in sample_amalgams(seed=0, draws=40):
+            for n in range(5):
+                assert sep.enumerate_cyclically_reduced(spec, n) == \
+                    oracles.ref_enumerate_cyclically_reduced(spec, n), n
+
 
 class TestReports:
     def test_cfp_report_amalg1(self, amalg1):
@@ -422,6 +440,24 @@ class TestReports:
         assert not report.all_separated
         failed = {e.other.syllables for e in report.entries if not e.separated}
         assert failed == {(("K", 1),), (("K", 2),)}
+
+    @pytest.mark.parametrize("make,separated", [(make_d8_d8, 363),
+                                                (make_d8_q8, 372)],
+                             ids=["d8_c2_d8", "d8_z_q8"])
+    def test_residual_p_at_length_4(self, make, separated):
+        """The bounded residual-p check over every cyclically reduced
+        element of length <= 4: 373 entries, none proved, and every
+        witness passes the independent re-check."""
+        spec = make()
+        report = sep.is_cfp_separable_bounded(spec, am.EMPTY,
+                                              sep.SearchBudget(2, 16, 16, 4))
+        assert len(report.entries) == 373
+        assert not any(e.proved for e in report.entries)
+        found = [e for e in report.entries if e.separated]
+        assert len(found) == separated
+        for entry in found:
+            assert sep.verify_witness(spec, entry.witness, entry.other,
+                                      am.EMPTY, 2)
 
 
 class TestResidualReverification:
