@@ -104,7 +104,7 @@ class AmalgamSpec:
     (``_inverses``) and the one coset table, ``_left_action``, with the
     double-coset labels and the step table ``_steps`` read from it.
     ``_steps`` holds |factor| x |H| entries per factor, each a reference to
-    a coset-table entry, and lives as long as the spec, like the others.
+    a shared (a, syllable) entry, and lives as long as the spec, like them.
     Three caches live exactly as long as the spec: ``p_residuals`` holds,
     per prime p, the p-residual pair that ``quotients.p_residual`` builds
     on first request, ``abelian_p_quotients``, per prime p, the labels of
@@ -193,14 +193,17 @@ class AmalgamSpec:
         return out
 
     @cached_property
-    def _steps(self) -> dict[str, tuple[tuple[tuple[int, int], ...], ...]]:
-        """Per tag, the table e -> carry -> (a, rep) that ``normal_form``
-        reads for a syllable e of a factor other than that of the first
-        tail syllable: the coset-table entry of e * carry, carry an
-        element of A given by its H-side index.  Rows are indexed by
-        every H-side index; only those of A are read."""
-        return {tag: tuple(tuple(cosets[row[c]] for c in into) for row in tab)
-                for tag, (tab, into, cosets) in self._left_action.items()}
+    def _steps(self) -> dict[str, tuple[tuple[tuple, ...], ...]]:
+        """Per tag, the table e -> carry -> (a, syllable) that
+        ``normal_form`` reads for a syllable e of a factor other than that
+        of the first tail syllable: e * carry = a * rep, carry and a in A by
+        H-side index, and syllable (tag, rep) built once, or None if rep = 1.
+        Rows are indexed by every H-side index; only those of A are read."""
+        out = {}
+        for tag, (tab, into, cosets) in self._left_action.items():
+            done = [(a, (tag, rep) if rep else None) for a, rep in cosets]
+            out[tag] = tuple(tuple(done[row[c]] for c in into) for row in tab)
+        return out
 
     @cached_property
     def _double_cosets(self) -> dict[str, tuple[int, ...]]:
@@ -243,12 +246,23 @@ def make_amalgam(H: FiniteGroup, K: FiniteGroup,
     return AmalgamSpec(H, K, A_sub, B_sub, tuple(sorted(phi.items())))
 
 
-def _push(tab, across, out, syllables) -> None:
-    """Push syllables onto ``out``, a reduced word with an open right end.
-    A syllable merges with a last syllable of its factor; an amalgamated
-    last syllable of the other factor is flipped into its left neighbour,
-    which then merges with the syllable, or when alone into the syllable."""
-    for syl in syllables:
+def reduce(spec: AmalgamSpec, w: Word) -> Word:
+    """A reduced form of w: adjacent syllables from different factors, no
+    interior syllable in the amalgamated subgroup.  A length-1 result lying
+    in the amalgam is canonicalized to tag H.  Same-tag merges come before
+    absorption; an amalgamated syllable is absorbed into its left
+    neighbour, a leading one into its right neighbour, so that after the
+    second loop only the last syllable can lie in the amalgam."""
+    tab, across = spec._tables, spec._across
+    merged: list[tuple[str, int]] = []
+    for syl in w.syllables:
+        tag = syl[0]
+        if merged and merged[-1][0] == tag:
+            syl = tag, tab[tag][merged.pop()[1]][syl[1]]
+        if syl[1]:
+            merged.append(syl)
+    out: list[tuple[str, int]] = []
+    for syl in merged:
         tag, e = syl
         if out:
             top_tag, top = out[-1]
@@ -261,33 +275,13 @@ def _push(tab, across, out, syllables) -> None:
                 syl = tag, t[t[out.pop()[1]][top]][e] if out else t[top][e]
         if syl[1]:
             out.append(syl)
-
-
-def _close(tab, across, out) -> None:
-    """Push an identity onto ``out``: an amalgamated last syllable joins its
-    left neighbour (a non-amalgamated product), a lone one gets tag H."""
     if out and out[-1][1] in across[out[-1][0]]:
-        tag = TAG_H if len(out) == 1 or out[-1][0] == TAG_K else TAG_K
-        _push(tab, across, out, ((tag, 0),))
-
-
-def reduce(spec: AmalgamSpec, w: Word) -> Word:
-    """A reduced form of w: adjacent syllables from different factors, no
-    interior syllable in the amalgamated subgroup.  A length-1 result lying
-    in the amalgam is canonicalized to tag H.  Same-tag merges come before
-    absorption; an amalgamated syllable is absorbed into its left
-    neighbour, a leading one into its right neighbour."""
-    tab, across = spec._tables, spec._across
-    merged: list[tuple[str, int]] = []
-    for syl in w.syllables:
-        tag = syl[0]
-        if merged and merged[-1][0] == tag:
-            syl = tag, tab[tag][merged.pop()[1]][syl[1]]
-        if syl[1]:
-            merged.append(syl)
-    out: list[tuple[str, int]] = []
-    _push(tab, across, out, merged)
-    _close(tab, across, out)
+        tag, a = out.pop()
+        if out:
+            left_tag, left = out[-1]
+            out[-1] = left_tag, tab[left_tag][left][across[tag][a]]
+        else:
+            out.append((TAG_H, across[TAG_K][a] if tag == TAG_K else a))
     return Word(tuple(out))
 
 
@@ -314,9 +308,9 @@ def normal_form(spec: AmalgamSpec, w: Word) -> NormalForm:
     with tag T gives y = e * a (a carried into T's factor), times t1 when
     t1 also has tag T, which is then popped; y = a' * rep by the coset
     table, rep is pushed unless it is the identity, and a' is the new
-    carry.  Without a merge, (a', rep) is one read of the step table at
-    (e, a).  After a pop the next tail syllable has the other tag, so no
-    merge cascades: one table step per syllable.
+    carry.  Without a merge, a' and the finished (T, rep) or None are one
+    read of the step table at (e, a).  After a pop the next tail syllable
+    has the other tag, so no merge cascades: one table step per syllable.
     """
     act, steps = spec._left_action, spec._steps
     carry = 0  # element of A, H-side index
@@ -325,13 +319,15 @@ def normal_form(spec: AmalgamSpec, w: Word) -> NormalForm:
         if tail and tail[-1][0] == tag:
             tab, into, cosets = act[tag]
             carry, rep = cosets[tab[tab[e][into[carry]]][tail.pop()[1]]]
+            if rep:
+                tail.append((tag, rep))
         else:
             try:
-                carry, rep = steps[tag][e][carry]
+                carry, syl = steps[tag][e][carry]
             except KeyError:
                 raise IndexOutOfRange(f"bad factor tag {tag!r}") from None
-        if rep:
-            tail.append((tag, rep))
+            if syl:
+                tail.append(syl)
     tail.reverse()
     return NormalForm(carry, tuple(tail))
 
@@ -342,17 +338,31 @@ def equal_in_g(spec: AmalgamSpec, u: Word, v: Word) -> bool:
 
 def _cyclic(spec: AmalgamSpec, w: Word) -> tuple[Word, Word]:
     """A cyclically reduced c and the syllables z moved to reach it, with
-    z^-1 * w * z = c in G, unchecked.  A first syllable of the last one's
-    factor moves to z and to the end; z is left unreduced."""
+    z^-1 * w * z = c in G, unchecked.  A first syllable s of the last
+    one's factor moves to z and is multiplied into the last one, t, in
+    place: t * s = 1 drops t, t * s in the amalgam is carried across phi
+    into t's left neighbour, and any other t * s replaces t.  A reduced
+    word of length >= 2 alternates and has no amalgamated syllable, and
+    the loop keeps it so: the left neighbour exists and stays outside the
+    amalgam, and no lone amalgamated syllable arises.  Each write lands on
+    the new last syllable, which is never moved, so z, left unreduced, is
+    the reduced word's first lo syllables."""
     tab, across = spec._tables, spec._across
-    syl = deque(reduce(spec, w).syllables)
-    moved = []
-    while len(syl) > 1 and syl[0][0] == syl[-1][0]:
-        s = syl.popleft()
-        moved.append(s)
-        _push(tab, across, syl, (s,))
-        _close(tab, across, syl)
-    return Word(tuple(syl)), Word(tuple(moved))
+    syl = list(reduce(spec, w).syllables)
+    lo, hi = 0, len(syl)
+    while hi - lo > 1 and syl[lo][0] == syl[hi - 1][0]:
+        tag, e = syl[lo]
+        lo += 1
+        prod = tab[tag][syl[hi - 1][1]][e]
+        if not prod:
+            hi -= 1
+        elif prod in across[tag]:
+            hi -= 1
+            left_tag, left = syl[hi - 1]
+            syl[hi - 1] = left_tag, tab[left_tag][left][across[tag][prod]]
+        else:
+            syl[hi - 1] = tag, prod
+    return Word(tuple(syl[lo:hi])), Word(tuple(syl[:lo]))
 
 
 def _check_cyclic(spec: AmalgamSpec, w: Word, c: Word, z: Word) -> None:

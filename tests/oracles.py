@@ -20,6 +20,13 @@ amalgamated subgroups and the factor tables, never the spec's derived
 lookups (``_left_action``, ``_double_cosets``, ``_across``, ``central``)
 that the library's word layer reads.
 
+``ref_cyclic_by_push`` is the library's unchecked cyclic reduction
+(``amalgam._cyclic``) as it was before it merged each moved syllable in
+place: every rotation pushes the moved syllable onto the right end of a
+deque and closes it, through the push and close helpers that ``reduce``
+used then, copied with it unchanged.  It starts from the library's
+``reduce``, which the tests hold to ``ref_reduce``.
+
 ``ref_enumerate_cyclically_reduced`` is the enumerator as it was before
 it built only words of least left-coset representatives: it builds every
 alternating word of syllables outside the amalgam and keeps the first one
@@ -30,6 +37,7 @@ the tests hold to ``ref_normal_form``).
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from functools import lru_cache
 from typing import Iterator
 
@@ -143,6 +151,49 @@ def ref_cyclically_reduce(spec: AmalgamSpec, w: Word) -> tuple[Word, Word]:
     if not ref_equal_in_g(spec, am.inverse(spec, z).concat(w).concat(z), c):
         raise VerificationFailed("cyclic conjugator failed verification")
     return c, z
+
+
+def _push(tab, across, out, syllables) -> None:
+    """Push syllables onto ``out``, a reduced word with an open right end.
+    A syllable merges with a last syllable of its factor; an amalgamated
+    last syllable of the other factor is flipped into its left neighbour,
+    which then merges with the syllable, or when alone into the syllable."""
+    for syl in syllables:
+        tag, e = syl
+        if out:
+            top_tag, top = out[-1]
+            if top_tag == tag:
+                out.pop()
+                syl = tag, tab[tag][top][e]
+            elif top in across[top_tag]:
+                out.pop()
+                t, top = tab[tag], across[top_tag][top]
+                syl = tag, t[t[out.pop()[1]][top]][e] if out else t[top][e]
+        if syl[1]:
+            out.append(syl)
+
+
+def _close(tab, across, out) -> None:
+    """Push an identity onto ``out``: an amalgamated last syllable joins its
+    left neighbour (a non-amalgamated product), a lone one gets tag H."""
+    if out and out[-1][1] in across[out[-1][0]]:
+        tag = TAG_H if len(out) == 1 or out[-1][0] == TAG_K else TAG_K
+        _push(tab, across, out, ((tag, 0),))
+
+
+def ref_cyclic_by_push(spec: AmalgamSpec, w: Word) -> tuple[Word, Word]:
+    """A cyclically reduced c and the syllables z moved to reach it, with
+    z^-1 * w * z = c in G, unchecked.  A first syllable of the last one's
+    factor moves to z and to the end; z is left unreduced."""
+    tab, across = spec._tables, spec._across
+    syl = deque(am.reduce(spec, w).syllables)
+    moved = []
+    while len(syl) > 1 and syl[0][0] == syl[-1][0]:
+        s = syl.popleft()
+        moved.append(s)
+        _push(tab, across, syl, (s,))
+        _close(tab, across, syl)
+    return Word(tuple(syl)), Word(tuple(moved))
 
 
 def ref_length1_closure(spec: AmalgamSpec, tag: str, e: int) -> dict:

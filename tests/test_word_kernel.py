@@ -14,6 +14,7 @@ import random
 import pytest
 
 from amalgams import amalgam as am
+from amalgams import fileio
 from amalgams.amalgam import TAG_H, TAG_K, EMPTY, NormalForm, Word, word
 from amalgams.errors import IndexOutOfRange, VerificationFailed
 from conftest import (
@@ -24,11 +25,13 @@ from conftest import (
     make_c9_amalgam,
     make_d8_d8,
     make_d8_q8,
+    make_d16_q16,
     make_he3_c9,
     make_s3_amalgam,
     make_s3_s3,
 )
 from oracles import (
+    ref_cyclic_by_push,
     ref_cyclically_reduce,
     ref_equal_in_g,
     ref_is_conjugate_general,
@@ -36,6 +39,8 @@ from oracles import (
     ref_normal_form,
     ref_reduce,
 )
+from test_separability import ALL_MAKERS
+from test_tables import sample_amalgams
 
 MAKERS = [make_amalg1, make_s3_amalgam, make_c9_amalgam, make_d8_q8, make_c2c3,
           make_s3_s3, make_d8_d8]
@@ -148,6 +153,43 @@ def test_deciders_match_reference_at_workload_lengths(make):
             assert got.reduced == expected.reduced  # not compared by ==
             if spec.central:
                 assert am.is_conjugate_central(spec, a, b) == expected
+
+
+def test_cyclic_matches_rotation_by_push():
+    """``_cyclic`` gives the reference rotation's c and moved syllables,
+    which verdict equality does not compare: on biased words over every
+    amalgam of the suites and the sampled ones, and on conjugates z^-1 w z
+    shaped like the words workload's on D16 *_Z Q16."""
+    specs = [make() for make in ALL_MAKERS] + sample_amalgams(seed=0, draws=40)
+    rotated = 0
+    for i, spec in enumerate(specs):
+        for w in biased_words(spec, seed=i, count=200, max_len=12):
+            got = am._cyclic(spec, w)
+            assert got == ref_cyclic_by_push(spec, w), w
+            rotated += bool(got[1])
+    spec, rng = make_d16_q16(), random.Random(0)
+    for n in (8, 16, 32) * 100:
+        w = alternating_word(spec, rng, n)
+        z = alternating_word(spec, rng, rng.randint(1, n))
+        conj = am.inverse(spec, z).concat(w).concat(z)
+        got = am._cyclic(spec, conj)
+        assert got == ref_cyclic_by_push(spec, conj), conj
+        rotated += bool(got[1])
+    assert rotated > 900  # 1,011 of the 8,700 inputs rotate
+
+
+@pytest.mark.parametrize("w, c, moved", [
+    ("H:1 K:1 H:3", "K:1", "H:1"),
+    ("H:1 K:1 H:1", "K:3", "H:1"),
+    ("H:1 K:1 H:4", "K:1 H:7", "H:1"),
+], ids=["product-is-1", "carried-into-left", "merged"])
+def test_cyclic_moves_one_syllable(w, c, moved):
+    """One rotation per case of the in-place merge on D8 *_Z Q8, A = {0, 2}:
+    H:3 * H:1 = 1 is dropped, H:1 * H:1 = H:2 in A is carried into K:1,
+    and H:4 * H:1 = H:7 replaces H:4."""
+    spec = make_d8_q8()
+    w, c, moved = (fileio.parse_word(spec, t) for t in (w, c, moved))
+    assert am._cyclic(spec, w) == (c, moved) == ref_cyclic_by_push(spec, w)
 
 
 def label_sequences(spec, per_coset):
